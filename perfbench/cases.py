@@ -78,6 +78,11 @@ class ProtectedCase:
         self.reference = workloads.direct_run(workload)
         self.outputs = [bytearray(size) for size in workload.payload.output_sizes]
         self.output_bytes = workload.payload.total_output_bytes
+        # The reference call writes into buffers allocated once: a fresh 16 MiB
+        # allocation costs either ~5 ms or ~25 ms of page faults depending on
+        # the allocator's state, which would make slowdown_x bimodal.
+        self._direct_inputs = [memoryview(data) for data in workload.payload.inputs]
+        self._direct_outputs = [memoryview(bytearray(size)) for size in workload.payload.output_sizes]
 
     def reset(self) -> None:
         """Zero the caller's outputs, so a missing copy-back cannot go unseen."""
@@ -114,7 +119,8 @@ class ProtectedCase:
         return problems
 
     def direct(self) -> None:
-        workloads.direct_run(self.workload)
+        """The wrapper in this process on the same inputs: slowdown_x's base."""
+        self.workload.computation(self._direct_inputs, self._direct_outputs)
 
 
 class ModelCheckCase:
