@@ -1,4 +1,4 @@
-"""The benchmark's five workloads and the correctness gate for each operation.
+"""The benchmark's four workloads and the correctness gate for each operation.
 
 One operation is one protect() call, or one exhaustive_check pair on
 model-check. Every protected workload uses the same monitor config (CONFIG).
@@ -18,7 +18,17 @@ from softlockstep.core import Action, MonitorConfig, PayloadSpec, Role, VerdictK
 
 # The fixed monitor config of every protected workload: counter "auto", no
 # pinning, RECORD_AND_CONTINUE (MonitorConfig's defaults).
-THRESHOLD = 2_000_000
+#
+# The threshold meets the bound threshold >= r * (P + L) for the check period
+# the monitor actually achieves, not the nominal 1 ms: with head, trail and
+# monitor on two vCPUs and no pinning, a waking monitor can wait for a CPU, and
+# with one more CPU-bound process on the host the trail gained up to 18.5 ms of
+# task-clock on the head between two checks (longest gap 23.6 ms; traced runs
+# on a quieter host saw gaps up to 27.6 ms). That is
+# P + L ~= 25 ms at r = 1 task-clock ns per ns, doubled as the safety margin.
+# At 2_000_000 (2 ms of task-clock), spin:3000000 lost diversity in 6% of runs
+# on a quiet host and 51% with one competing process.
+THRESHOLD = 50_000_000
 CHECK_PERIOD_US = 1000
 COUNTER = "auto"
 CONFIG = MonitorConfig(threshold_instructions=THRESHOLD, check_period_us=CHECK_PERIOD_US)
@@ -46,7 +56,12 @@ MODEL_LATENCY = 1
 MODEL_SAFE_THRESHOLD = 4
 MODEL_UNSAFE_THRESHOLD = 3
 
-NAMES = ("small", "bulk", "bulk-flip", "compute", "model-check")
+# The workloads. checksum:65536 ("small") is left out of them: its
+# protect() is bound by fork, signal and sleep wake-up latency, which doubled
+# with 1-2% hypervisor steal time while the in-process hash it is divided by
+# slowed by a tenth. Its layers are measured on the other protected workloads,
+# and its operation is the side operation of model-check's traced run.
+NAMES = ("bulk", "bulk-flip", "compute", "model-check")
 
 
 def _invert(inputs, outputs) -> None:
@@ -174,10 +189,13 @@ def _enumerate_pairs(limit: int) -> None:
                 return
 
 
+def small_case(seed: int) -> ProtectedCase:
+    """checksum:65536, the cheapest protect(): the fixed per-call cost."""
+    return ProtectedCase(workloads.checksum_workload(SMALL_BYTES, seed=seed))
+
+
 def build(name: str, seed: int):
     """The case for one workload; its inputs depend only on the seed."""
-    if name == "small":
-        return ProtectedCase(workloads.checksum_workload(SMALL_BYTES, seed=seed))
     if name == "bulk":
         return _bulk_case(seed)
     if name == "bulk-flip":

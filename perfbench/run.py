@@ -33,20 +33,24 @@ HERE = os.path.join(ROOT, "perfbench")
 OUT = os.path.join(HERE, "out")
 
 BASELINE_SEED = 0
-DEFAULT_SECONDS = 18
+DEFAULT_SECONDS = 22
 # set-up runs: at least SETUP_MIN, more while they fit in SETUP_BUDGET_S.
 SETUP_MIN = 3
 SETUP_MAX = 9
-SETUP_BUDGET_S = 2.0
+SETUP_BUDGET_S = 3.0
 # Operations per measured phase, however slow they are.
 MIN_OPS = 3
-# Share of the measured time spent on the in-process reference calls.
+# In-process reference calls after each op: at most REF_CALLS_PER_OP, and
+# together at most DIRECT_SHARE of the measured time.
+REF_CALLS_PER_OP = 5
 DIRECT_SHARE = 0.35
 MEMCPY_BYTES = 16 << 20
-# Absolute times printed beside the BENCHMARK.json metrics. They swing with the
-# host's CPU speed from run to run, so the bounded metrics are their ratios to
-# the interleaved in-process reference (slowdown_x, cpu_slowdown_x).
-ALSO_REPORTED = {"op_ms_p50": "ms", "op_ms_tail": "ms", "ops_per_s": "1/s", "cpu_ms_per_op": "ms"}
+# Printed beside the BENCHMARK.json metrics, without a bound. The absolute times
+# swing with the host's CPU speed from run to run, and slowdown_x with the
+# scheduling delay that other tenants' load adds to protect(), so the bounded
+# cost metric is cpu_slowdown_x.
+ALSO_REPORTED = {"slowdown_x": "x", "op_ms_p50": "ms", "op_ms_tail": "ms", "ops_per_s": "1/s",
+                 "cpu_ms_per_op": "ms"}
 
 
 def cpu_seconds() -> float:
@@ -139,8 +143,8 @@ def leaks(baseline_fds: int) -> int:
 class Loop:
     """Closed loop: operations back to back, each gated for correctness.
 
-    In-process reference calls are interleaved so that slowdown_x compares
-    both under the same host conditions.
+    In-process reference calls follow each op, so that slowdown_x compares
+    each op with reference calls made under the same host conditions.
     """
 
     def __init__(self, case):
@@ -157,11 +161,18 @@ class Loop:
             self.problems.extend(f"op {self.attempted}: {p}" for p in problems)
 
     def run(self, seconds: float, min_ops: int, tracer=None):
-        """Returns (op wall times in ms, CPU seconds, traces of passing traced ops)."""
+        """Returns (op wall ms, op CPU ms, reference ms, traces of passing traced ops).
+
+        The three lists hold one entry per passing op; an op's reference is
+        the median of the reference calls made right after it (or of the
+        latest ones, when the reference share of the time is used up).
+        """
         times: list[float] = []
+        cpus: list[float] = []
+        refs: list[float] = []
         traces = {}
-        cpu = 0.0
         direct_s = 0.0
+        ref = None
         run = self.case.run if tracer is None else tracer.wrap_op(self.case.run)
         start = time.perf_counter()
         ops = 0
@@ -170,8 +181,9 @@ class Loop:
             if elapsed >= seconds and ops >= min_ops or elapsed >= seconds + 60:
                 break
             self.case.reset()
+            op_id = self.attempted
             if tracer is not None:
-                tracer.op_id = self.attempted
+                tracer.op_id = op_id
             cpu_start = cpu_seconds()
             op_start = time.perf_counter()
             try:
@@ -183,19 +195,31 @@ class Loop:
                 op_cpu = cpu_seconds() - cpu_start
                 problems = self.case.check(result)
             ops += 1
-            if not problems:
-                times.append(op_s * 1e3)
-                cpu += op_cpu
-                if tracer is not None and self.case.protected:
-                    traces[self.attempted] = result[1]
             self.gate(problems)
-            if direct_s < DIRECT_SHARE * elapsed or len(self.direct_ms) < 3:
+            block: list[float] = []
+            while len(block) < REF_CALLS_PER_OP and (
+                direct_s < DIRECT_SHARE * (time.perf_counter() - start) or ref is None and not block
+            ):
                 direct_start = time.perf_counter()
                 self.case.direct()
                 took = time.perf_counter() - direct_start
                 direct_s += took
-                self.direct_ms.append(took * 1e3)
-        return times, cpu, traces
+                block.append(took * 1e3)
+            if block:
+                self.direct_ms += block
+                ref = statistics.median(block)
+            if not problems:
+                times.append(op_s * 1e3)
+                cpus.append(op_cpu * 1e3)
+                refs.append(ref)
+                if tracer is not None and self.case.protected:
+                    traces[op_id] = result[1]
+        return times, cpus, refs, traces
+
+
+def paired_median(values: list[float], refs: list[float]) -> float:
+    """Median over ops of each op's value divided by its own reference."""
+    return statistics.median(v / r for v, r in zip(values, refs)) if values else float("nan")
 
 
 def tail(times: list[float]) -> tuple[float, float, int]:
@@ -231,31 +255,47 @@ def run_workload(args) -> int:
         loop.gate([f"warm-up raised {exc!r}"])
 
     if args.trace == 0:
-        times, cpu, _ = loop.run(args.seconds, MIN_OPS)
-        p50 = statistics.median(times) if times else float("nan")
-        tail_ms, tail_pct, beyond = tail(times) if times else (float("nan"), 0.0, 0)
-        cpu_ms = cpu * 1e3 / len(times) if times else float("nan")
-        direct_ms = statistics.median(loop.direct_ms)
+        times, cpus, refs, _ = loop.run(args.seconds, MIN_OPS)
+        nan = float("nan")
+        p50 = statistics.median(times) if times else nan
+        tail_ms, tail_pct, beyond = tail(times) if times else (nan, 0.0, 0)
         metrics = {
-            "setup_s": statistics.median(setups) if setups else float("nan"),
+            "setup_s": statistics.median(setups) if setups else nan,
             "op_ms_p50": p50,
             "op_ms_tail": tail_ms,
-            "ops_per_s": len(times) / (sum(times) / 1e3) if times else float("nan"),
-            "slowdown_x": p50 / direct_ms,
-            "cpu_ms_per_op": cpu_ms,
-            "cpu_slowdown_x": cpu_ms / direct_ms,
+            "ops_per_s": len(times) / (sum(times) / 1e3) if times else nan,
+            "slowdown_x": paired_median(times, refs),
+            "cpu_ms_per_op": statistics.mean(cpus) if cpus else nan,
+            "cpu_slowdown_x": paired_median(cpus, refs),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         }
         info = {"op_samples": len(times), "tail_percentile": tail_pct,
                 "tail_samples_beyond": beyond, "setup_runs": len(setups),
                 "direct_samples": len(loop.direct_ms)}
-        samples = {"op_ms": times, "direct_ms": loop.direct_ms, "setup_s": setups}
+        samples = {"op_ms": times, "op_cpu_ms": cpus, "op_ref_ms": refs,
+                   "direct_ms": loop.direct_ms, "setup_s": setups}
     else:
-        untraced, _, _ = loop.run(args.seconds / 2, MIN_OPS)
+        untraced, _, _, _ = loop.run(args.seconds / 2, MIN_OPS)
+        # The layers this workload does not reach are measured on one side
+        # operation, so that every per-layer metric is a measurement: a
+        # checksum:65536 protect() beside model-check, a model-check pair
+        # beside the others.
+        side = cases.build("model-check", args.seed) if case.protected else cases.small_case(args.seed)
         tracer = spans.Tracer()
         tracer.install()
         try:
-            traced, _, traces = loop.run(args.seconds / 2, MIN_OPS, tracer)
+            traced, _, _, traces = loop.run(args.seconds / 2, MIN_OPS, tracer)
+            side.reset()
+            tracer.op_id = side_id = loop.attempted
+            try:
+                result = tracer.wrap_op(side.run)()
+            except Exception as exc:
+                loop.gate([f"side operation raised {exc!r}"])
+            else:
+                problems = side.check(result)
+                if not problems and side.protected:
+                    traces[side_id] = result[1]
+                loop.gate(problems)
         finally:
             tracer.uninstall()
         os.makedirs(OUT, exist_ok=True)
@@ -266,7 +306,8 @@ def run_workload(args) -> int:
             loop.problems += nesting[:10]
             loop.failed += 1
         space = len(cases.MODEL_ALPHABET) ** (2 * cases.MODEL_TICKS)
-        metrics = spans.layer_metrics(tracer.spans, traces, case.output_bytes,
+        output_bytes = case.output_bytes if case.protected else side.output_bytes
+        metrics = spans.layer_metrics(tracer.spans, traces, output_bytes,
                                       cases.CHECK_PERIOD_US, space)
         metrics["workloads.direct_ms"] = statistics.median(loop.direct_ms)
         metrics["trace.overhead_ms"] = statistics.median(traced) - statistics.median(untraced)

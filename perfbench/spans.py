@@ -175,7 +175,7 @@ def layer_metrics(spans, traces: dict, output_bytes: int, period_us: int,
 
     traces maps the op id of each passing protected op to the Trace its
     protect() returned. Sums are per op and reported as the median over ops
-    unless the name says otherwise. Layers a workload does not reach report 0.
+    unless the name says otherwise. Layers no traced op reaches report 0.
     """
     children: dict[int, int] = {}
     for name, start, end, parent, op in spans:
