@@ -13,20 +13,49 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .core import Role, Verdict
+
+# Bytes compared per step while looking for the first difference: small
+# enough that both slices and the comparison's temporary stay in cache.
+_COMPARE_CHUNK = 256 * 1024
 
 
 class ShapeMismatch(ValueError):
     """Output lists disagree in arity or byte length; comparison is undefined."""
 
 
+def _nbytes(buf) -> int:
+    with memoryview(buf) as view:
+        return view.nbytes
+
+
+def _first_difference(a, b) -> int | None:
+    """Offset of the first byte where two equal-length buffers differ, if any."""
+    x = np.frombuffer(a, dtype=np.uint8)
+    y = np.frombuffer(b, dtype=np.uint8)
+    try:
+        for start in range(0, x.size, _COMPARE_CHUNK):
+            end = start + _COMPARE_CHUNK
+            differs = x[start:end] != y[start:end]
+            if differs.any():
+                return start + int(differs.argmax())
+        return None
+    finally:
+        # x and y export the callers' buffers; one still held by a traceback
+        # would make unmapping a replica region raise BufferError.
+        del x, y
+
+
 def compare_outputs(
-    head_outputs: Sequence[bytes],
-    trail_outputs: Sequence[bytes],
+    head_outputs: Sequence,
+    trail_outputs: Sequence,
     output_sizes: Sequence[int],
 ) -> Verdict:
-    """Byte-for-byte verdict over both replicas' outputs.
+    """Byte-for-byte verdict over both replicas' outputs, compared in place.
 
+    Outputs may be any buffers (bytes, memoryview, mmap, ...); none is copied.
     Returns Match, or Mismatch carrying (output_index, first_differing_byte)
     for every output that differs. Shape violations raise instead of counting
     as mismatches: they indicate harness bugs, not computation faults.
@@ -37,16 +66,16 @@ def compare_outputs(
             f"trail {len(trail_outputs)}, declared {len(output_sizes)}"
         )
     for i, (a, b, size) in enumerate(zip(head_outputs, trail_outputs, output_sizes)):
-        if len(a) != size or len(b) != size:
+        a_len, b_len = _nbytes(a), _nbytes(b)
+        if a_len != size or b_len != size:
             raise ShapeMismatch(
-                f"output {i}: head {len(a)} bytes, trail {len(b)} bytes, declared {size}"
+                f"output {i}: head {a_len} bytes, trail {b_len} bytes, declared {size}"
             )
     locations = []
     for i, (a, b) in enumerate(zip(head_outputs, trail_outputs)):
-        if a == b:
-            continue
-        offset = next(j for j in range(len(a)) if a[j] != b[j])
-        locations.append((i, offset))
+        offset = _first_difference(a, b)
+        if offset is not None:
+            locations.append((i, offset))
     if locations:
         return Verdict.mismatch(locations)
     return Verdict.match()

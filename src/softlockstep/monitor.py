@@ -207,17 +207,19 @@ def enforcement_loop(
             if trail_state is TrailState.SUSPENDED:
                 source.resume(trail)
                 trail_state = TrailState.RUNNING
+        elif not head_done and stag < 0:
+            # Checked before TRAIL_DONE: a trail that overtook the head and
+            # then finished is still a loss.
+            action = Action.DIVERSITY_LOSS
+            if trail_state is TrailState.RUNNING:
+                source.suspend(trail)
+                trail_state = TrailState.SUSPENDED
         elif trail_term and not trail_done:
             action = Action.TRAIL_DONE
             trail_done = True
             trail_status = trail_exit
         elif head_done or trail_done:
             action = Action.NONE
-        elif stag < 0:
-            action = Action.DIVERSITY_LOSS
-            if trail_state is TrailState.RUNNING:
-                source.suspend(trail)
-                trail_state = TrailState.SUSPENDED
         else:
             action = decide(stag, threshold, trail_state)
             if action is Action.SUSPEND:
@@ -322,12 +324,12 @@ def _verdict_for(result: LoopResult, session: ReplicaSession, outputs: Sequence)
         return Verdict.diversity_loss(result.loss_sample)
     if result.outcome is LoopOutcome.REPLICA_TROUBLE:
         return Verdict.replica_failure(result.failed_role, result.failure_cause)
-    head_out = session.collect_outputs(Role.HEAD)
-    trail_out = session.collect_outputs(Role.TRAIL)
+    head_out = session.output_views(Role.HEAD)
+    trail_out = session.output_views(Role.TRAIL)
     verdict = integrity.compare_outputs(head_out, trail_out, session.payload.output_sizes)
     if verdict.kind is VerdictKind.MATCH:
-        for buf, data in zip(outputs, head_out):
-            memoryview(buf)[:] = data
+        for buf, view in zip(outputs, head_out):
+            memoryview(buf)[:] = view
     return verdict
 
 

@@ -91,6 +91,29 @@ class _Replica:
         if chunks:
             self.err_text = b"".join(chunks).decode("utf-8", "replace")
 
+    def close(self) -> None:
+        """Kill and reap the process, close its counter and pipe, unmap its region."""
+        if self.exit_status is None:
+            try:
+                os.kill(self.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            try:
+                self.reap()
+            except ChildProcessError:
+                self.exit_status = ExitStatus(kind=ExitKind.CRASH, code=signal.SIGKILL)
+        if self.counter_fd >= 0:
+            linuxperf.close_counter(self.counter_fd)
+            self.counter_fd = -1
+        # Every view must go before the mapping: close() refuses while any
+        # export of the region is outstanding.
+        for view in self.input_views + self.output_views:
+            view.release()
+        self.region.close()
+        if self.err_read_fd >= 0:
+            os.close(self.err_read_fd)
+            self.err_read_fd = -1
+
 
 def _decode_status(status: int) -> ExitStatus:
     if os.WIFEXITED(status):
@@ -141,11 +164,16 @@ class ProcessProgressSource:
     after the replica exits (the counter fd outlives the process).
     """
 
-    def __init__(self, session: "ReplicaSession"):
-        self._session = session
+    def __init__(self, replicas: dict[Role, _Replica]):
+        # The session's own dict, emptied on release; holding the session
+        # itself would keep it (and its payload copy) alive in a cycle.
+        self._replicas = replicas
 
     def _replica(self, handle: ReplicaHandle) -> _Replica:
-        return self._session._replica_for(handle)
+        rep = self._replicas.get(handle.role)
+        if rep is None or rep.handle.replica_id != handle.replica_id:
+            raise StaleHandle(f"handle {handle.replica_id} does not belong to a live session")
+        return rep
 
     def read_count(self, handle: ReplicaHandle) -> int:
         return linuxperf.read_counter(self._replica(handle).counter_fd)
@@ -184,7 +212,7 @@ class ReplicaSession:
     released: bool = False
 
     def __post_init__(self) -> None:
-        self.progress_source = ProcessProgressSource(self)
+        self.progress_source = ProcessProgressSource(self._replicas)
 
     def handle(self, role: Role) -> ReplicaHandle:
         self._check_live()
@@ -197,13 +225,6 @@ class ReplicaSession:
     def _check_live(self) -> None:
         if self.released:
             raise StaleHandle("session already released")
-
-    def _replica_for(self, handle: ReplicaHandle) -> _Replica:
-        self._check_live()
-        for rep in self._replicas.values():
-            if rep.handle.replica_id == handle.replica_id:
-                return rep
-        raise StaleHandle(f"handle {handle.replica_id} does not belong to this session")
 
     def failure_detail(self, role: Role) -> str:
         self._check_live()
@@ -231,8 +252,12 @@ class ReplicaSession:
             raise ValueError(f"bit index {bit_index} out of range")
         self._replicas[role].pending_bitflips.append((output_index, byte_offset, bit_index))
 
-    def collect_outputs(self, role: Role) -> list[bytes]:
-        """Copies of one replica's output regions; replica must have exited 0."""
+    def output_views(self, role: Role) -> list[memoryview]:
+        """One replica's output regions in place, with pending bit flips applied.
+
+        The replica must have exited 0. The views are valid until release(),
+        which refuses (BufferError) while anything still exports them.
+        """
         self._check_live()
         rep = self._replicas[role]
         status = rep.poll_exit()
@@ -246,7 +271,11 @@ class ReplicaSession:
             view = rep.output_views[output_index]
             view[byte_offset] ^= 1 << bit_index
         rep.pending_bitflips.clear()
-        return [bytes(view) for view in rep.output_views]
+        return list(rep.output_views)
+
+    def collect_outputs(self, role: Role) -> list[bytes]:
+        """Copies of one replica's output regions that outlive the session."""
+        return [bytes(view) for view in self.output_views(role)]
 
     def release(self) -> None:
         """Kill, reap, detach and unmap everything; safe to call twice."""
@@ -254,25 +283,8 @@ class ReplicaSession:
             return
         self.released = True
         for rep in self._replicas.values():
-            if rep.exit_status is None:
-                try:
-                    os.kill(rep.pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-                try:
-                    rep.reap()
-                except ChildProcessError:
-                    rep.exit_status = ExitStatus(kind=ExitKind.CRASH, code=signal.SIGKILL)
-            if rep.counter_fd >= 0:
-                linuxperf.close_counter(rep.counter_fd)
-                rep.counter_fd = -1
-            for view in rep.input_views + rep.output_views:
-                view.release()
-            rep.region.close()
-            try:
-                os.close(rep.err_read_fd)
-            except OSError:
-                pass
+            rep.close()
+        self._replicas.clear()
 
     def __enter__(self) -> "ReplicaSession":
         return self
@@ -329,7 +341,7 @@ def _spawn_one(
         rep.exit_status = _decode_status(status)
         rep._drain_err()
         detail = rep.err_text or str(rep.exit_status)
-        _cleanup_partial({role: rep})
+        rep.close()
         raise SpawnFailure(f"{role.value} replica died before starting: {detail}")
     return rep
 
@@ -347,7 +359,6 @@ def spawn_replicas(
     counter_kind = linuxperf.probe_counter(counter)
 
     replicas: dict[Role, _Replica] = {}
-    session: ReplicaSession | None = None
     try:
         for role in (Role.HEAD, Role.TRAIL):
             replicas[role] = _spawn_one(computation, payload, role)
@@ -359,10 +370,8 @@ def spawn_replicas(
         session.progress_source.resume(session.handle(Role.HEAD))
         return session
     except BaseException:
-        if session is not None:
-            session.release()
-        else:
-            _cleanup_partial(replicas)
+        for rep in replicas.values():
+            rep.close()
         raise
 
 
@@ -375,24 +384,3 @@ def _apply_pinning(replicas: dict[Role, _Replica], config: MonitorConfig) -> Non
         except (OSError, ValueError) as exc:
             raise PinningFailure(f"cannot pin {role.value} replica to core {core}: {exc}") from exc
 
-
-def _cleanup_partial(replicas: dict[Role, _Replica]) -> None:
-    for rep in replicas.values():
-        if rep.exit_status is None:
-            try:
-                os.kill(rep.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            try:
-                rep.reap()
-            except ChildProcessError:
-                pass
-        if rep.counter_fd >= 0:
-            linuxperf.close_counter(rep.counter_fd)
-        for view in rep.input_views + rep.output_views:
-            view.release()
-        rep.region.close()
-        try:
-            os.close(rep.err_read_fd)
-        except OSError:
-            pass

@@ -174,16 +174,7 @@ def simulate(
             if trail_view is TrailState.SUSPENDED:
                 trail_frozen_from = None
                 trail_view = TrailState.RUNNING
-        elif trail_done and not trail_done_emitted:
-            trail_done_emitted = True
-            trace.samples.append(
-                StaggeringSample.at(interval, timestamp_ns, head_count, trail_count, Action.TRAIL_DONE)
-            )
-        elif head_done_emitted or trail_done_emitted:
-            trace.samples.append(
-                StaggeringSample.at(interval, timestamp_ns, head_count, trail_count, Action.NONE)
-            )
-        elif stag < 0:
+        elif not head_done_emitted and stag < 0:
             trace.diversity_lost = True
             trace.samples.append(
                 StaggeringSample.at(interval, timestamp_ns, head_count, trail_count, Action.DIVERSITY_LOSS)
@@ -193,6 +184,15 @@ def simulate(
                 trail_view = TrailState.SUSPENDED
             if diversity_loss_policy is DiversityLossPolicy.ABORT_RUN:
                 return trace
+        elif trail_done and not trail_done_emitted:
+            trail_done_emitted = True
+            trace.samples.append(
+                StaggeringSample.at(interval, timestamp_ns, head_count, trail_count, Action.TRAIL_DONE)
+            )
+        elif head_done_emitted or trail_done_emitted:
+            trace.samples.append(
+                StaggeringSample.at(interval, timestamp_ns, head_count, trail_count, Action.NONE)
+            )
         else:
             action = decide(stag, threshold, trail_view)
             trace.samples.append(

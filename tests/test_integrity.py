@@ -1,10 +1,14 @@
 """Output comparison exactness and the fault grammar/driver."""
 
+import mmap
+from contextlib import ExitStack
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softlockstep.core import Role, VerdictKind
+from softlockstep.integrity import _COMPARE_CHUNK
 from softlockstep.integrity import (
     FaultKind,
     FaultSpec,
@@ -59,6 +63,60 @@ def test_single_bit_corruption_is_always_located_exactly(data, offset_frac, bit)
     verdict = compare_outputs([data], [bytes(corrupted)], [len(data)])
     assert verdict.kind is VerdictKind.MISMATCH
     assert verdict.mismatches == ((0, offset),)
+
+
+def naive_first_difference(a, b):
+    a, b = bytes(a), bytes(b)
+    for j in range(len(a)):
+        if a[j] != b[j]:
+            return j
+    return None
+
+
+def as_buffer(kind, data, stack):
+    if kind == "bytes":
+        return bytes(data)
+    if kind == "memoryview":
+        return memoryview(bytes(data))
+    # An anonymous mapping cannot be empty: view its first len(data) bytes.
+    region = stack.enter_context(mmap.mmap(-1, max(len(data), 1)))
+    region[: len(data)] = data
+    return region if data else stack.enter_context(memoryview(region)[:0])
+
+
+EDGE_OFFSETS = (0, _COMPARE_CHUNK - 1, _COMPARE_CHUNK, _COMPARE_CHUNK + 1)
+BUFFER_KINDS = ("bytes", "memoryview", "mmap")
+
+
+@st.composite
+def output_pairs(draw):
+    """One output's head and trail bytes, with flips at chunk-edge offsets."""
+    size = draw(st.sampled_from((0, 1, 7, _COMPARE_CHUNK - 1, _COMPARE_CHUNK,
+                                 _COMPARE_CHUNK + 1, 2 * _COMPARE_CHUNK + 3)))
+    head = bytes([draw(st.integers(0, 255))]) * size
+    trail = bytearray(head)
+    candidates = [o for o in EDGE_OFFSETS + (size - 1,) if 0 <= o < size]
+    if candidates:
+        for offset in draw(st.lists(st.sampled_from(candidates), max_size=3)):
+            trail[offset] ^= 1 << draw(st.integers(0, 7))
+    kinds = (draw(st.sampled_from(BUFFER_KINDS)), draw(st.sampled_from(BUFFER_KINDS)))
+    return head, bytes(trail), kinds
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(output_pairs(), max_size=4))
+def test_compare_agrees_with_a_byte_loop_on_any_buffer(pairs):
+    expected = [(i, naive_first_difference(h, t)) for i, (h, t, _) in enumerate(pairs)]
+    expected = tuple((i, off) for i, off in expected if off is not None)
+    with ExitStack() as stack:
+        head = [as_buffer(kinds[0], h, stack) for h, _, kinds in pairs]
+        trail = [as_buffer(kinds[1], t, stack) for _, t, kinds in pairs]
+        verdict = compare_outputs(head, trail, [len(h) for h, _, _ in pairs])
+    if expected:
+        assert verdict.kind is VerdictKind.MISMATCH
+        assert verdict.mismatches == expected
+    else:
+        assert verdict.kind is VerdictKind.MATCH
 
 
 def test_parse_bitflip():

@@ -1,12 +1,15 @@
 """Enforcement loop: simulator parity, replay fidelity, verdicts, trace CSV."""
 
+import gc
 import io
+import os
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softlockstep import linuxperf
+from softlockstep import linuxperf, monitor
 from softlockstep.core import (
     Action,
     DiversityLossPolicy,
@@ -33,6 +36,7 @@ from softlockstep.progress import (
     ScriptedReplicaSpec,
     ScriptedSource,
 )
+from softlockstep.replication import spawn_replicas
 from softlockstep.sim import Schedule, simulate
 from softlockstep.workloads import checksum_workload, direct_run
 
@@ -140,6 +144,21 @@ def test_record_policy_logs_losses_and_completes():
     assert trace.samples[-1].action is Action.TRAIL_DONE
     assert verdict.kind is VerdictKind.MATCH
     assert trace.validate() == []
+
+
+def test_a_trail_that_overtakes_and_finishes_first_is_a_loss():
+    schedule = Schedule.of([3] * 4 + [0] * 16, [0] * 4 + [9] * 16,
+                           period_ticks=4, suspend_latency_ticks=4,
+                           head_length=30, trail_length=20)
+    _, trace = run_scripted(schedule, cfg(3))
+    assert trace.samples == simulate(schedule, threshold=3).samples
+    assert trace.samples[1].action is Action.DIVERSITY_LOSS
+    assert trace.validate() == []
+    verdict, trace = run_scripted(
+        schedule, cfg(3, diversity_loss_policy=DiversityLossPolicy.ABORT_RUN)
+    )
+    assert verdict.kind is VerdictKind.DIVERSITY_LOSS
+    assert (verdict.loss_sample.head_count, verdict.loss_sample.trail_count) == (12, 20)
 
 
 def test_run_scripted_rejects_bad_schedule_and_config():
@@ -409,6 +428,48 @@ def test_protect_timeout_on_a_stuck_computation():
     verdict, _ = protect(stuck, [], [], outputs, [4], config)
     assert verdict.kind is VerdictKind.TIMEOUT
     assert time.monotonic() - started < 5.0
+
+
+@requires_counter
+def test_protect_frees_its_session_on_return(monkeypatch):
+    # Without cyclic GC, a session (and the payload copy it holds) must die by
+    # reference counting alone as soon as protect() returns.
+    sessions = []
+
+    def spawn_and_watch(*args, **kwargs):
+        session = spawn_replicas(*args, **kwargs)
+        sessions.append(weakref.ref(session))
+        return session
+
+    monkeypatch.setattr(monitor, "spawn_replicas", spawn_and_watch)
+    gc.disable()
+    try:
+        verdict, _, _ = run_protected(checksum_workload(nbytes=1024))
+        assert verdict.kind is VerdictKind.MATCH
+        assert len(sessions) == 1 and sessions[0]() is None
+    finally:
+        gc.enable()
+
+
+_INVERT = bytes(255 - i for i in range(256))
+
+
+def _invert(inputs, outputs):
+    outputs[0][:] = bytes(inputs[0]).translate(_INVERT)
+
+
+@requires_counter
+def test_protect_locates_a_flip_in_the_last_byte_of_a_large_output():
+    size = 3 * 1024 * 1024 + 5
+    data = bytes(range(256)) * (size // 256) + bytes(size % 256)
+    outputs = [bytearray(b"\x5a" * size)]
+    fds_before = len(os.listdir("/proc/self/fd"))
+    verdict, _ = protect(_invert, [data], [size], outputs, [size], REAL_CONFIG,
+                         inject=FaultSpec.bit_flip(Role.TRAIL, 0, size - 1, 7))
+    assert verdict.kind is VerdictKind.MISMATCH
+    assert verdict.mismatches == ((0, size - 1),)
+    assert outputs[0] == b"\x5a" * size
+    assert len(os.listdir("/proc/self/fd")) == fds_before
 
 
 def test_protect_validates_caller_buffers():

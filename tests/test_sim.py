@@ -110,6 +110,29 @@ def test_record_and_continue_keeps_sampling_after_loss():
     assert trace.samples[-1].action is Action.TRAIL_DONE
 
 
+# The trail overtakes, then terminates, while the head is still running.
+TRAIL_FINISHES_FIRST = Schedule.of([3] * 4 + [0] * 16, [0] * 4 + [9] * 16,
+                                   period_ticks=4, suspend_latency_ticks=4,
+                                   head_length=30, trail_length=20)
+
+
+def test_a_trail_that_overtakes_and_finishes_first_is_a_loss():
+    trace = simulate(TRAIL_FINISHES_FIRST, threshold=3)
+    assert min_staggering(trace) == -8
+    assert trace.diversity_lost
+    assert [(s.head_count, s.trail_count, s.action) for s in trace.samples] == [
+        (12, 0, Action.RESUME),
+        (12, 20, Action.DIVERSITY_LOSS),
+        (12, 20, Action.DIVERSITY_LOSS),
+        (12, 20, Action.DIVERSITY_LOSS),
+        (12, 20, Action.HEAD_DONE),
+        (12, 20, Action.TRAIL_DONE),
+    ]
+    aborted = simulate(TRAIL_FINISHES_FIRST, threshold=3,
+                       diversity_loss_policy=DiversityLossPolicy.ABORT_RUN)
+    assert aborted.samples == trace.samples[:2]
+
+
 def test_min_staggering_sees_between_check_instants():
     # With period 2 the dip happens inside the period; samples never show it
     # but instants do.
