@@ -95,21 +95,36 @@ def validate_config(config: MonitorConfig) -> list[str]:
 class PayloadSpec:
     """The unit of replication: ordered input buffers and output sizes.
 
-    Inputs are whatever exposes the buffer protocol; input_sizes[i] must equal
-    the byte length of inputs[i]. Lists may be empty and sizes may be zero.
+    Inputs are read-only flat byte views of the caller's buffers (anything
+    that exposes the buffer protocol), not copies: the caller must leave them
+    unchanged until the replicas have been spawned, and a bytearray stays
+    locked against resizing until release(). Only a non-contiguous buffer is
+    copied once, in C order. input_sizes[i] must equal the byte length of
+    inputs[i]. Lists may be empty and sizes may be zero.
     """
 
-    inputs: tuple[bytes, ...]
+    inputs: tuple[memoryview, ...]
     input_sizes: tuple[int, ...]
     output_sizes: tuple[int, ...]
 
     @classmethod
     def of(cls, inputs, input_sizes, output_sizes) -> "PayloadSpec":
         return cls(
-            inputs=tuple(bytes(b) for b in inputs),
+            inputs=tuple(_byte_view(b) for b in inputs),
             input_sizes=tuple(int(n) for n in input_sizes),
             output_sizes=tuple(int(n) for n in output_sizes),
         )
+
+    def release(self) -> None:
+        """Drop the input views, and with them every export of the caller's buffers."""
+        for view in self.inputs:
+            view.release()
+
+    def __enter__(self) -> "PayloadSpec":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.release()
 
     def validate(self) -> list[str]:
         errors: list[str] = []
@@ -119,8 +134,8 @@ class PayloadSpec:
             )
         else:
             for i, (buf, size) in enumerate(zip(self.inputs, self.input_sizes)):
-                if len(buf) != size:
-                    errors.append(f"input {i} is {len(buf)} bytes, declared {size}")
+                if buf.nbytes != size:
+                    errors.append(f"input {i} is {buf.nbytes} bytes, declared {size}")
         for i, size in enumerate(self.input_sizes):
             if size < 0:
                 errors.append(f"input size {i} is negative")
@@ -136,6 +151,15 @@ class PayloadSpec:
     @property
     def total_output_bytes(self) -> int:
         return sum(self.output_sizes)
+
+
+def _byte_view(buf) -> memoryview:
+    view = memoryview(buf)
+    try:
+        flat = view.cast("B")
+    except TypeError:
+        flat = memoryview(view.tobytes())  # casts need a C-contiguous buffer
+    return flat.toreadonly()
 
 
 @dataclass(frozen=True)

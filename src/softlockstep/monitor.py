@@ -166,20 +166,25 @@ def enforcement_loop(
                 trail_status=trail_status,
                 loss_sample=loss_sample,
             )
+        # Each failed read or poll is blamed on the replica it was about.
+        polled = Role.HEAD
         try:
             head_count = source.read_count(head)
+            polled = Role.TRAIL
             trail_count = source.read_count(trail)
-            if on_check is not None:
-                on_check(now_ns, head_count, trail_count)
+            polled = Role.HEAD
             head_term, head_exit = source.is_terminated(head)
+            polled = Role.TRAIL
             trail_term, trail_exit = source.is_terminated(trail)
         except (CounterUnavailable, OSError):
             return LoopResult(
                 outcome=LoopOutcome.REPLICA_TROUBLE,
                 trace=trace,
-                failed_role=Role.HEAD,
+                failed_role=polled,
                 failure_cause="counter-failure",
             )
+        if on_check is not None:
+            on_check(now_ns, head_count, trail_count)
         if head_term and not head_exit.success:
             return LoopResult(
                 outcome=LoopOutcome.REPLICA_TROUBLE,
@@ -284,37 +289,38 @@ def protect(
     problems = validate_config(config)
     if problems:
         raise ValueError("; ".join(problems))
-    payload = PayloadSpec.of(inputs, input_sizes, output_sizes)
-    problems = payload.validate()
-    if problems:
-        raise ValueError("; ".join(problems))
-    _validate_caller_outputs(outputs, output_sizes)
-
-    session = spawn_replicas(computation, payload, config, counter=counter)
-    saved_affinity: set[int] | None = None
-    try:
-        if config.monitor_core is not None:
-            saved_affinity = os.sched_getaffinity(0)
-            os.sched_setaffinity(0, {config.monitor_core})
-        on_check = None
-        if inject is not None:
-            on_check = integrity.inject_fault(session, inject)
-        result = enforcement_loop(
-            source=session.progress_source,
-            clock=RealClock(config.check_period_us),
-            head=session.handle(Role.HEAD),
-            trail=session.handle(Role.TRAIL),
-            config=config,
-            on_check=on_check,
-            backend=f"process/{session.counter_kind}",
-        )
-        result.trace.counter = session.counter_kind
-        verdict = _verdict_for(result, session, outputs)
-        return verdict, result.trace
-    finally:
-        session.release()
-        if saved_affinity is not None:
-            os.sched_setaffinity(0, saved_affinity)
+    # The payload views the caller's inputs; releasing them on every path
+    # leaves no export of a caller's buffer behind.
+    with PayloadSpec.of(inputs, input_sizes, output_sizes) as payload:
+        problems = payload.validate()
+        if problems:
+            raise ValueError("; ".join(problems))
+        _validate_caller_outputs(outputs, output_sizes)
+        session = spawn_replicas(computation, payload, config, counter=counter)
+        saved_affinity: set[int] | None = None
+        try:
+            if config.monitor_core is not None:
+                saved_affinity = os.sched_getaffinity(0)
+                os.sched_setaffinity(0, {config.monitor_core})
+            on_check = None
+            if inject is not None:
+                on_check = integrity.inject_fault(session, inject)
+            result = enforcement_loop(
+                source=session.progress_source,
+                clock=RealClock(config.check_period_us),
+                head=session.handle(Role.HEAD),
+                trail=session.handle(Role.TRAIL),
+                config=config,
+                on_check=on_check,
+                backend=f"process/{session.counter_kind}",
+            )
+            result.trace.counter = session.counter_kind
+            verdict = _verdict_for(result, session, outputs)
+            return verdict, result.trace
+        finally:
+            session.release()
+            if saved_affinity is not None:
+                os.sched_setaffinity(0, saved_affinity)
 
 
 def _verdict_for(result: LoopResult, session: ReplicaSession, outputs: Sequence) -> Verdict:

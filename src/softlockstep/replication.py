@@ -1,16 +1,19 @@
 """Replica process creation with private input/output copies.
 
-Each replica gets its own anonymous shared mapping holding a private copy of
-every input buffer followed by zeroed output regions. The mapping, the copies
-and the memoryview slices handed to the wrapper are all prepared in the
-controlling process before fork, so a freshly continued replica executes
-(nearly) only wrapper instructions. The child stops itself immediately after
-birth; the parent attaches a progress counter to the stopped child, so no
-wrapper instruction retires uncounted, and the trail stays stopped until the
-enforcement loop releases it.
+Each replica gets two mappings of its own, built in the controlling process
+before fork: a private anonymous mapping holding one copy of every input,
+taken straight from the caller's buffers and advised onto transparent huge
+pages, and a shared anonymous mapping of zeroed output regions. The child
+stops itself immediately after birth; the parent attaches a progress counter
+to the stopped child, so no wrapper instruction retires uncounted, and the
+trail stays stopped until the enforcement loop releases it.
 
-Output disjointness holds by construction: the two replicas write into two
-distinct mappings, and each wrapper only ever receives views into its own.
+Once a child has stopped, the controlling process unmaps its input copy (the
+child keeps the only mapping of it) and marks its output mapping
+MADV_DONTFORK, so the next replica is forked without either: head and trail
+never map each other's memory, and the two input copies are built
+separately from the caller's buffers, never one from the other. The monitor
+keeps the output mappings to compare them in place.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ class _Replica:
     handle: ReplicaHandle
     pid: int
     region: mmap.mmap
-    input_views: list[memoryview]
     output_views: list[memoryview]
     err_read_fd: int
     counter_fd: int = -1
@@ -107,7 +109,7 @@ class _Replica:
             self.counter_fd = -1
         # Every view must go before the mapping: close() refuses while any
         # export of the region is outstanding.
-        for view in self.input_views + self.output_views:
+        for view in self.output_views:
             view.release()
         self.region.close()
         if self.err_read_fd >= 0:
@@ -293,23 +295,32 @@ class ReplicaSession:
         self.release()
 
 
-def _build_region(payload: PayloadSpec) -> tuple[mmap.mmap, list[memoryview], list[memoryview]]:
-    total = payload.total_input_bytes + payload.total_output_bytes
-    region = mmap.mmap(-1, max(total, 1), flags=mmap.MAP_SHARED | mmap.MAP_ANONYMOUS)
+def _carve(region: mmap.mmap, sizes: Sequence[int]) -> list[memoryview]:
     base = memoryview(region)
     offset = 0
-    input_views: list[memoryview] = []
-    for buf, size in zip(payload.inputs, payload.input_sizes):
-        region[offset : offset + size] = bytes(buf[:size]) if size else b""
-        input_views.append(base[offset : offset + size].toreadonly())
-        offset += size
-    output_views: list[memoryview] = []
-    for size in payload.output_sizes:
-        # Fresh anonymous pages are already zero-filled.
-        output_views.append(base[offset : offset + size])
+    views: list[memoryview] = []
+    for size in sizes:
+        views.append(base[offset : offset + size])
         offset += size
     base.release()
-    return region, input_views, output_views
+    return views
+
+
+def _copy_inputs(payload: PayloadSpec) -> tuple[mmap.mmap, list[memoryview]]:
+    """One replica's private copy of every input, one memcpy from the caller's buffer each."""
+    region = mmap.mmap(
+        -1, max(payload.total_input_bytes, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+    )
+    try:
+        # 512 first-touch faults per 2 MiB become one; the child inherits
+        # the populated page tables of a private mapping and faults no more.
+        region.madvise(mmap.MADV_HUGEPAGE)
+    except OSError:
+        pass  # a kernel without transparent huge pages: plain pages work too
+    views = _carve(region, payload.input_sizes)
+    for view, buf in zip(views, payload.inputs):
+        view[:] = buf
+    return region, [view.toreadonly() for view in views]
 
 
 def _spawn_one(
@@ -317,32 +328,45 @@ def _spawn_one(
     payload: PayloadSpec,
     role: Role,
 ) -> _Replica:
-    region, input_views, output_views = _build_region(payload)
-    err_read, err_write = os.pipe()
-    os.set_blocking(err_read, False)
-    pid = os.fork()
-    if pid == 0:
-        os.close(err_read)
-        _child_main(computation, input_views, output_views, err_write)
-        os._exit(1)  # unreachable
-    os.close(err_write)
-    rep = _Replica(
-        handle=ReplicaHandle.fresh(role, ref=pid),
-        pid=pid,
-        region=region,
-        input_views=input_views,
-        output_views=output_views,
-        err_read_fd=err_read,
-        suspended=True,
-    )
-    # Wait for the self-stop; an exit here means the child died pre-wrapper.
-    _, status = os.waitpid(pid, os.WUNTRACED)
+    input_region, input_views = _copy_inputs(payload)
+    try:
+        # Shared, so the monitor can read the outputs after the child exits;
+        # fresh anonymous pages are already zero-filled.
+        region = mmap.mmap(
+            -1, max(payload.total_output_bytes, 1), flags=mmap.MAP_SHARED | mmap.MAP_ANONYMOUS
+        )
+        output_views = _carve(region, payload.output_sizes)
+        err_read, err_write = os.pipe()
+        os.set_blocking(err_read, False)
+        pid = os.fork()
+        if pid == 0:
+            os.close(err_read)
+            _child_main(computation, input_views, output_views, err_write)
+            os._exit(1)  # unreachable
+        os.close(err_write)
+        rep = _Replica(
+            handle=ReplicaHandle.fresh(role, ref=pid),
+            pid=pid,
+            region=region,
+            output_views=output_views,
+            err_read_fd=err_read,
+            suspended=True,
+        )
+        # Wait for the self-stop; an exit here means the child died pre-wrapper.
+        _, status = os.waitpid(pid, os.WUNTRACED)
+    finally:
+        # From here on the child holds the only mapping of its input copy.
+        for view in input_views:
+            view.release()
+        input_region.close()
     if not os.WIFSTOPPED(status):
         rep.exit_status = _decode_status(status)
         rep._drain_err()
         detail = rep.err_text or str(rep.exit_status)
         rep.close()
         raise SpawnFailure(f"{role.value} replica died before starting: {detail}")
+    # No later fork may inherit this replica's outputs.
+    region.madvise(mmap.MADV_DONTFORK)
     return rep
 
 

@@ -1,0 +1,32 @@
+"""The benchmark's workloads, one gated operation each.
+
+perfbench/ calls the library the way a user would; running each of its cases
+once here makes a library change that breaks those calls fail this suite, not
+only the benchmark run.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from softlockstep import linuxperf
+from softlockstep.progress import CounterUnavailable
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import cases  # noqa: E402
+
+try:
+    linuxperf.probe_counter(cases.COUNTER)
+    _counter_reason = ""
+except CounterUnavailable as exc:
+    _counter_reason = str(exc)
+
+
+@pytest.mark.parametrize("name", cases.NAMES)
+def test_one_operation_of_each_benchmark_case_passes_its_gate(name):
+    case = cases.build(name, seed=0)
+    if case.protected and _counter_reason:
+        pytest.skip(f"no progress counter: {_counter_reason}")
+    case.reset()
+    assert case.check(case.run()) == []

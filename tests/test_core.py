@@ -1,5 +1,6 @@
 """Unit tests for the domain types and the two pure decision functions."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -129,6 +130,34 @@ def test_payload_spec_rejects_length_mismatch():
     assert PayloadSpec.of([b"abc"], [4], [8]).validate() != []
     assert PayloadSpec.of([b"abc", b"x"], [3], [8]).validate() != []
     assert PayloadSpec.of([b"abc"], [3], [-1]).validate() != []
+
+
+def test_payload_spec_views_typed_buffers_in_bytes():
+    words = np.arange(6, dtype=np.uint32)
+    payload = PayloadSpec.of([words, b"", bytearray(b"xyz")], [24, 0, 3], [4])
+    assert payload.validate() == []
+    assert [view.nbytes for view in payload.inputs] == [24, 0, 3]
+    assert all(view.readonly and view.format == "B" for view in payload.inputs)
+    assert PayloadSpec.of([words], [6], [4]).validate() == ["input 0 is 24 bytes, declared 6"]
+    words[0] = 0xFFFFFFFF  # a view, not a copy
+    assert bytes(payload.inputs[0][:4]) == b"\xff" * 4
+
+
+def test_payload_spec_copies_a_non_contiguous_buffer_in_c_order():
+    words = np.arange(12, dtype=np.uint32)
+    payload = PayloadSpec.of([words[::3]], [16], [4])
+    assert payload.validate() == []
+    words[:] = 0
+    assert bytes(payload.inputs[0]) == np.array([0, 3, 6, 9], dtype=np.uint32).tobytes()
+
+
+def test_payload_spec_release_unlocks_the_callers_buffer():
+    data = bytearray(b"abc")
+    with PayloadSpec.of([data], [3], [0]):
+        with pytest.raises(BufferError):
+            data.extend(b"d")
+    data.extend(b"d")
+    assert data == b"abcd"
 
 
 def test_sample_consistency_enforced():

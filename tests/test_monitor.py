@@ -5,6 +5,7 @@ import io
 import os
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from softlockstep.core import (
     Action,
     DiversityLossPolicy,
     MonitorConfig,
+    PayloadSpec,
     Role,
     StaggeringSample,
     VerdictKind,
@@ -38,7 +40,7 @@ from softlockstep.progress import (
 )
 from softlockstep.replication import spawn_replicas
 from softlockstep.sim import Schedule, simulate
-from softlockstep.workloads import checksum_workload, direct_run
+from softlockstep.workloads import Workload, checksum_workload, direct_run
 
 try:
     linuxperf.probe_counter("auto")
@@ -221,6 +223,50 @@ def test_counter_failure_mid_run_aborts_with_replica_trouble():
     assert result.failure_cause == "counter-failure"
     assert result.failed_role is Role.HEAD
     assert len(result.trace.samples) == 2  # two clean checks before the failure
+
+
+class _FlakyPollSource:
+    """Delegates to a scripted source; one replica's read or poll fails from a given check on."""
+
+    def __init__(self, inner, role, method, fail_after):
+        self._inner = inner
+        self._role = role
+        self._method = method
+        self._calls_left = fail_after
+
+    def __getattr__(self, name):
+        call = getattr(self._inner, name)
+        if name != self._method:
+            return call
+
+        def flaky(handle):
+            if handle.role is self._role:
+                if self._calls_left <= 0:
+                    raise OSError(f"{name} failed")
+                self._calls_left -= 1
+            return call(handle)
+
+        return flaky
+
+
+@pytest.mark.parametrize("role", [Role.HEAD, Role.TRAIL])
+@pytest.mark.parametrize("method", ["read_count", "is_terminated"])
+def test_a_failed_read_or_poll_blames_the_replica_it_was_about(role, method):
+    source = ScriptedSource({
+        Role.HEAD: ScriptedReplicaSpec.of([1] * 10),
+        Role.TRAIL: ScriptedReplicaSpec.of([1] * 10, start_suspended=True),
+    })
+    result = enforcement_loop(
+        source=_FlakyPollSource(source, role, method, fail_after=2),
+        clock=ScriptedClock(source, period_ticks=1),
+        head=source.handle(Role.HEAD),
+        trail=source.handle(Role.TRAIL),
+        config=cfg(100),
+    )
+    assert result.outcome is LoopOutcome.REPLICA_TROUBLE
+    assert result.failure_cause == "counter-failure"
+    assert result.failed_role is role
+    assert len(result.trace.samples) == 2
 
 
 # ------------------------------------------------------------------ replay
@@ -470,6 +516,39 @@ def test_protect_locates_a_flip_in_the_last_byte_of_a_large_output():
     assert verdict.mismatches == ((0, size - 1),)
     assert outputs[0] == b"\x5a" * size
     assert len(os.listdir("/proc/self/fd")) == fds_before
+
+
+def _concat(inputs, outputs):
+    outputs[0][:] = b"".join(bytes(view) for view in inputs)
+
+
+@requires_counter
+@pytest.mark.parametrize("make_inputs", [
+    lambda: [np.arange(1000, dtype=np.uint32)],
+    lambda: [np.arange(2000, dtype=np.uint32)[::2]],
+    lambda: [b"head", b"", bytearray(b"trail")],
+], ids=["uint32", "strided", "zero-length"])
+def test_protect_runs_on_any_caller_buffer_like_direct_run(make_inputs):
+    inputs = make_inputs()
+    sizes = [memoryview(buf).nbytes for buf in inputs]
+    outputs = [bytearray(sum(sizes))]
+    verdict, _ = protect(_concat, inputs, sizes, outputs, [sum(sizes)], REAL_CONFIG)
+    assert verdict.kind is VerdictKind.MATCH
+    reference = Workload("concat", 0, 0, PayloadSpec.of(inputs, sizes, [sum(sizes)]), _concat)
+    assert [bytes(outputs[0])] == direct_run(reference)
+
+
+@requires_counter
+def test_a_caller_bytearray_input_can_be_resized_once_protect_returns():
+    data = bytearray(b"resizable")
+    outputs = [bytearray(len(data))]
+    verdict, _ = protect(_concat, [data], [len(data)], outputs, [len(data)], REAL_CONFIG)
+    assert verdict.kind is VerdictKind.MATCH and outputs[0] == b"resizable"
+    data.extend(b" after a match")
+    # The raised error's traceback keeps protect()'s frame alive.
+    with pytest.raises(ValueError, match="holds"):
+        protect(_concat, [data], [len(data)], [bytearray(1)], [len(data)], REAL_CONFIG)
+    data.extend(b" and after a refusal")
 
 
 def test_protect_validates_caller_buffers():

@@ -4,6 +4,7 @@ These tests fork real processes and attach real progress counters; they skip
 only if the host offers no usable counter at all.
 """
 
+import ctypes
 import os
 import signal
 import time
@@ -49,6 +50,10 @@ def boom(inputs, outputs):
 
 def report_failure(inputs, outputs):
     return False
+
+
+def idle(inputs, outputs):
+    pass
 
 
 def busy(inputs, outputs):
@@ -120,6 +125,29 @@ def test_replicas_compute_on_private_copies_of_the_inputs():
         expected = bytes((b * 2) & 0xFF for b in b"0123456789")
         assert session.collect_outputs(Role.HEAD) == [expected]
         assert session.collect_outputs(Role.TRAIL) == [expected]
+
+
+def _maps(pid):
+    with open(f"/proc/{pid}/maps") as f:
+        return [tuple(int(end, 16) for end in line.split()[0].split("-")) for line in f]
+
+
+def test_the_trail_does_not_map_the_heads_output_region():
+    # A stray write through such a mapping could make both outputs agree.
+    with spawn_replicas(busy, small_payload(output_sizes=(4,)), CONFIG) as session:
+        region = session._replicas[Role.HEAD].region
+        address = ctypes.addressof(ctypes.c_char.from_buffer(region))
+        assert any(lo <= address < hi for lo, hi in _maps(session.pid(Role.HEAD)))
+        assert not any(lo <= address < hi for lo, hi in _maps(session.pid(Role.TRAIL)))
+
+
+def test_the_monitor_unmaps_each_input_copy_once_its_replica_is_spawned():
+    # A page-aligned size no other mapping of this process has; with no
+    # outputs, a region holding the inputs would be exactly this long.
+    size = 3 * 1024 * 1024 + 7 * 4096
+    data = bytes(size)
+    with spawn_replicas(idle, PayloadSpec.of([data], [size], []), CONFIG):
+        assert size not in [hi - lo for lo, hi in _maps("self")]
 
 
 def test_output_regions_do_not_alias_across_replicas():
