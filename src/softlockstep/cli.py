@@ -170,6 +170,9 @@ def _cmd_run(args) -> int:
     if args.trace_out:
         monitor.write_trace(trace, args.trace_out)
     print(verdict.describe())
+    if verdict.kind is VerdictKind.REPLICA_FAILURE and verdict.detail.strip():
+        # The last line of a traceback names the exception and its message.
+        print(verdict.detail.strip().splitlines()[-1], file=sys.stderr)
     return _VERDICT_EXIT[verdict.kind]
 
 

@@ -12,12 +12,6 @@ import enum
 from dataclasses import dataclass
 
 
-class StartupPolicy(enum.Enum):
-    """How the trail replica enters the run."""
-
-    TRAIL_SUSPENDED_UNTIL_THRESHOLD = "trail-suspended-until-threshold"
-
-
 class DiversityLossPolicy(enum.Enum):
     """What to do when the trail catches up with the head (staggering < 0)."""
 
@@ -61,7 +55,6 @@ class MonitorConfig:
 
     threshold_instructions: int
     check_period_us: int = 1000
-    startup_policy: StartupPolicy = StartupPolicy.TRAIL_SUSPENDED_UNTIL_THRESHOLD
     diversity_loss_policy: DiversityLossPolicy = DiversityLossPolicy.RECORD_AND_CONTINUE
     run_timeout_us: int | None = None
     head_core: int | None = None
@@ -213,6 +206,8 @@ class Verdict:
     failed_role: Role | None = None
     failure_cause: str | None = None
     loss_sample: StaggeringSample | None = None
+    # The failed replica's traceback, or what went wrong reaching it.
+    detail: str = ""
 
     def __post_init__(self):
         if self.kind is VerdictKind.MISMATCH and not self.mismatches:
@@ -233,8 +228,10 @@ class Verdict:
         return cls(kind=VerdictKind.MISMATCH, mismatches=tuple((int(i), int(o)) for i, o in locations))
 
     @classmethod
-    def replica_failure(cls, role: Role, cause: str) -> "Verdict":
-        return cls(kind=VerdictKind.REPLICA_FAILURE, failed_role=role, failure_cause=cause)
+    def replica_failure(cls, role: Role, cause: str, detail: str = "") -> "Verdict":
+        return cls(
+            kind=VerdictKind.REPLICA_FAILURE, failed_role=role, failure_cause=cause, detail=detail
+        )
 
     @classmethod
     def diversity_loss(cls, sample: StaggeringSample) -> "Verdict":

@@ -2,9 +2,10 @@
 
 Comparison is byte-exact: replicas run the same deterministic wrapper on
 identical private input copies, so any differing byte is a detected fault,
-never noise. Injection exists to prove that claim end to end: flip one output
-bit, stall one replica, or kill it outright, and watch the verdict change
-accordingly.
+never noise. A replica's outputs are read from its own memory chunk by
+chunk, never mapped. Injection exists to prove that claim end to end: flip
+one output bit, stall one replica, or kill it outright, and watch the
+verdict change accordingly.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 
 from .core import Role, Verdict
 
-# Bytes compared per step while looking for the first difference: small
-# enough that both slices and the comparison's temporary stay in cache.
+# Bytes compared per step: small enough that the trail's chunk buffer and
+# the head's chunk stay in cache between the read and the comparison.
 _COMPARE_CHUNK = 256 * 1024
 
 
@@ -26,56 +27,91 @@ class ShapeMismatch(ValueError):
     """Output lists disagree in arity or byte length; comparison is undefined."""
 
 
-def _nbytes(buf) -> int:
-    with memoryview(buf) as view:
-        return view.nbytes
+def _reader(outputs) -> tuple[list[int], Callable]:
+    """(byte sizes, read_into(index, offset, dest)) for a replica's outputs or a list of buffers."""
+    if hasattr(outputs, "read_into"):
+        return list(outputs.sizes), outputs.read_into
+    buffers = list(outputs)
+
+    def read_into(index, offset, dest):
+        with memoryview(buffers[index]) as view:
+            dest[:] = view.cast("B")[offset : offset + len(dest)]
+
+    sizes = []
+    for buf in buffers:
+        with memoryview(buf) as view:
+            sizes.append(view.nbytes)
+    return sizes, read_into
 
 
-def _first_difference(a, b) -> int | None:
-    """Offset of the first byte where two equal-length buffers differ, if any."""
+def _first_difference(a, b) -> int:
+    """Offset of the first byte where two equal-length buffers that differ do."""
     x = np.frombuffer(a, dtype=np.uint8)
     y = np.frombuffer(b, dtype=np.uint8)
     try:
-        for start in range(0, x.size, _COMPARE_CHUNK):
-            end = start + _COMPARE_CHUNK
-            differs = x[start:end] != y[start:end]
-            if differs.any():
-                return start + int(differs.argmax())
-        return None
+        return int((x != y).argmax())
     finally:
-        # x and y export the callers' buffers; one still held by a traceback
-        # would make unmapping a replica region raise BufferError.
+        # x and y export the buffers; one still held by a traceback would
+        # make closing the head copy raise BufferError.
         del x, y
 
 
 def compare_outputs(
-    head_outputs: Sequence,
-    trail_outputs: Sequence,
+    head_outputs,
+    trail_outputs,
     output_sizes: Sequence[int],
+    head_copy=None,
 ) -> Verdict:
-    """Byte-for-byte verdict over both replicas' outputs, compared in place.
+    """Byte-for-byte verdict over both replicas' outputs, read chunk by chunk.
 
-    Outputs may be any buffers (bytes, memoryview, mmap, ...); none is copied.
-    Returns Match, or Mismatch carrying (output_index, first_differing_byte)
-    for every output that differs. Shape violations raise instead of counting
-    as mismatches: they indicate harness bugs, not computation faults.
+    Each side is a sequence of buffers (bytes, memoryview, mmap, ...) or a
+    replica's outputs (replication.ReplicaOutputs), which are read in place
+    with process_vm_readv. The head's bytes are read into head_copy (a
+    writable buffer of sum(output_sizes) bytes, the outputs back to back;
+    a fresh one if not given), the trail's into one small reusable buffer.
+    After a Match, head_copy holds the head's outputs. Returns Match, or
+    Mismatch carrying (output_index, first_differing_byte) for every output
+    that differs. Shape violations raise instead of counting as mismatches:
+    they indicate harness bugs, not computation faults.
     """
-    if not (len(head_outputs) == len(trail_outputs) == len(output_sizes)):
+    head_sizes, read_head = _reader(head_outputs)
+    trail_sizes, read_trail = _reader(trail_outputs)
+    if not (len(head_sizes) == len(trail_sizes) == len(output_sizes)):
         raise ShapeMismatch(
-            f"output arity differs: head {len(head_outputs)}, "
-            f"trail {len(trail_outputs)}, declared {len(output_sizes)}"
+            f"output arity differs: head {len(head_sizes)}, "
+            f"trail {len(trail_sizes)}, declared {len(output_sizes)}"
         )
-    for i, (a, b, size) in enumerate(zip(head_outputs, trail_outputs, output_sizes)):
-        a_len, b_len = _nbytes(a), _nbytes(b)
+    for i, (a_len, b_len, size) in enumerate(zip(head_sizes, trail_sizes, output_sizes)):
         if a_len != size or b_len != size:
             raise ShapeMismatch(
                 f"output {i}: head {a_len} bytes, trail {b_len} bytes, declared {size}"
             )
+    if head_copy is None:
+        head_copy = bytearray(sum(output_sizes))
+    head_buf = memoryview(head_copy)
+    trail = bytearray()  # sized by the first chunk, reused while sizes agree
+    head = None
     locations = []
-    for i, (a, b) in enumerate(zip(head_outputs, trail_outputs)):
-        offset = _first_difference(a, b)
-        if offset is not None:
-            locations.append((i, offset))
+    try:
+        base = 0
+        for i, size in enumerate(output_sizes):
+            for start in range(0, size, _COMPARE_CHUNK):
+                n = min(_COMPARE_CHUNK, size - start)
+                head = head_buf[base + start : base + start + n]
+                if len(trail) != n:
+                    trail = bytearray(n)
+                read_head(i, start, head)
+                read_trail(i, start, trail)
+                # bytearray == buffer runs memcmp; memoryview == memoryview
+                # compares item by item, about 25 times slower.
+                if trail != head:
+                    locations.append((i, start + _first_difference(head, trail)))
+                    break
+            base += size
+    finally:
+        # No view of head_copy may outlive the call: its owner unmaps it.
+        del head
+        head_buf.release()
     if locations:
         return Verdict.mismatch(locations)
     return Verdict.match()
@@ -189,8 +225,8 @@ class _FreezeDriver:
 def inject_fault(session, fault: FaultSpec) -> Callable[[int, int, int], None] | None:
     """Arm one fault against a live session.
 
-    Bit flips are applied to the target's output region after it terminates
-    and before collection; a crash kills the target right now, before it can
+    Bit flips are written into the target's outputs after it finishes and
+    before they are read; a crash kills the target right now, before it can
     win the race against the first check. Both need no runtime hook. A freeze
     is a timed behavior, so it returns a hook the enforcement loop calls at
     each check (after reading counts, before deciding).

@@ -3,11 +3,13 @@
 Two counter kinds are supported. "instructions" counts user-mode retired
 instructions of one process via the hardware PMU; it is the real progress
 metric but needs a PMU (often missing inside VMs) and enough privilege.
-"task-clock" counts user-mode CPU nanoseconds of the process via the kernel
-software clock; it needs no PMU, satisfies the same contract (monotone,
-no replica cooperation, frozen while the process is stopped), and serves as
-the degraded-but-honest progress metric where the PMU is absent. "auto"
-prefers instructions and falls back to task-clock.
+"task-clock" counts the nanoseconds the process spends on a CPU, in user
+and kernel mode alike (page faults and system calls included), via the
+kernel software clock; exclude_kernel does not change what it counts. It
+needs no PMU, satisfies the same contract (monotone, no replica cooperation,
+frozen while the process is stopped), and serves as the degraded-but-honest
+progress metric where the PMU is absent. "auto" prefers instructions and
+falls back to task-clock.
 
 Counters are opened against a process that is already stopped, so the count
 reads 0 until the replica is first continued.
@@ -126,8 +128,9 @@ def _open(pid: int, kind: str) -> int:
         attr.config = _PERF_COUNT_SW_TASK_CLOCK
     else:
         raise ValueError(f"unknown counter kind {kind!r}")
-    # Count user-mode progress of the replica only: kernel-mode noise differs
-    # between head and trail and would pollute the staggering signal.
+    # Ask for user-mode progress only: kernel-mode noise differs between head
+    # and trail and would pollute the staggering signal. The hardware counter
+    # honours this; task-clock ignores it and counts all on-CPU time.
     attr.flags = _FLAG_EXCLUDE_KERNEL | _FLAG_EXCLUDE_HV
     libc = _get_libc()
     fd = libc.syscall(nr, ctypes.byref(attr), pid, -1, -1, 0)

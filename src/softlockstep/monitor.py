@@ -10,7 +10,8 @@ which becomes one trace sample.
 
 protect() owns the whole lifecycle of a real run: spawn both replicas on
 private data copies, enforce staggering until both finish, compare outputs
-byte for byte, and always release the session.
+byte for byte, always release the session, and only then, on a match, copy
+the head's outputs into the caller's buffers.
 """
 
 from __future__ import annotations
@@ -49,7 +50,13 @@ from .progress import (
     ScriptedReplicaSpec,
     ScriptedSource,
 )
-from .replication import ReplicaSession, WrappedComputation, spawn_replicas
+from .replication import (
+    ReplicaLost,
+    ReplicaSession,
+    WrappedComputation,
+    huge_page_mapping,
+    spawn_replicas,
+)
 from .sim import Schedule
 
 TRACE_HEADER = ("interval", "timestamp_ns", "head_instr", "trail_instr", "staggering", "action")
@@ -298,6 +305,7 @@ def protect(
         _validate_caller_outputs(outputs, output_sizes)
         session = spawn_replicas(computation, payload, config, counter=counter)
         saved_affinity: set[int] | None = None
+        head_copy = None
         try:
             if config.monitor_core is not None:
                 saved_affinity = os.sched_getaffinity(0)
@@ -315,28 +323,53 @@ def protect(
                 backend=f"process/{session.counter_kind}",
             )
             result.trace.counter = session.counter_kind
-            verdict = _verdict_for(result, session, outputs)
+            if result.outcome is LoopOutcome.COMPLETED:
+                # Made after both forks, so no replica ever maps it.
+                head_copy = huge_page_mapping(payload.total_output_bytes)
+            verdict = _verdict_for(result, session, head_copy)
+            # Copy back only once both replicas are reaped: while a forked
+            # child lives, fork has left the caller's pages copy-on-write,
+            # and every page written is copied first.
+            session.release()
+            if verdict.kind is VerdictKind.MATCH:
+                _copy_back(head_copy, outputs, output_sizes)
             return verdict, result.trace
         finally:
             session.release()
             if saved_affinity is not None:
                 os.sched_setaffinity(0, saved_affinity)
+            if head_copy is not None:
+                head_copy.close()
 
 
-def _verdict_for(result: LoopResult, session: ReplicaSession, outputs: Sequence) -> Verdict:
+def _verdict_for(result: LoopResult, session: ReplicaSession, head_copy) -> Verdict:
     if result.outcome is LoopOutcome.TIMEOUT:
         return Verdict.timeout()
     if result.outcome is LoopOutcome.DIVERSITY_ABORT:
         return Verdict.diversity_loss(result.loss_sample)
     if result.outcome is LoopOutcome.REPLICA_TROUBLE:
-        return Verdict.replica_failure(result.failed_role, result.failure_cause)
-    head_out = session.output_views(Role.HEAD)
-    trail_out = session.output_views(Role.TRAIL)
-    verdict = integrity.compare_outputs(head_out, trail_out, session.payload.output_sizes)
-    if verdict.kind is VerdictKind.MATCH:
-        for buf, view in zip(outputs, head_out):
-            memoryview(buf)[:] = view
-    return verdict
+        role = result.failed_role
+        return Verdict.replica_failure(role, result.failure_cause, session.failure_detail(role))
+    try:
+        return integrity.compare_outputs(
+            session.outputs(Role.HEAD),
+            session.outputs(Role.TRAIL),
+            session.payload.output_sizes,
+            head_copy,
+        )
+    except ReplicaLost as exc:
+        # Died after its done report, before its outputs were read.
+        return Verdict.replica_failure(
+            exc.role, exc.cause, session.failure_detail(exc.role) or str(exc)
+        )
+
+
+def _copy_back(head_copy, outputs: Sequence, output_sizes: Sequence[int]) -> None:
+    offset = 0
+    with memoryview(head_copy) as copy:
+        for buf, size in zip(outputs, output_sizes):
+            memoryview(buf)[:] = copy[offset : offset + size]
+            offset += size
 
 
 def run_scripted(

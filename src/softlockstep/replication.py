@@ -1,23 +1,28 @@
 """Replica process creation with private input/output copies.
 
-Each replica gets two mappings of its own, built in the controlling process
-before fork: a private anonymous mapping holding one copy of every input,
-taken straight from the caller's buffers and advised onto transparent huge
-pages, and a shared anonymous mapping of zeroed output regions. The child
-stops itself immediately after birth; the parent attaches a progress counter
-to the stopped child, so no wrapper instruction retires uncounted, and the
-trail stays stopped until the enforcement loop releases it.
+Each replica gets two private anonymous mappings of its own, built in the
+controlling process just before its fork and advised onto transparent huge
+pages: one holds a copy of every input, taken straight from the caller's
+buffers, the other its zeroed outputs. The controlling process unmaps both
+right after the fork, so the child holds the only mapping of each: head and
+trail never map each other's memory, no other process maps a replica's
+outputs (the monitor neither), and the two input copies are built separately
+from the caller's buffers, never one from the other.
 
-Once a child has stopped, the controlling process unmaps its input copy (the
-child keeps the only mapping of it) and marks its output mapping
-MADV_DONTFORK, so the next replica is forked without either: head and trail
-never map each other's memory, and the two input copies are built
-separately from the caller's buffers, never one from the other. The monitor
-keeps the output mappings to compare them in place.
+The child stops itself immediately after birth; the parent attaches a
+progress counter to the stopped child, so no wrapper instruction retires
+uncounted, and the trail stays stopped until the enforcement loop releases
+it. When the computation returns, the child writes a one-byte done report to
+its pipe and sleeps, outputs in place, until the session kills it. The
+monitor reads a finished replica's outputs with process_vm_readv.
 """
 
 from __future__ import annotations
 
+import ctypes
+import errno
+import functools
+import itertools
 import mmap
 import os
 import signal
@@ -36,6 +41,10 @@ WrappedComputation = Callable[[Sequence[memoryview], Sequence[memoryview]], obje
 
 _PR_SET_PDEATHSIG = 1
 _ERR_PIPE_LIMIT = 8192
+# The done report. A failing child writes its traceback instead, and a
+# traceback never starts with this byte.
+_DONE = b"\0"
+_DONE_STATUS = ExitStatus(kind=ExitKind.SUCCESS)
 
 
 class SpawnFailure(RuntimeError):
@@ -47,84 +56,133 @@ class PinningFailure(RuntimeError):
 
 
 class ReplicaIncomplete(RuntimeError):
-    """Outputs were requested from a replica that has not terminated."""
+    """Outputs were requested from a replica that has not finished."""
+
+
+class ReplicaLost(ReplicaIncomplete):
+    """A replica failed, or died after its done report, before its outputs were read."""
+
+    def __init__(self, role: Role, cause: str, message: str):
+        super().__init__(message)
+        self.role = role
+        self.cause = cause
+
+
+class _IoVec(ctypes.Structure):
+    _fields_ = [("base", ctypes.c_void_p), ("len", ctypes.c_size_t)]
+
+
+@functools.cache
+def _vm_call(name: str):
+    fn = getattr(linuxperf._get_libc(), name)
+    iov = ctypes.POINTER(_IoVec)
+    fn.argtypes = (ctypes.c_int, iov, ctypes.c_ulong, iov, ctypes.c_ulong, ctypes.c_ulong)
+    fn.restype = ctypes.c_ssize_t
+    return fn
+
+
+def _vm_copy(name: str, pid: int, local_address: int, remote_address: int, nbytes: int) -> None:
+    moved = _vm_call(name)(
+        pid, _IoVec(local_address, nbytes), 1, _IoVec(remote_address, nbytes), 1, 0
+    )
+    if moved != nbytes:
+        err = ctypes.get_errno() if moved < 0 else errno.EFAULT
+        raise OSError(err, f"{name}: {os.strerror(err)}")
+
+
+def _vm_read(pid: int, local_address: int, remote_address: int, nbytes: int) -> None:
+    """Copy nbytes from another process's memory into ours (process_vm_readv)."""
+    _vm_copy("process_vm_readv", pid, local_address, remote_address, nbytes)
+
+
+def _vm_write(pid: int, local_address: int, remote_address: int, nbytes: int) -> None:
+    """Copy nbytes from our memory into another process's (process_vm_writev)."""
+    _vm_copy("process_vm_writev", pid, local_address, remote_address, nbytes)
+
+
+def _address(buf) -> int:
+    """Start address of a writable, non-empty buffer; no export outlives the call."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(buf))
+
+
+def huge_page_mapping(size: int) -> mmap.mmap:
+    """A zero-filled private anonymous mapping advised onto transparent huge pages."""
+    region = mmap.mmap(-1, max(size, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    try:
+        # 512 first-touch faults per 2 MiB become one.
+        region.madvise(mmap.MADV_HUGEPAGE)
+    except OSError:
+        pass  # a kernel without transparent huge pages: plain pages work too
+    return region
 
 
 @dataclass
 class _Replica:
     handle: ReplicaHandle
     pid: int
-    region: mmap.mmap
-    output_views: list[memoryview]
+    output_address: int  # where the child holds its outputs, back to back
     err_read_fd: int
     counter_fd: int = -1
     suspended: bool = False
+    done: bool = False
     exit_status: ExitStatus | None = None
-    err_text: str = ""
+    err: bytes = b""
     pending_bitflips: list[tuple[int, int, int]] = field(default_factory=list)
 
     def poll_exit(self) -> ExitStatus | None:
+        """SUCCESS once the done report came and the process lives, its exit status once gone."""
+        if self.exit_status is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid != 0:
+                self.exit_status = _decode_status(status)
+            if not self.done:
+                self._read_pipe()
         if self.exit_status is not None:
             return self.exit_status
-        pid, status = os.waitpid(self.pid, os.WNOHANG)
-        if pid == 0:
-            return None
-        self.exit_status = _decode_status(status)
-        self._drain_err()
-        return self.exit_status
+        return _DONE_STATUS if self.done else None
 
-    def reap(self) -> ExitStatus:
-        if self.exit_status is None:
-            _, status = os.waitpid(self.pid, 0)
-            self.exit_status = _decode_status(status)
-            self._drain_err()
-        return self.exit_status
-
-    def _drain_err(self) -> None:
-        chunks = []
+    def _read_pipe(self) -> None:
+        """Take what the child wrote: its done report, or (part of) its traceback."""
         while True:
             try:
                 chunk = os.read(self.err_read_fd, 4096)
-            except (BlockingIOError, OSError):
-                break
+            except OSError:  # BlockingIOError: nothing written yet
+                return
             if not chunk:
-                break
-            chunks.append(chunk)
-        if chunks:
-            self.err_text = b"".join(chunks).decode("utf-8", "replace")
+                return
+            if chunk == _DONE and not self.err:
+                self.done = True
+            else:
+                self.err += chunk
 
     def close(self) -> None:
-        """Kill and reap the process, close its counter and pipe, unmap its region."""
+        """Kill and reap the process, close its counter and pipe."""
         if self.exit_status is None:
             try:
                 os.kill(self.pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
             try:
-                self.reap()
+                _, status = os.waitpid(self.pid, 0)
+                self.exit_status = _decode_status(status)
             except ChildProcessError:
                 self.exit_status = ExitStatus(kind=ExitKind.CRASH, code=signal.SIGKILL)
         if self.counter_fd >= 0:
             linuxperf.close_counter(self.counter_fd)
             self.counter_fd = -1
-        # Every view must go before the mapping: close() refuses while any
-        # export of the region is outstanding.
-        for view in self.output_views:
-            view.release()
-        self.region.close()
         if self.err_read_fd >= 0:
             os.close(self.err_read_fd)
             self.err_read_fd = -1
 
 
 def _decode_status(status: int) -> ExitStatus:
-    if os.WIFEXITED(status):
-        code = os.WEXITSTATUS(status)
-        kind = ExitKind.SUCCESS if code == 0 else ExitKind.NONZERO_EXIT
-        return ExitStatus(kind=kind, code=code)
+    if os.WIFEXITED(status) and os.WEXITSTATUS(status) != 0:
+        return ExitStatus(kind=ExitKind.NONZERO_EXIT, code=os.WEXITSTATUS(status))
     if os.WIFSIGNALED(status):
         return ExitStatus(kind=ExitKind.CRASH, code=os.WTERMSIG(status))
-    # Stopped states never reach here: polling uses WNOHANG without WUNTRACED.
+    # A finished replica reports on its pipe and never exits by itself, so
+    # even an exit with code 0 came before its outputs did. Stopped states
+    # never reach here: polling uses WNOHANG without WUNTRACED.
     return ExitStatus(kind=ExitKind.CRASH, code=0)
 
 
@@ -148,8 +206,13 @@ def _child_main(
         # Stop before retiring any wrapper instruction; the parent attaches
         # the counter and decides when this replica starts.
         signal.raise_signal(signal.SIGSTOP)
-        ok = computation(input_views, output_views)
-        os._exit(0 if ok is not False else 1)
+        if computation(input_views, output_views) is False:
+            os._exit(1)
+        os.write(err_write_fd, _DONE)
+        # The outputs live only here: sleep until the monitor has read them
+        # and release() kills this process.
+        while True:
+            signal.pause()
     except BaseException:
         try:
             os.write(err_write_fd, traceback.format_exc().encode()[:_ERR_PIPE_LIMIT])
@@ -158,12 +221,49 @@ def _child_main(
         os._exit(1)
 
 
+class ReplicaOutputs:
+    """A finished replica's outputs, reached in place with process_vm_readv/writev.
+
+    Valid until the session is released. A transfer the kernel refuses,
+    because the replica has died or unmapped its outputs, raises ReplicaLost.
+    """
+
+    def __init__(self, role: Role, pid: int, address: int, sizes: Sequence[int]):
+        self.role = role
+        self.pid = pid
+        self.sizes = tuple(sizes)
+        self._starts = [address + s for s in itertools.accumulate(self.sizes[:-1], initial=0)]
+
+    def read_into(self, index: int, offset: int, dest) -> None:
+        """Fill dest, a writable byte buffer, from output index at byte offset."""
+        self._transfer(_vm_read, index, offset, dest)
+
+    def flip_bit(self, index: int, offset: int, bit_index: int) -> None:
+        byte = bytearray(1)
+        self.read_into(index, offset, byte)
+        byte[0] ^= 1 << bit_index
+        self._transfer(_vm_write, index, offset, byte)
+
+    def _transfer(self, call, index: int, offset: int, buf) -> None:
+        nbytes = len(buf)
+        if not 0 <= offset <= offset + nbytes <= self.sizes[index]:
+            raise ValueError(f"bytes {offset}..{offset + nbytes} outside output {index}")
+        if nbytes == 0:
+            return
+        try:
+            call(self.pid, _address(buf), self._starts[index] + offset, nbytes)
+        except OSError as exc:
+            raise ReplicaLost(
+                self.role, "crash", f"{self.role.value} replica's outputs are gone: {exc}"
+            ) from exc
+
+
 class ProcessProgressSource:
     """Progress source backed by perf counters and job-control signals.
 
     read_count never decreases, requires no cooperation from the replica,
-    and stays frozen while the replica is stopped. Counts remain readable
-    after the replica exits (the counter fd outlives the process).
+    and stays frozen while the replica is stopped or finished. Counts remain
+    readable after the replica exits (the counter fd outlives the process).
     """
 
     def __init__(self, replicas: dict[Role, _Replica]):
@@ -180,23 +280,23 @@ class ProcessProgressSource:
     def read_count(self, handle: ReplicaHandle) -> int:
         return linuxperf.read_counter(self._replica(handle).counter_fd)
 
-    def suspend(self, handle: ReplicaHandle) -> None:
-        rep = self._replica(handle)
-        if rep.exit_status is None:
-            # Harmless on an already-stopped or zombie process.
+    def _signal(self, rep: _Replica, signum: int) -> None:
+        # A finished replica sleeps until release() and is left alone;
+        # signalling a zombie is harmless.
+        if rep.exit_status is None and not rep.done:
             try:
-                os.kill(rep.pid, signal.SIGSTOP)
+                os.kill(rep.pid, signum)
             except ProcessLookupError:
                 pass
+
+    def suspend(self, handle: ReplicaHandle) -> None:
+        rep = self._replica(handle)
+        self._signal(rep, signal.SIGSTOP)
         rep.suspended = True
 
     def resume(self, handle: ReplicaHandle) -> None:
         rep = self._replica(handle)
-        if rep.exit_status is None:
-            try:
-                os.kill(rep.pid, signal.SIGCONT)
-            except ProcessLookupError:
-                pass
+        self._signal(rep, signal.SIGCONT)
         rep.suspended = False
 
     def is_terminated(self, handle: ReplicaHandle) -> tuple[bool, ExitStatus | None]:
@@ -206,7 +306,7 @@ class ProcessProgressSource:
 
 @dataclass
 class ReplicaSession:
-    """Both replicas of one protected run, plus their counters and regions."""
+    """Both replicas of one protected run, plus their counters."""
 
     payload: PayloadSpec
     counter_kind: str
@@ -229,8 +329,9 @@ class ReplicaSession:
             raise StaleHandle("session already released")
 
     def failure_detail(self, role: Role) -> str:
+        """What the replica wrote before failing: its traceback, or ''."""
         self._check_live()
-        return self._replicas[role].err_text
+        return self._replicas[role].err.decode("utf-8", "replace")
 
     def kill_replica(self, role: Role) -> None:
         """Forcibly crash one replica (fault injection support)."""
@@ -243,7 +344,7 @@ class ReplicaSession:
                 pass
 
     def register_bitflip(self, role: Role, output_index: int, byte_offset: int, bit_index: int) -> None:
-        """Corrupt one output bit after the replica terminates, before collection."""
+        """Corrupt one output bit after the replica finishes, before its outputs are read."""
         self._check_live()
         sizes = self.payload.output_sizes
         if not 0 <= output_index < len(sizes):
@@ -254,11 +355,11 @@ class ReplicaSession:
             raise ValueError(f"bit index {bit_index} out of range")
         self._replicas[role].pending_bitflips.append((output_index, byte_offset, bit_index))
 
-    def output_views(self, role: Role) -> list[memoryview]:
-        """One replica's output regions in place, with pending bit flips applied.
+    def outputs(self, role: Role) -> ReplicaOutputs:
+        """One finished replica's outputs in place, with pending bit flips applied.
 
-        The replica must have exited 0. The views are valid until release(),
-        which refuses (BufferError) while anything still exports them.
+        Raises ReplicaIncomplete while the replica runs, and ReplicaLost once
+        it has failed or died.
         """
         self._check_live()
         rep = self._replicas[role]
@@ -266,21 +367,29 @@ class ReplicaSession:
         if status is None:
             raise ReplicaIncomplete(f"{role.value} replica still running")
         if not status.success:
-            raise ReplicaIncomplete(
-                f"{role.value} replica failed ({status.failure_cause}): {rep.err_text}"
+            detail = rep.err.decode("utf-8", "replace")
+            raise ReplicaLost(
+                role, status.failure_cause,
+                f"{role.value} replica failed ({status.failure_cause}): {detail}",
             )
+        outputs = ReplicaOutputs(role, rep.pid, rep.output_address, self.payload.output_sizes)
         for output_index, byte_offset, bit_index in rep.pending_bitflips:
-            view = rep.output_views[output_index]
-            view[byte_offset] ^= 1 << bit_index
+            outputs.flip_bit(output_index, byte_offset, bit_index)
         rep.pending_bitflips.clear()
-        return list(rep.output_views)
+        return outputs
 
     def collect_outputs(self, role: Role) -> list[bytes]:
-        """Copies of one replica's output regions that outlive the session."""
-        return [bytes(view) for view in self.output_views(role)]
+        """Copies of one finished replica's outputs that outlive the session."""
+        outputs = self.outputs(role)
+        copies = []
+        for index, size in enumerate(outputs.sizes):
+            buf = bytearray(size)
+            outputs.read_into(index, 0, buf)
+            copies.append(bytes(buf))
+        return copies
 
     def release(self) -> None:
-        """Kill, reap, detach and unmap everything; safe to call twice."""
+        """Kill, reap and detach both replicas; safe to call twice."""
         if self.released:
             return
         self.released = True
@@ -308,15 +417,9 @@ def _carve(region: mmap.mmap, sizes: Sequence[int]) -> list[memoryview]:
 
 def _copy_inputs(payload: PayloadSpec) -> tuple[mmap.mmap, list[memoryview]]:
     """One replica's private copy of every input, one memcpy from the caller's buffer each."""
-    region = mmap.mmap(
-        -1, max(payload.total_input_bytes, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
-    )
-    try:
-        # 512 first-touch faults per 2 MiB become one; the child inherits
-        # the populated page tables of a private mapping and faults no more.
-        region.madvise(mmap.MADV_HUGEPAGE)
-    except OSError:
-        pass  # a kernel without transparent huge pages: plain pages work too
+    # The child inherits the populated page tables of a private mapping and
+    # faults no more.
+    region = huge_page_mapping(payload.total_input_bytes)
     views = _carve(region, payload.input_sizes)
     for view, buf in zip(views, payload.inputs):
         view[:] = buf
@@ -329,13 +432,10 @@ def _spawn_one(
     role: Role,
 ) -> _Replica:
     input_region, input_views = _copy_inputs(payload)
+    output_region = huge_page_mapping(payload.total_output_bytes)
+    output_views = _carve(output_region, payload.output_sizes)
+    input_address = _address(input_region)
     try:
-        # Shared, so the monitor can read the outputs after the child exits;
-        # fresh anonymous pages are already zero-filled.
-        region = mmap.mmap(
-            -1, max(payload.total_output_bytes, 1), flags=mmap.MAP_SHARED | mmap.MAP_ANONYMOUS
-        )
-        output_views = _carve(region, payload.output_sizes)
         err_read, err_write = os.pipe()
         os.set_blocking(err_read, False)
         pid = os.fork()
@@ -347,26 +447,39 @@ def _spawn_one(
         rep = _Replica(
             handle=ReplicaHandle.fresh(role, ref=pid),
             pid=pid,
-            region=region,
-            output_views=output_views,
+            output_address=_address(output_region),
             err_read_fd=err_read,
             suspended=True,
         )
-        # Wait for the self-stop; an exit here means the child died pre-wrapper.
-        _, status = os.waitpid(pid, os.WUNTRACED)
     finally:
-        # From here on the child holds the only mapping of its input copy.
-        for view in input_views:
+        # From here on the child holds the only mapping of its inputs and
+        # outputs, and no later fork inherits either.
+        for view in input_views + output_views:
             view.release()
         input_region.close()
+        output_region.close()
+    # Wait for the self-stop; an exit here means the child died pre-wrapper.
+    _, status = os.waitpid(pid, os.WUNTRACED)
     if not os.WIFSTOPPED(status):
         rep.exit_status = _decode_status(status)
-        rep._drain_err()
-        detail = rep.err_text or str(rep.exit_status)
+        rep._read_pipe()
+        detail = rep.err.decode("utf-8", "replace") or str(rep.exit_status)
         rep.close()
         raise SpawnFailure(f"{role.value} replica died before starting: {detail}")
-    # No later fork may inherit this replica's outputs.
-    region.madvise(mmap.MADV_DONTFORK)
+    # Outputs are read back with process_vm_readv: if the kernel refuses it
+    # (Yama ptrace_scope 3, a seccomp filter), fail now rather than after
+    # the run. The input copy is already populated, so the read faults
+    # nothing in.
+    probe = bytearray(1)
+    try:
+        _vm_read(pid, _address(probe), input_address, 1)
+    except OSError as exc:
+        rep.close()
+        name = errno.errorcode.get(exc.errno, str(exc.errno))
+        raise SpawnFailure(
+            f"process_vm_readv of the stopped {role.value} replica failed with {name} "
+            f"({os.strerror(exc.errno)}): its outputs could not be read back"
+        ) from exc
     return rep
 
 
@@ -407,4 +520,3 @@ def _apply_pinning(replicas: dict[Role, _Replica], config: MonitorConfig) -> Non
             os.sched_setaffinity(replicas[role].pid, {core})
         except (OSError, ValueError) as exc:
             raise PinningFailure(f"cannot pin {role.value} replica to core {core}: {exc}") from exc
-

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, file round trips, scripted determinism."""
 
+import errno
 import io
 import shutil
 import subprocess
@@ -7,13 +8,14 @@ import sys
 
 import pytest
 
-from softlockstep import linuxperf
+from softlockstep import cli, linuxperf, replication
 from softlockstep.calibration import read_report, recommend_threshold, write_report, CalibrationReport
 from softlockstep.cli import _VERDICT_EXIT, main
-from softlockstep.core import VerdictKind
+from softlockstep.core import PayloadSpec, VerdictKind
 from softlockstep.monitor import read_trace
 from softlockstep.progress import CounterUnavailable
 from softlockstep.sim import Schedule, read_schedule_csv, simulate, write_schedule_csv
+from softlockstep.workloads import Workload
 
 try:
     linuxperf.probe_counter("auto")
@@ -133,6 +135,35 @@ def test_process_run_crash_exits_three(capsys):
                  "--period-us", "200", "--inject", "crash:head"])
     assert code == 3
     assert "REPLICA_FAILURE (head: crash)" in capsys.readouterr().out
+
+
+@requires_counter
+def test_process_run_failure_prints_the_last_traceback_line(monkeypatch, capsys):
+    def boom(inputs, outputs):
+        raise ValueError("boom-6")
+
+    def failing_workload(ident, seed=0):
+        return Workload("boom", 0, seed, PayloadSpec.of([], [], [4]), boom)
+
+    monkeypatch.setattr(cli, "parse_workload_id", failing_workload)
+    # A threshold no head reaches first: the trail never starts.
+    code = main(["run", "--workload", "boom:0", "--threshold", str(10**12),
+                 "--period-us", "200"])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert "REPLICA_FAILURE (head: nonzero-exit)" in out
+    assert err.strip() == "ValueError: boom-6"
+
+
+@requires_counter
+def test_a_refused_process_vm_readv_exits_seventy(monkeypatch, capsys):
+    def refuse(*args):
+        raise OSError(errno.EPERM, "process_vm_readv: Operation not permitted")
+
+    monkeypatch.setattr(replication, "_vm_read", refuse)
+    code = main(["run", "--workload", "checksum:64", "--threshold", "2000000"])
+    assert code == 70
+    assert "process_vm_readv" in capsys.readouterr().err
 
 
 @requires_counter

@@ -3,6 +3,7 @@
 import gc
 import io
 import os
+import signal
 import weakref
 
 import numpy as np
@@ -20,7 +21,7 @@ from softlockstep.core import (
     StaggeringSample,
     VerdictKind,
 )
-from softlockstep.integrity import FaultSpec
+from softlockstep.integrity import FaultSpec, compare_outputs
 from softlockstep.monitor import (
     LoopOutcome,
     TRACE_HEADER,
@@ -495,6 +496,61 @@ def test_protect_frees_its_session_on_return(monkeypatch):
         assert len(sessions) == 1 and sessions[0]() is None
     finally:
         gc.enable()
+
+
+def _boom(inputs, outputs):
+    raise ValueError("boom-6")
+
+
+@requires_counter
+def test_a_failed_replica_verdict_carries_its_traceback():
+    # A threshold no head reaches first: the trail never starts.
+    verdict, _ = protect(_boom, [], [], [bytearray(4)], [4], cfg(10**12, check_period_us=200))
+    assert verdict.kind is VerdictKind.REPLICA_FAILURE
+    assert (verdict.failed_role, verdict.failure_cause) == (Role.HEAD, "nonzero-exit")
+    assert "ValueError: boom-6" in verdict.detail
+    assert verdict.describe() == "REPLICA_FAILURE (head: nonzero-exit)"
+
+
+@requires_counter
+@pytest.mark.parametrize("role", [Role.HEAD, Role.TRAIL])
+@pytest.mark.parametrize("moment", ["after-the-loop", "inside-the-compare"])
+def test_a_replica_killed_after_its_done_report_is_a_crash(monkeypatch, role, moment):
+    pids = {}
+
+    def spawn(*args, **kwargs):
+        session = spawn_replicas(*args, **kwargs)
+        pids.update((r, session.pid(r)) for r in Role)
+        return session
+
+    def kill():
+        os.kill(pids[role], signal.SIGKILL)
+        os.waitid(os.P_PID, pids[role], os.WEXITED | os.WNOWAIT)  # dead, not reaped
+
+    def loop_then_kill(*args, **kwargs):
+        result = enforcement_loop(*args, **kwargs)
+        kill()
+        return result
+
+    def kill_then_compare(*args, **kwargs):
+        kill()
+        return compare_outputs(*args, **kwargs)
+
+    monkeypatch.setattr(monitor, "spawn_replicas", spawn)
+    if moment == "after-the-loop":
+        monkeypatch.setattr(monitor, "enforcement_loop", loop_then_kill)
+    else:
+        monkeypatch.setattr(monitor.integrity, "compare_outputs", kill_then_compare)
+    fds_before = len(os.listdir("/proc/self/fd"))
+    verdict, trace, outputs = run_protected(checksum_workload(nbytes=1024))
+    assert verdict.kind is VerdictKind.REPLICA_FAILURE
+    assert (verdict.failed_role, verdict.failure_cause) == (role, "crash")
+    assert [s.action for s in trace.samples].count(Action.TRAIL_DONE) == 1
+    assert all(bytes(buf) == bytes(len(buf)) for buf in outputs)
+    assert len(os.listdir("/proc/self/fd")) == fds_before
+    for pid in pids.values():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 _INVERT = bytes(255 - i for i in range(256))

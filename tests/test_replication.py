@@ -4,14 +4,14 @@ These tests fork real processes and attach real progress counters; they skip
 only if the host offers no usable counter at all.
 """
 
-import ctypes
+import errno
 import os
 import signal
 import time
 
 import pytest
 
-from softlockstep import linuxperf
+from softlockstep import linuxperf, replication
 from softlockstep.core import MonitorConfig, PayloadSpec, Role
 from softlockstep.progress import CounterUnavailable, ExitKind, StaleHandle
 from softlockstep.replication import (
@@ -134,11 +134,20 @@ def _maps(pid):
 
 def test_the_trail_does_not_map_the_heads_output_region():
     # A stray write through such a mapping could make both outputs agree.
-    with spawn_replicas(busy, small_payload(output_sizes=(4,)), CONFIG) as session:
-        region = session._replicas[Role.HEAD].region
-        address = ctypes.addressof(ctypes.c_char.from_buffer(region))
-        assert any(lo <= address < hi for lo, hi in _maps(session.pid(Role.HEAD)))
-        assert not any(lo <= address < hi for lo, hi in _maps(session.pid(Role.TRAIL)))
+    # A page-aligned size no other mapping of this process has: the monitor
+    # maps no replica's outputs either.
+    size = 3 * 1024 * 1024 + 5 * 4096
+    with start_both(fill_pattern, PayloadSpec.of([], [], [size])) as session:
+        assert size not in [hi - lo for lo, hi in _maps("self")]
+        assert wait_done(session, Role.HEAD).success
+        assert wait_done(session, Role.TRAIL).success
+        assert size not in [hi - lo for lo, hi in _maps("self")]
+        # process_vm_writev of one byte into the head's outputs.
+        session.outputs(Role.HEAD).flip_bit(0, size - 1, 0)
+        head = session.collect_outputs(Role.HEAD)[0]
+        trail = session.collect_outputs(Role.TRAIL)[0]
+    assert head[-1] == 0xAA and head[:-1] == b"\xab" * (size - 1)
+    assert trail == b"\xab" * size
 
 
 def test_the_monitor_unmaps_each_input_copy_once_its_replica_is_spawned():
@@ -160,6 +169,48 @@ def test_output_regions_do_not_alias_across_replicas():
         trail = session.collect_outputs(Role.TRAIL)
     assert head[0][0] == 0xAA  # 0xAB with bit 0 cleared
     assert trail[0] == b"\xab" * 8
+
+
+def _state(pid):
+    with open(f"/proc/{pid}/stat") as f:
+        return f.read().rsplit(")", 1)[1].split()[0]
+
+
+def test_suspend_and_resume_leave_a_finished_replica_done_and_readable():
+    with start_both(fill_pattern, PayloadSpec.of([], [], [8])) as session:
+        source = session.progress_source
+        head = session.handle(Role.HEAD)
+        assert wait_done(session, Role.HEAD).success
+        for act in (source.suspend, source.resume):
+            act(head)
+            time.sleep(0.01)
+            assert _state(session.pid(Role.HEAD)) != "T"
+            done, status = source.is_terminated(head)
+            assert done and status.success
+            assert session.collect_outputs(Role.HEAD) == [b"\xab" * 8]
+
+
+def test_a_refused_process_vm_readv_fails_at_spawn(monkeypatch):
+    def refuse(*args):
+        raise OSError(errno.EPERM, "process_vm_readv: Operation not permitted")
+
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(replication, "_vm_read", refuse)
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(SpawnFailure, match="process_vm_readv .* failed with EPERM"):
+        spawn_replicas(double_bytes, small_payload(), CONFIG)
+    assert len(forked) == 1  # refused at the head: the trail is never forked
+    for pid in forked:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def test_trail_is_created_stopped_and_counts_zero():
