@@ -11,8 +11,6 @@ corrupt both outputs identically; the comparison then catches it.
 from .calibration import (
     CalibrationReport,
     calibrate,
-    measure_monitor_latency,
-    measure_peak_rate,
     read_report,
     recommend_threshold,
     write_report,
@@ -21,51 +19,22 @@ from .core import (
     Action,
     DiversityLossPolicy,
     MonitorConfig,
-    PayloadSpec,
     Role,
     StaggeringSample,
-    TrailState,
     Verdict,
     VerdictKind,
-    decide,
-    staggering,
-    validate_config,
 )
-from .integrity import FaultKind, FaultSpec, ShapeMismatch, compare_outputs, parse_fault_spec
+from .integrity import FaultSpec, parse_fault_spec
 from .monitor import (
-    LoopOutcome,
-    LoopResult,
     Trace,
-    enforcement_loop,
     protect,
     read_trace,
     replay,
     run_scripted,
     write_trace,
 )
-from .progress import (
-    CounterUnavailable,
-    ExitKind,
-    ExitStatus,
-    ProgressError,
-    ProgressSource,
-    RealClock,
-    ReplayClock,
-    ReplaySource,
-    ReplicaHandle,
-    ScriptedClock,
-    ScriptedReplicaSpec,
-    ScriptedSource,
-    StaleHandle,
-)
-from .replication import (
-    PinningFailure,
-    ReplicaIncomplete,
-    ReplicaSession,
-    SpawnFailure,
-    WrappedComputation,
-    spawn_replicas,
-)
+from .progress import CounterUnavailable
+from .replication import PinningFailure, SpawnFailure, WrappedComputation
 from .sim import (
     CheckResult,
     EmptyTrace,
@@ -78,17 +47,12 @@ from .sim import (
     simulate,
     write_schedule_csv,
 )
-from .workloads import (
-    Workload,
-    checksum_workload,
-    direct_run,
-    matmul_workload,
-    parse_workload_id,
-    spin_workload,
-)
+from .workloads import Workload, direct_run, parse_workload_id
 
 __version__ = "0.1.0"
 
+# What callers of protect, calibrate, replay, run_scripted, the simulator and
+# the CLI use. Test doubles and internals stay importable from their modules.
 __all__ = [
     "Action",
     "CalibrationReport",
@@ -96,50 +60,23 @@ __all__ = [
     "CounterUnavailable",
     "DiversityLossPolicy",
     "EmptyTrace",
-    "ExitKind",
-    "ExitStatus",
-    "FaultKind",
     "FaultSpec",
-    "LoopOutcome",
-    "LoopResult",
     "MonitorConfig",
-    "PayloadSpec",
     "PinningFailure",
-    "ProgressError",
-    "ProgressSource",
-    "RealClock",
-    "ReplayClock",
-    "ReplaySource",
-    "ReplicaHandle",
-    "ReplicaIncomplete",
-    "ReplicaSession",
     "Role",
     "Schedule",
-    "ScriptedClock",
-    "ScriptedReplicaSpec",
-    "ScriptedSource",
     "SearchSpaceTooLarge",
-    "ShapeMismatch",
     "SimTrace",
     "SpawnFailure",
     "StaggeringSample",
-    "StaleHandle",
     "Trace",
-    "TrailState",
     "Verdict",
     "VerdictKind",
     "Workload",
     "WrappedComputation",
     "calibrate",
-    "checksum_workload",
-    "compare_outputs",
-    "decide",
     "direct_run",
-    "enforcement_loop",
     "exhaustive_check",
-    "matmul_workload",
-    "measure_monitor_latency",
-    "measure_peak_rate",
     "min_staggering",
     "parse_fault_spec",
     "parse_workload_id",
@@ -151,10 +88,6 @@ __all__ = [
     "replay",
     "run_scripted",
     "simulate",
-    "spawn_replicas",
-    "spin_workload",
-    "staggering",
-    "validate_config",
     "write_report",
     "write_schedule_csv",
     "write_trace",

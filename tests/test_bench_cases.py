@@ -15,6 +15,7 @@ from softlockstep.progress import CounterUnavailable
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import cases  # noqa: E402
+import spans  # noqa: E402
 
 try:
     linuxperf.probe_counter(cases.COUNTER)
@@ -30,3 +31,18 @@ def test_one_operation_of_each_benchmark_case_passes_its_gate(name):
         pytest.skip(f"no progress counter: {_counter_reason}")
     case.reset()
     assert case.check(case.run()) == []
+
+
+def test_the_benchmark_tracer_wraps_and_restores_every_function_it_names():
+    # The tracer finds library functions by attribute name, so a renamed or
+    # removed one fails here, not only in a traced benchmark run.
+    originals = [vars(owner)[attr] for owner, attr, _ in spans.TARGETS]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert all(vars(owner)[attr] is not raw
+                   for (owner, attr, _), raw in zip(spans.TARGETS, originals))
+    finally:
+        tracer.uninstall()
+    assert all(vars(owner)[attr] is raw
+               for (owner, attr, _), raw in zip(spans.TARGETS, originals))

@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softlockstep import linuxperf
+from softlockstep import linuxperf, replication
 from softlockstep.calibration import (
     CalibrationReport,
     calibrate,
     calibrate_scripted,
-    measure_monitor_latency,
-    measure_peak_rate,
     peak_rate_over_windows,
     read_report,
     recommend_threshold,
@@ -257,21 +255,18 @@ def test_calibrate_scripted_validates_inputs():
 
 def test_real_measurement_preconditions():
     with pytest.raises(ValueError, match="duration_us"):
-        measure_peak_rate(duration_us=50_000)
-    with pytest.raises(ValueError, match="window_us"):
-        measure_peak_rate(duration_us=100_000, window_us=0)
-    with pytest.raises(ValueError, match="30 probes"):
-        measure_monitor_latency(probes=5)
-    with pytest.raises(ValueError, match="duration_us"):
         calibrate(duration_us=99)
     with pytest.raises(ValueError, match="30 probes"):
         calibrate(probes=3)
 
 
-@requires_counter
-def test_real_peak_rate_is_positive():
-    rate = measure_peak_rate(duration_us=100_000, window_us=20_000)
-    assert rate > 0
+@pytest.mark.parametrize("window_us", [0, -1, 100_001])
+def test_calibrate_rejects_a_bad_window_before_spawning(monkeypatch, window_us):
+    spawned = []
+    monkeypatch.setattr(replication, "spawn_replicas", lambda *a, **k: spawned.append(a))
+    with pytest.raises(ValueError, match="window_us"):
+        calibrate(duration_us=100_000, window_us=window_us)
+    assert spawned == []
 
 
 @requires_counter

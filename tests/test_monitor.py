@@ -1,5 +1,6 @@
 """Enforcement loop: simulator parity, replay fidelity, verdicts, trace CSV."""
 
+import contextlib
 import gc
 import io
 import os
@@ -19,11 +20,13 @@ from softlockstep.core import (
     PayloadSpec,
     Role,
     StaggeringSample,
+    Verdict,
     VerdictKind,
 )
 from softlockstep.integrity import FaultSpec, compare_outputs
 from softlockstep.monitor import (
     LoopOutcome,
+    LoopResult,
     TRACE_HEADER,
     Trace,
     enforcement_loop,
@@ -272,6 +275,22 @@ def test_a_failed_read_or_poll_blames_the_replica_it_was_about(role, method):
 
 # ------------------------------------------------------------------ replay
 
+@contextlib.contextmanager
+def fails_after(seconds):
+    """Turn a hang into a test failure."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_replay_reproduces_a_scripted_run_exactly():
     schedule = Schedule.of([100, 100, 0, 0, 100, 100, 100, 0], [50] * 8)
     config = cfg(150)
@@ -296,6 +315,24 @@ def test_replay_ignores_the_recorded_run_timeout():
     result = replay(trace, cfg(150, run_timeout_us=1))
     assert result.outcome is LoopOutcome.COMPLETED
     assert result.trace.samples == trace.samples
+
+
+@pytest.mark.parametrize("schedule, recorded, replayed", [
+    (Schedule.of([100] * 50, [100] * 50), cfg(150, run_timeout_us=10), cfg(150)),
+    (OVERTAKE, cfg(1, diversity_loss_policy=DiversityLossPolicy.ABORT_RUN), cfg(1)),
+], ids=["timed-out", "aborted-replayed-under-record"])
+def test_replay_times_out_where_an_unfinished_recording_ends(schedule, recorded, replayed):
+    _, trace = run_scripted(schedule, recorded)
+    assert Action.TRAIL_DONE not in [s.action for s in trace.samples]
+    with fails_after(5):
+        result = replay(trace, replayed)
+    assert result.outcome is LoopOutcome.TIMEOUT
+    assert result.trace.samples == trace.samples
+
+
+def test_replay_rejects_an_empty_trace():
+    with pytest.raises(ValueError, match="no recorded samples"):
+        replay(Trace(), cfg(1))
 
 
 # --------------------------------------------------------------- trace CSV
@@ -496,6 +533,33 @@ def test_protect_frees_its_session_on_return(monkeypatch):
         assert len(sessions) == 1 and sessions[0]() is None
     finally:
         gc.enable()
+
+
+LOSS = StaggeringSample.at(3, 3000, 5, 8, Action.DIVERSITY_LOSS)
+VERDICT_FOR_OUTCOME = {
+    LoopOutcome.TIMEOUT: Verdict.timeout(),
+    LoopOutcome.DIVERSITY_ABORT: Verdict.diversity_loss(LOSS),
+    LoopOutcome.REPLICA_TROUBLE: Verdict.replica_failure(Role.TRAIL, "counter-failure"),
+}
+
+
+@pytest.mark.parametrize("caller", ["protect", "run_scripted"])
+@pytest.mark.parametrize("outcome", list(VERDICT_FOR_OUTCOME))
+def test_a_loop_outcome_gives_one_verdict_whoever_runs_the_loop(monkeypatch, caller, outcome):
+    if caller == "protect" and _counter_reason:
+        pytest.skip(f"no progress counter: {_counter_reason}")
+
+    def canned_loop(*args, **kwargs):
+        return LoopResult(outcome, Trace(), loss_sample=LOSS,
+                          failed_role=Role.TRAIL, failure_cause="counter-failure")
+
+    monkeypatch.setattr(monitor, "enforcement_loop", canned_loop)
+    if caller == "protect":
+        verdict, _, outputs = run_protected(checksum_workload(nbytes=64))
+        assert all(bytes(buf) == bytes(len(buf)) for buf in outputs)
+    else:
+        verdict, _ = run_scripted(Schedule.of([1], [1]), cfg(1))
+    assert verdict == VERDICT_FOR_OUTCOME[outcome]
 
 
 def _boom(inputs, outputs):

@@ -149,6 +149,19 @@ def test_min_staggering_rejects_empty_trace():
         min_staggering(SimTrace())
 
 
+@pytest.mark.parametrize("schedule", [
+    Schedule.of([], [1]),
+    Schedule.of([3, 3], [1, 1, 1], head_length=0),
+])
+def test_a_head_with_no_work_still_models_its_first_tick(schedule):
+    # Such a head is terminated before tick 1 starts, yet tick 1 is an
+    # instant of the run: the trace is never empty.
+    trace = simulate(schedule, threshold=2)
+    assert trace.instants == [(1, 0)]
+    assert min_staggering(trace) == 0
+    assert actions(trace)[0] is Action.HEAD_DONE
+
+
 def test_simulate_rejects_invalid_schedules():
     with pytest.raises(ValueError):
         simulate(Schedule.of([1], [-1]), threshold=1)
