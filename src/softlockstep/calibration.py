@@ -17,7 +17,13 @@ from fractions import Fraction
 
 from . import linuxperf
 from .core import MonitorConfig, Role
-from .progress import LoopClock, ProgressSource, RealClock, ReplicaHandle
+from .progress import (
+    LoopClock,
+    ProgressSource,
+    RealClock,
+    ScriptedReplicaSpec,
+    ScriptedSource,
+)
 
 _REPORT_KEYS = (
     "counter",
@@ -27,6 +33,14 @@ _REPORT_KEYS = (
     "safety_margin",
     "recommended_threshold",
 )
+# Fixed measurement settings. A real calibration samples the rate over
+# 20 ms windows and polls a suspended replica every 100 us; a latency probe
+# ends after three polls without a count change; a scripted calibration
+# needs only three probes, since its latency is exact by construction.
+_WINDOW_US = 20_000
+_POLL_US = 100
+_SETTLE_POLLS = 3
+_SCRIPTED_PROBES = 3
 
 
 def recommend_threshold(
@@ -43,15 +57,19 @@ def recommend_threshold(
     """
     if peak_rate <= 0:
         raise ValueError("peak_rate must be positive")
-    if check_period_us <= 0:
-        raise ValueError("check_period_us must be positive")
     if monitor_latency_us < 0:
         raise ValueError("monitor_latency_us must be non-negative")
-    if safety_margin < 1:
-        raise ValueError("safety_margin must be >= 1")
+    _check_period_and_margin(check_period_us, safety_margin)
     exposure_s = Fraction(check_period_us + monitor_latency_us, 1_000_000)
     exact = Fraction(peak_rate) * exposure_s * Fraction(safety_margin)
     return math.ceil(exact)
+
+
+def _check_period_and_margin(check_period_us: int, safety_margin: float) -> None:
+    if check_period_us <= 0:
+        raise ValueError("check_period_us must be positive")
+    if safety_margin < 1:
+        raise ValueError("safety_margin must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -137,13 +155,8 @@ def read_report(source) -> CalibrationReport:
     return report
 
 
-def peak_rate_over_windows(
-    source: ProgressSource,
-    handle: ReplicaHandle,
-    clock: LoopClock,
-    windows: int,
-) -> float:
-    """Maximum per-window progress rate (units per second) of one replica.
+def peak_rate_over_windows(source: ProgressSource, clock: LoopClock, windows: int) -> float:
+    """Maximum per-window progress rate (units per second) of the head.
 
     Works over any source/clock pair: real counters with a sleeping clock,
     or a scripted source where the result is exact by construction.
@@ -151,11 +164,11 @@ def peak_rate_over_windows(
     if windows < 1:
         raise ValueError("need at least one window")
     best = 0.0
-    prev_count = source.read_count(handle)
+    prev_count = source.read_count(Role.HEAD)
     prev_ns = clock.now_ns()
     for _ in range(windows):
         clock.wait_one_period()
-        count = source.read_count(handle)
+        count = source.read_count(Role.HEAD)
         now = clock.now_ns()
         if now > prev_ns:
             rate = (count - prev_count) * 1e9 / (now - prev_ns)
@@ -164,17 +177,11 @@ def peak_rate_over_windows(
     return best
 
 
-def suspend_latency_over_probes(
-    source: ProgressSource,
-    handle: ReplicaHandle,
-    clock: LoopClock,
-    probes: int,
-    settle_polls: int = 3,
-) -> int:
-    """Worst observed suspension latency in whole microseconds (ceiling).
+def suspend_latency_over_probes(source: ProgressSource, clock: LoopClock, probes: int) -> int:
+    """Worst observed suspension latency of the head in whole microseconds (ceiling).
 
-    Each probe suspends the running replica and then polls its count until it
-    has been stable for settle_polls consecutive polls; the latency is the
+    Each probe suspends the running head and then polls its count until it
+    has been stable for _SETTLE_POLLS consecutive polls; the latency is the
     time from the suspend call to the last observed count change. Taking the
     maximum over probes keeps the estimate conservative, which is the safe
     direction for the threshold formula.
@@ -183,18 +190,18 @@ def suspend_latency_over_probes(
         raise ValueError("need at least one probe")
     worst_ns = 0
     for _ in range(probes):
-        source.resume(handle)
+        source.resume(Role.HEAD)
         # Let it run so a frozen counter is distinguishable from a slow one.
         clock.wait_one_period()
         clock.wait_one_period()
         suspended_at = clock.now_ns()
-        source.suspend(handle)
+        source.suspend(Role.HEAD)
         last_change = suspended_at
-        prev = source.read_count(handle)
+        prev = source.read_count(Role.HEAD)
         stable = 0
-        while stable < settle_polls:
+        while stable < _SETTLE_POLLS:
             clock.wait_one_period()
-            count = source.read_count(handle)
+            count = source.read_count(Role.HEAD)
             if count != prev:
                 last_change = clock.now_ns()
                 prev = count
@@ -202,7 +209,7 @@ def suspend_latency_over_probes(
             else:
                 stable += 1
         worst_ns = max(worst_ns, last_change - suspended_at)
-    source.resume(handle)
+    source.resume(Role.HEAD)
     return math.ceil(worst_ns / 1000)
 
 
@@ -212,8 +219,6 @@ def calibrate_scripted(
     check_period_us: int = 1000,
     safety_margin: float = 2.0,
     window_ticks: int = 10,
-    probes: int = 3,
-    settle_polls: int = 3,
 ) -> CalibrationReport:
     """Calibrate against a scripted schedule: exact results, no privileges.
 
@@ -221,17 +226,16 @@ def calibrate_scripted(
     tick of tick_us gives exactly d * 1e6 / tick_us units per second) and its
     suspend_latency_ticks the measured latency (exactly latency * tick_us).
     Rate and latency run over two fresh sources so neither measurement
-    consumes the other's delta stream. Only the head is measured, so the
-    sources script no trail.
+    consumes the other's delta stream: the rate's source advances
+    window_ticks per period, the latency's one tick. Only the head is
+    measured, so the sources script no trail.
     """
-    from .progress import ScriptedClock, ScriptedReplicaSpec, ScriptedSource
-
     if tick_us < 1:
         raise ValueError("tick_us must be >= 1")
     if window_ticks < 1:
         raise ValueError("window_ticks must be >= 1")
 
-    def fresh_source() -> ScriptedSource:
+    def fresh_source(period_ticks: int) -> ScriptedSource:
         return ScriptedSource(
             {
                 Role.HEAD: ScriptedReplicaSpec.of(
@@ -239,24 +243,14 @@ def calibrate_scripted(
                     suspend_latency_ticks=schedule.suspend_latency_ticks,
                 ),
             },
+            period_ticks=period_ticks,
             tick_ns=tick_us * 1000,
         )
 
-    source = fresh_source()
-    rate = peak_rate_over_windows(
-        source,
-        source.handle(Role.HEAD),
-        ScriptedClock(source, window_ticks),
-        windows=max(1, schedule.ticks // window_ticks),
-    )
-    source = fresh_source()
-    latency_us = suspend_latency_over_probes(
-        source,
-        source.handle(Role.HEAD),
-        ScriptedClock(source, 1),
-        probes=probes,
-        settle_polls=settle_polls,
-    )
+    source = fresh_source(window_ticks)
+    rate = peak_rate_over_windows(source, source, windows=max(1, schedule.ticks // window_ticks))
+    source = fresh_source(1)
+    latency_us = suspend_latency_over_probes(source, source, probes=_SCRIPTED_PROBES)
     return _report("scripted", rate, check_period_us, latency_us, safety_margin)
 
 
@@ -264,22 +258,20 @@ def calibrate(
     check_period_us: int = 1000,
     safety_margin: float = 2.0,
     duration_us: int = 300_000,
-    window_us: int = 20_000,
     probes: int = 30,
-    poll_us: int = 100,
     counter: str = "auto",
 ) -> CalibrationReport:
     """Measure this host and recommend a threshold for the given period.
 
     One busy replica session serves both measurements; the report carries the
     resolved counter kind so thresholds are never reused across metrics.
+    Every argument is checked before any replica is spawned.
     """
     if duration_us < 100_000:
         raise ValueError("duration_us must be at least 100000 (100 ms) for a stable estimate")
-    if not 0 < window_us <= duration_us:
-        raise ValueError("window_us must be positive and at most duration_us")
     if probes < 30:
         raise ValueError("need at least 30 probes for a usable worst case")
+    _check_period_and_margin(check_period_us, safety_margin)
     resolved = linuxperf.probe_counter(counter)
     # Local import: replication pulls in fork/mmap machinery that pure
     # threshold arithmetic callers never need.
@@ -290,16 +282,10 @@ def calibrate(
     config = MonitorConfig(threshold_instructions=1)
     session = spawn_replicas(workload.computation, workload.payload, config, counter=resolved)
     try:
-        head = session.handle(Role.HEAD)
         rate = peak_rate_over_windows(
-            session.progress_source,
-            head,
-            RealClock(window_us),
-            windows=duration_us // window_us,
+            session, RealClock(_WINDOW_US), windows=duration_us // _WINDOW_US
         )
-        latency_us = suspend_latency_over_probes(
-            session.progress_source, head, RealClock(poll_us), probes=probes
-        )
+        latency_us = suspend_latency_over_probes(session, RealClock(_POLL_US), probes=probes)
     finally:
         session.release()
     return _report(session.counter_kind, rate, check_period_us, latency_us, safety_margin)

@@ -213,12 +213,11 @@ class _FreezeDriver:
     def on_check(self, now_ns: int, head_count: int, trail_count: int) -> None:
         if self.done:
             return
-        handle = self.session.handle(self.fault.target)
         if self.resume_after_ns is None:
-            self.session.progress_source.suspend(handle)
+            self.session.suspend(self.fault.target)
             self.resume_after_ns = now_ns + self.fault.duration_us * 1000
         elif now_ns >= self.resume_after_ns:
-            self.session.progress_source.resume(handle)
+            self.session.resume(self.fault.target)
             self.done = True
 
 

@@ -2,9 +2,9 @@
 
 The loop is generic over a progress source and a clock, which is what makes
 the rest of the system testable: the same code polls real processes through
-perf counters (RealClock + ProcessProgressSource), replays a script tick by
-tick (ScriptedClock + ScriptedSource), or re-executes a recorded trace
-(ReplayClock + ReplaySource). Every check reads the head count first, then
+perf counters (a ReplicaSession with a RealClock), replays a script tick by
+tick (a ScriptedSource, its own clock), or re-executes a recorded trace (a
+ReplaySource, its own clock). Every check reads the head count first, then
 the trail, computes the signed staggering, and applies exactly one action,
 which becomes one trace sample.
 
@@ -39,14 +39,10 @@ from .core import (
 )
 from .progress import (
     CounterUnavailable,
-    ExitStatus,
     LoopClock,
     ProgressSource,
     RealClock,
-    ReplayClock,
     ReplaySource,
-    ReplicaHandle,
-    ScriptedClock,
     ScriptedSource,
 )
 from .replication import (
@@ -119,8 +115,6 @@ class Trace:
 class LoopResult:
     outcome: LoopOutcome
     trace: Trace
-    head_status: ExitStatus | None = None
-    trail_status: ExitStatus | None = None
     loss_sample: StaggeringSample | None = None
     failed_role: Role | None = None
     failure_cause: str | None = None
@@ -129,8 +123,6 @@ class LoopResult:
 def enforcement_loop(
     source: ProgressSource,
     clock: LoopClock,
-    head: ReplicaHandle,
-    trail: ReplicaHandle,
     config: MonitorConfig,
     on_check: Callable[[int, int, int], None] | None = None,
     backend: str = "unknown",
@@ -152,8 +144,6 @@ def enforcement_loop(
     head_done = False
     trail_done = False
     loss_sample: StaggeringSample | None = None
-    head_status: ExitStatus | None = None
-    trail_status: ExitStatus | None = None
     interval = 0
 
     started_ns = clock.now_ns()
@@ -165,23 +155,16 @@ def enforcement_loop(
         clock.wait_one_period()
         now_ns = clock.now_ns()
         if deadline_ns is not None and now_ns >= deadline_ns:
-            return LoopResult(
-                outcome=LoopOutcome.TIMEOUT,
-                trace=trace,
-                head_status=head_status,
-                trail_status=trail_status,
-                loss_sample=loss_sample,
-            )
+            return LoopResult(outcome=LoopOutcome.TIMEOUT, trace=trace, loss_sample=loss_sample)
         # Each failed read or poll is blamed on the replica it was about.
         polled = Role.HEAD
         try:
-            head_count = source.read_count(head)
+            head_count = source.read_count(Role.HEAD)
             polled = Role.TRAIL
-            trail_count = source.read_count(trail)
-            polled = Role.HEAD
-            head_term, head_exit = source.is_terminated(head)
-            polled = Role.TRAIL
-            trail_term, trail_exit = source.is_terminated(trail)
+            trail_count = source.read_count(Role.TRAIL)
+            exits = {}
+            for polled in Role:
+                exits[polled] = source.is_terminated(polled)
         except (CounterUnavailable, OSError):
             return LoopResult(
                 outcome=LoopOutcome.REPLICA_TROUBLE,
@@ -191,53 +174,43 @@ def enforcement_loop(
             )
         if on_check is not None:
             on_check(now_ns, head_count, trail_count)
-        if head_term and not head_exit.success:
-            return LoopResult(
-                outcome=LoopOutcome.REPLICA_TROUBLE,
-                trace=trace,
-                head_status=head_exit,
-                trail_status=trail_exit,
-                failed_role=Role.HEAD,
-                failure_cause=head_exit.failure_cause,
-            )
-        if trail_term and not trail_exit.success:
-            return LoopResult(
-                outcome=LoopOutcome.REPLICA_TROUBLE,
-                trace=trace,
-                head_status=head_exit,
-                trail_status=trail_exit,
-                failed_role=Role.TRAIL,
-                failure_cause=trail_exit.failure_cause,
-            )
+        for role, (terminated, status) in exits.items():
+            if terminated and not status.success:
+                return LoopResult(
+                    outcome=LoopOutcome.REPLICA_TROUBLE,
+                    trace=trace,
+                    failed_role=role,
+                    failure_cause=status.failure_cause,
+                )
+        head_term = exits[Role.HEAD][0]
+        trail_term = exits[Role.TRAIL][0]
 
         stag = staggering(head_count, trail_count)
         if head_term and not head_done:
             action = Action.HEAD_DONE
             head_done = True
-            head_status = head_exit
             if trail_state is TrailState.SUSPENDED:
-                source.resume(trail)
+                source.resume(Role.TRAIL)
                 trail_state = TrailState.RUNNING
         elif not head_done and stag < 0:
             # Checked before TRAIL_DONE: a trail that overtook the head and
             # then finished is still a loss.
             action = Action.DIVERSITY_LOSS
             if trail_state is TrailState.RUNNING:
-                source.suspend(trail)
+                source.suspend(Role.TRAIL)
                 trail_state = TrailState.SUSPENDED
         elif trail_term and not trail_done:
             action = Action.TRAIL_DONE
             trail_done = True
-            trail_status = trail_exit
         elif head_done or trail_done:
             action = Action.NONE
         else:
             action = decide(stag, threshold, trail_state)
             if action is Action.SUSPEND:
-                source.suspend(trail)
+                source.suspend(Role.TRAIL)
                 trail_state = TrailState.SUSPENDED
             elif action is Action.RESUME:
-                source.resume(trail)
+                source.resume(Role.TRAIL)
                 trail_state = TrailState.RUNNING
 
         sample = StaggeringSample.at(interval, now_ns, head_count, trail_count, action)
@@ -254,13 +227,7 @@ def enforcement_loop(
                     loss_sample=loss_sample,
                 )
         if head_done and trail_done:
-            return LoopResult(
-                outcome=LoopOutcome.COMPLETED,
-                trace=trace,
-                head_status=head_status,
-                trail_status=trail_status,
-                loss_sample=loss_sample,
-            )
+            return LoopResult(outcome=LoopOutcome.COMPLETED, trace=trace, loss_sample=loss_sample)
 
 
 def _validate_caller_outputs(outputs: Sequence, output_sizes: Sequence[int]) -> None:
@@ -313,10 +280,8 @@ def protect(
             if inject is not None:
                 on_check = integrity.inject_fault(session, inject)
             result = enforcement_loop(
-                source=session.progress_source,
+                source=session,
                 clock=RealClock(config.check_period_us),
-                head=session.handle(Role.HEAD),
-                trail=session.handle(Role.TRAIL),
                 config=config,
                 on_check=on_check,
                 backend=f"process/{session.counter_kind}",
@@ -379,16 +344,12 @@ def _copy_back(head_copy, outputs: Sequence, output_sizes: Sequence[int]) -> Non
             offset += size
 
 
-def run_scripted(
-    schedule: Schedule,
-    config: MonitorConfig,
-    tick_ns: int = 1000,
-) -> tuple[Verdict, Trace]:
+def run_scripted(schedule: Schedule, config: MonitorConfig) -> tuple[Verdict, Trace]:
     """Drive the real enforcement loop from a scripted schedule (no processes).
 
-    One tick is tick_ns of scripted time (1 us by default, so timestamps and
-    any run timeout line up). A completed scripted run reports Match: there
-    are no outputs to compare, the verdict just records clean completion.
+    One tick is progress.TICK_NS of scripted time. A completed scripted run
+    reports Match: there are no outputs to compare, the verdict just records
+    clean completion.
     """
     errors = schedule.validate()
     if errors:
@@ -396,12 +357,10 @@ def run_scripted(
     problems = validate_config(config)
     if problems:
         raise ValueError("; ".join(problems))
-    source = ScriptedSource(schedule.replica_specs(), tick_ns=tick_ns)
+    source = ScriptedSource(schedule.replica_specs(), schedule.period_ticks)
     result = enforcement_loop(
         source=source,
-        clock=ScriptedClock(source, schedule.period_ticks),
-        head=source.handle(Role.HEAD),
-        trail=source.handle(Role.TRAIL),
+        clock=source,
         config=config,
         backend="scripted",
     )
@@ -417,12 +376,9 @@ def replay(trace: Trace, config: MonitorConfig) -> LoopResult:
     ends as TIMEOUT. An empty trace raises ValueError.
     """
     source = ReplaySource.from_samples(trace.samples)
-    clock = ReplayClock(source)
     return enforcement_loop(
         source=source,
-        clock=clock,
-        head=source.handle(Role.HEAD),
-        trail=source.handle(Role.TRAIL),
+        clock=source,
         config=replace(config, run_timeout_us=source.duration_us),
         backend="replay",
     )

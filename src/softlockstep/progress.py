@@ -1,10 +1,12 @@
 """Per-replica progress counting and suspension control.
 
-The monitor only ever talks to a ProgressSource: read a replica's cumulative
-progress count, stop it, wake it, ask whether it exited. The OS-backed source
-lives in linuxperf.py; this module holds the contract, the deterministic
-scripted source used by protocol tests, and a replay source that feeds a
-previously recorded run back through the live loop.
+The monitor only ever talks to a ProgressSource, keyed by Role: read a
+replica's cumulative progress count, stop it, wake it, ask whether it exited.
+The OS-backed source is replication.ReplicaSession, over perf counters from
+linuxperf.py; this module holds the contract, the deterministic scripted
+source used by protocol tests, and a replay source that feeds a previously
+recorded run back through the live loop. The scripted and replay sources are
+their own loop clocks.
 
 Scripted time is measured in ticks. During tick i a running scripted replica
 accrues its i-th delta; a suspend issued at tick k with latency L lets it
@@ -18,7 +20,6 @@ writes on its own.
 from __future__ import annotations
 
 import enum
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
@@ -39,7 +40,7 @@ class CounterUnavailable(ProgressError):
 
 
 class StaleHandle(ProgressError):
-    """Operation on a replica that has been reaped or released."""
+    """Operation on a released session, or on a role the source lacks."""
 
 
 class ExitKind(enum.Enum):
@@ -62,38 +63,28 @@ class ExitStatus:
         return self.kind.value
 
 
-_handle_ids = itertools.count(1)
-
-
-@dataclass(frozen=True)
-class ReplicaHandle:
-    """Opaque token for one spawned replica (OS pid or script slot in ref)."""
-
-    replica_id: int
-    role: Role
-    ref: int
-
-    @classmethod
-    def fresh(cls, role: Role, ref: int) -> "ReplicaHandle":
-        return cls(replica_id=next(_handle_ids), role=role, ref=ref)
+# One tick of scripted and simulated time: 1 us, so timestamps and any run
+# timeout line up.
+TICK_NS = 1000
 
 
 @runtime_checkable
 class ProgressSource(Protocol):
     """Behavioral contract the monitor depends on.
 
-    read_count is monotonically non-decreasing per handle and must work
+    read_count is monotonically non-decreasing per role and must work
     without any cooperation from the replica, including while it is stopped.
-    suspend/resume are idempotent.
+    suspend/resume are idempotent. An operation on a role the source lacks,
+    or on a released source, raises StaleHandle.
     """
 
-    def read_count(self, handle: ReplicaHandle) -> int: ...
+    def read_count(self, role: Role) -> int: ...
 
-    def suspend(self, handle: ReplicaHandle) -> None: ...
+    def suspend(self, role: Role) -> None: ...
 
-    def resume(self, handle: ReplicaHandle) -> None: ...
+    def resume(self, role: Role) -> None: ...
 
-    def is_terminated(self, handle: ReplicaHandle) -> tuple[bool, ExitStatus | None]: ...
+    def is_terminated(self, role: Role) -> tuple[bool, ExitStatus | None]: ...
 
 
 class LoopClock(Protocol):
@@ -171,28 +162,27 @@ class ScriptedReplica:
 class ScriptedSource:
     """Deterministic test double implementing the full ProgressSource contract.
 
-    Time only moves when advance() is called; a ScriptedClock does that once
-    per monitor period so scripted runs are exactly reproducible.
+    Time only moves when advance() is called. The source is its own loop
+    clock: wait_one_period advances period_ticks ticks, so scripted runs are
+    exactly reproducible.
     """
 
-    def __init__(self, specs: dict[Role, ScriptedReplicaSpec], tick_ns: int = 1000):
+    def __init__(
+        self,
+        specs: dict[Role, ScriptedReplicaSpec],
+        period_ticks: int = 1,
+        tick_ns: int = TICK_NS,
+    ):
         self.tick = 0
+        self.period_ticks = period_ticks
         self.tick_ns = tick_ns
-        self._replicas: dict[int, ScriptedReplica] = {}
-        self._handles: dict[Role, ReplicaHandle] = {}
-        for slot, (role, spec) in enumerate(specs.items()):
-            handle = ReplicaHandle.fresh(role, slot)
-            self._handles[role] = handle
-            self._replicas[handle.replica_id] = ScriptedReplica(spec)
+        self._replicas = {role: ScriptedReplica(spec) for role, spec in specs.items()}
 
-    def handle(self, role: Role) -> ReplicaHandle:
-        return self._handles[role]
-
-    def _replica(self, handle: ReplicaHandle) -> ScriptedReplica:
+    def _replica(self, role: Role) -> ScriptedReplica:
         try:
-            return self._replicas[handle.replica_id]
+            return self._replicas[role]
         except KeyError:
-            raise StaleHandle(f"unknown scripted replica {handle.replica_id}") from None
+            raise StaleHandle(f"no scripted {role!r} replica") from None
 
     def advance(self, ticks: int) -> None:
         for _ in range(ticks):
@@ -200,35 +190,25 @@ class ScriptedSource:
             for replica in self._replicas.values():
                 replica.accrue(self.tick)
 
-    @property
+    def wait_one_period(self) -> None:
+        self.advance(self.period_ticks)
+
     def now_ns(self) -> int:
         return self.tick * self.tick_ns
 
-    def read_count(self, handle: ReplicaHandle) -> int:
-        return self._replica(handle).count
+    def read_count(self, role: Role) -> int:
+        return self._replica(role).count
 
-    def suspend(self, handle: ReplicaHandle) -> None:
-        self._replica(handle).suspend(self.tick)
+    def suspend(self, role: Role) -> None:
+        self._replica(role).suspend(self.tick)
 
-    def resume(self, handle: ReplicaHandle) -> None:
-        self._replica(handle).resume()
+    def resume(self, role: Role) -> None:
+        self._replica(role).resume()
 
-    def is_terminated(self, handle: ReplicaHandle) -> tuple[bool, ExitStatus | None]:
-        if self._replica(handle).terminated_at(self.tick):
+    def is_terminated(self, role: Role) -> tuple[bool, ExitStatus | None]:
+        if self._replica(role).terminated_at(self.tick):
             return True, ExitStatus(ExitKind.SUCCESS)
         return False, None
-
-
-class ScriptedClock:
-    def __init__(self, source: ScriptedSource, period_ticks: int):
-        self.source = source
-        self.period_ticks = period_ticks
-
-    def wait_one_period(self) -> None:
-        self.source.advance(self.period_ticks)
-
-    def now_ns(self) -> int:
-        return self.source.now_ns
 
 
 class ReplaySource:
@@ -237,6 +217,7 @@ class ReplaySource:
     Suspend/resume are no-ops: the recorded counts already embody whatever
     suspensions the original monitor applied, so re-applying them would
     distort the replay. Termination is reproduced at the recorded intervals.
+    The source is its own loop clock: each period steps to the next sample.
     The recording lasts duration_us, the whole microseconds from its first
     sample to just past its latest; a step past the last sample moves the
     clock to that end.
@@ -254,14 +235,12 @@ class ReplaySource:
             raise ValueError("replay streams must have equal length")
         if not timestamps_ns:
             raise ValueError("nothing to replay: no recorded samples")
-        self._head_counts = head_counts
-        self._trail_counts = trail_counts
+        self._counts = {Role.HEAD: head_counts, Role.TRAIL: trail_counts}
         self._timestamps = timestamps_ns
         self._done = {Role.HEAD: head_done_interval, Role.TRAIL: trail_done_interval}
         self.duration_us = (max(timestamps_ns) - timestamps_ns[0]) // 1000 + 1
         self.index = -1
         self.exhausted = False
-        self._handles = {role: ReplicaHandle.fresh(role, 0) for role in Role}
 
     @classmethod
     def from_samples(cls, samples: list[StaggeringSample]) -> "ReplaySource":
@@ -279,11 +258,8 @@ class ReplaySource:
             timestamps_ns=[s.timestamp_ns for s in samples],
         )
 
-    def handle(self, role: Role) -> ReplicaHandle:
-        return self._handles[role]
-
-    def step(self) -> None:
-        if self.index + 1 < len(self._head_counts):
+    def wait_one_period(self) -> None:
+        if self.index + 1 < len(self._timestamps):
             self.index += 1
         else:
             self.exhausted = True
@@ -293,28 +269,16 @@ class ReplaySource:
             return self._timestamps[0] + self.duration_us * 1000
         return self._timestamps[max(self.index, 0)]
 
-    def read_count(self, handle: ReplicaHandle) -> int:
-        counts = self._head_counts if handle.role is Role.HEAD else self._trail_counts
-        return counts[max(self.index, 0)]
+    def read_count(self, role: Role) -> int:
+        return self._counts[role][max(self.index, 0)]
 
-    def suspend(self, handle: ReplicaHandle) -> None:
+    def suspend(self, role: Role) -> None:
         pass
 
-    def resume(self, handle: ReplicaHandle) -> None:
+    def resume(self, role: Role) -> None:
         pass
 
-    def is_terminated(self, handle: ReplicaHandle) -> tuple[bool, ExitStatus | None]:
-        if self.index >= self._done[handle.role]:
+    def is_terminated(self, role: Role) -> tuple[bool, ExitStatus | None]:
+        if self.index >= self._done[role]:
             return True, ExitStatus(ExitKind.SUCCESS)
         return False, None
-
-
-class ReplayClock:
-    def __init__(self, source: ReplaySource):
-        self.source = source
-
-    def wait_one_period(self) -> None:
-        self.source.step()
-
-    def now_ns(self) -> int:
-        return self.source.now_ns()

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from . import linuxperf
 from .core import MonitorConfig, PayloadSpec, Role, validate_config
-from .progress import ExitKind, ExitStatus, ReplicaHandle, StaleHandle
+from .progress import ExitKind, ExitStatus, StaleHandle
 
 # A wrapped computation reads only the given input views, writes only the
 # given output views, and is deterministic in them. Returning False signals
@@ -118,7 +118,6 @@ def huge_page_mapping(size: int) -> mmap.mmap:
 
 @dataclass
 class _Replica:
-    handle: ReplicaHandle
     pid: int
     output_address: int  # where the child holds its outputs, back to back
     err_read_fd: int
@@ -257,29 +256,36 @@ class ReplicaOutputs:
             ) from exc
 
 
-class ProcessProgressSource:
-    """Progress source backed by perf counters and job-control signals.
+@dataclass
+class ReplicaSession:
+    """Both replicas of one protected run, plus their counters.
 
-    read_count never decreases, requires no cooperation from the replica,
-    and stays frozen while the replica is stopped or finished. Counts remain
-    readable after the replica exits (the counter fd outlives the process).
+    The session is the ProgressSource over its live processes, backed by
+    perf counters and job-control signals. read_count never decreases,
+    requires no cooperation from the replica, and stays frozen while the
+    replica is stopped or finished. Counts remain readable after the replica
+    exits (the counter fd outlives the process).
     """
 
-    def __init__(self, replicas: dict[Role, _Replica]):
-        # The session's own dict, emptied on release; holding the session
-        # itself would keep it (and its payload copy) alive in a cycle.
-        self._replicas = replicas
+    payload: PayloadSpec
+    counter_kind: str
+    _replicas: dict[Role, _Replica]
+    released: bool = False
 
-    def _replica(self, handle: ReplicaHandle) -> _Replica:
-        rep = self._replicas.get(handle.role)
-        if rep is None or rep.handle.replica_id != handle.replica_id:
-            raise StaleHandle(f"handle {handle.replica_id} does not belong to a live session")
-        return rep
+    def _replica(self, role: Role) -> _Replica:
+        try:
+            return self._replicas[role]
+        except KeyError:  # release() empties the session
+            raise StaleHandle(f"no live {role!r} replica: session released") from None
 
-    def read_count(self, handle: ReplicaHandle) -> int:
-        return linuxperf.read_counter(self._replica(handle).counter_fd)
+    def pid(self, role: Role) -> int:
+        return self._replica(role).pid
 
-    def _signal(self, rep: _Replica, signum: int) -> None:
+    def read_count(self, role: Role) -> int:
+        return linuxperf.read_counter(self._replica(role).counter_fd)
+
+    def _signal(self, role: Role, signum: int) -> None:
+        rep = self._replica(role)
         # A finished replica sleeps until release() and is left alone;
         # signalling a zombie is harmless.
         if rep.exit_status is None and not rep.done:
@@ -288,52 +294,23 @@ class ProcessProgressSource:
             except ProcessLookupError:
                 pass
 
-    def suspend(self, handle: ReplicaHandle) -> None:
-        rep = self._replica(handle)
-        self._signal(rep, signal.SIGSTOP)
+    def suspend(self, role: Role) -> None:
+        self._signal(role, signal.SIGSTOP)
 
-    def resume(self, handle: ReplicaHandle) -> None:
-        rep = self._replica(handle)
-        self._signal(rep, signal.SIGCONT)
+    def resume(self, role: Role) -> None:
+        self._signal(role, signal.SIGCONT)
 
-    def is_terminated(self, handle: ReplicaHandle) -> tuple[bool, ExitStatus | None]:
-        status = self._replica(handle).poll_exit()
+    def is_terminated(self, role: Role) -> tuple[bool, ExitStatus | None]:
+        status = self._replica(role).poll_exit()
         return (status is not None), status
-
-
-@dataclass
-class ReplicaSession:
-    """Both replicas of one protected run, plus their counters."""
-
-    payload: PayloadSpec
-    counter_kind: str
-    _replicas: dict[Role, _Replica]
-    released: bool = False
-
-    def __post_init__(self) -> None:
-        self.progress_source = ProcessProgressSource(self._replicas)
-
-    def handle(self, role: Role) -> ReplicaHandle:
-        self._check_live()
-        return self._replicas[role].handle
-
-    def pid(self, role: Role) -> int:
-        self._check_live()
-        return self._replicas[role].pid
-
-    def _check_live(self) -> None:
-        if self.released:
-            raise StaleHandle("session already released")
 
     def failure_detail(self, role: Role) -> str:
         """What the replica wrote before failing: its traceback, or ''."""
-        self._check_live()
-        return self._replicas[role].err.decode("utf-8", "replace")
+        return self._replica(role).err.decode("utf-8", "replace")
 
     def kill_replica(self, role: Role) -> None:
         """Forcibly crash one replica (fault injection support)."""
-        self._check_live()
-        rep = self._replicas[role]
+        rep = self._replica(role)
         if rep.exit_status is None:
             try:
                 os.kill(rep.pid, signal.SIGKILL)
@@ -342,7 +319,7 @@ class ReplicaSession:
 
     def register_bitflip(self, role: Role, output_index: int, byte_offset: int, bit_index: int) -> None:
         """Corrupt one output bit after the replica finishes, before its outputs are read."""
-        self._check_live()
+        rep = self._replica(role)
         sizes = self.payload.output_sizes
         if not 0 <= output_index < len(sizes):
             raise ValueError(f"output index {output_index} out of range")
@@ -350,7 +327,7 @@ class ReplicaSession:
             raise ValueError(f"byte offset {byte_offset} out of range for output {output_index}")
         if not 0 <= bit_index < 8:
             raise ValueError(f"bit index {bit_index} out of range")
-        self._replicas[role].pending_bitflips.append((output_index, byte_offset, bit_index))
+        rep.pending_bitflips.append((output_index, byte_offset, bit_index))
 
     def outputs(self, role: Role) -> ReplicaOutputs:
         """One finished replica's outputs in place, with pending bit flips applied.
@@ -358,8 +335,7 @@ class ReplicaSession:
         Raises ReplicaIncomplete while the replica runs, and ReplicaLost once
         it has failed or died.
         """
-        self._check_live()
-        rep = self._replicas[role]
+        rep = self._replica(role)
         status = rep.poll_exit()
         if status is None:
             raise ReplicaIncomplete(f"{role.value} replica still running")
@@ -442,7 +418,6 @@ def _spawn_one(
             os._exit(1)  # unreachable
         os.close(err_write)
         rep = _Replica(
-            handle=ReplicaHandle.fresh(role, ref=pid),
             pid=pid,
             output_address=_address(output_region),
             err_read_fd=err_read,
@@ -500,7 +475,7 @@ def spawn_replicas(
         _apply_pinning(replicas, config)
         session = ReplicaSession(payload=payload, counter_kind=counter_kind, _replicas=replicas)
         # Only the head starts; the trail is released by the enforcement loop.
-        session.progress_source.resume(session.handle(Role.HEAD))
+        session.resume(Role.HEAD)
         return session
     except BaseException:
         for rep in replicas.values():

@@ -27,7 +27,7 @@ from .core import (
     TrailState,
     decide,
 )
-from .progress import ScriptedReplica, ScriptedReplicaSpec
+from .progress import TICK_NS, ScriptedReplica, ScriptedReplicaSpec
 
 # Bound on |alphabet|^(2*ticks) accepted by exhaustive_check.
 MAX_SEARCH_SPACE = 10_000_000
@@ -126,7 +126,6 @@ def simulate(
     schedule: Schedule,
     threshold: int,
     diversity_loss_policy: DiversityLossPolicy = DiversityLossPolicy.RECORD_AND_CONTINUE,
-    tick_ns: int = 1000,
 ) -> SimTrace:
     """Run the enforcement protocol over a schedule, tick by tick.
 
@@ -196,7 +195,7 @@ def simulate(
                 trail_view = TrailState.RUNNING
 
         trace.samples.append(
-            StaggeringSample.at(interval, tick * tick_ns, head_count, trail_count, action)
+            StaggeringSample.at(interval, tick * TICK_NS, head_count, trail_count, action)
         )
         interval += 1
         if action is Action.DIVERSITY_LOSS and diversity_loss_policy is DiversityLossPolicy.ABORT_RUN:

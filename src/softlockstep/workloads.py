@@ -1,7 +1,7 @@
 """Deterministic demo workloads for protected runs and calibration.
 
 Every workload is a pure function of its input bytes: integer matrix multiply
-(no floating point, so results are bit-exact by construction), a keyed-size
+(no floating point, so results are bit-exact by construction), a 16-byte
 BLAKE2b digest, and a plain spin loop for calibration and timing experiments.
 Inputs are generated from a seed so two invocations with the same id and seed
 are byte-identical end to end.
@@ -20,6 +20,7 @@ from .core import PayloadSpec
 
 _DEFAULT_PARAMS = {"matmul": 128, "checksum": 65536, "spin": 5_000_000}
 _VALUE_BOUND = 1 << 20  # |a|,|b| < 2^20 keeps n<=4096 matmuls inside int64
+_DIGEST_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -72,15 +73,13 @@ def matmul_workload(n: int = 128, seed: int = 0) -> Workload:
     return Workload(name="matmul", param=n, seed=seed, payload=payload, computation=_matmul)
 
 
-def checksum_workload(nbytes: int = 65536, seed: int = 0, digest_size: int = 16) -> Workload:
+def checksum_workload(nbytes: int = 65536, seed: int = 0) -> Workload:
     """BLAKE2b digest of seeded random bytes; small output, easy to bit-flip."""
     if nbytes < 1:
         raise ValueError("input size must be >= 1")
-    if not 1 <= digest_size <= 64:
-        raise ValueError("digest size must be 1..64")
     rng = np.random.default_rng(seed)
     data = rng.integers(0, 256, size=nbytes, dtype=np.uint8).tobytes()
-    payload = PayloadSpec.of([data], [nbytes], [digest_size])
+    payload = PayloadSpec.of([data], [nbytes], [_DIGEST_SIZE])
     return Workload(name="checksum", param=nbytes, seed=seed, payload=payload, computation=_checksum)
 
 

@@ -257,23 +257,21 @@ def test_criterion_9_suspension_freezes_the_count():
     workload = spin_workload(10**10)
     config = MonitorConfig(threshold_instructions=10_000)
     session = spawn_replicas(workload.computation, workload.payload, config)
-    source = session.progress_source
-    trail = session.handle(Role.TRAIL)
     pid = session.pid(Role.TRAIL)
     drift_free = 0
     try:
-        frozen = source.read_count(trail)
+        frozen = session.read_count(Role.TRAIL)
         for _ in range(100):
-            source.resume(trail)
+            session.resume(Role.TRAIL)
             deadline = time.monotonic() + 5.0
-            while source.read_count(trail) <= frozen:
+            while session.read_count(Role.TRAIL) <= frozen:
                 time.sleep(0.0005)
                 assert time.monotonic() < deadline, "trail made no progress after resume"
-            source.suspend(trail)
+            session.suspend(Role.TRAIL)
             wait_stopped(pid)
-            frozen = source.read_count(trail)
+            frozen = session.read_count(Role.TRAIL)
             time.sleep(0.001)
-            if source.read_count(trail) == frozen:
+            if session.read_count(Role.TRAIL) == frozen:
                 drift_free += 1
     finally:
         session.release()

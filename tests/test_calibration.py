@@ -21,7 +21,6 @@ from softlockstep.calibration import (
 from softlockstep.core import Role
 from softlockstep.progress import (
     CounterUnavailable,
-    ScriptedClock,
     ScriptedReplicaSpec,
     ScriptedSource,
 )
@@ -183,52 +182,42 @@ def test_report_validate_flags_bad_fields():
 
 # --------------------------------------------------- scripted measurement
 
-def head_source(deltas, latency=0, tick_ns=1000):
+def head_source(deltas, latency=0, period_ticks=1):
     return ScriptedSource(
         {Role.HEAD: ScriptedReplicaSpec.of(deltas, suspend_latency_ticks=latency)},
-        tick_ns=tick_ns,
+        period_ticks=period_ticks,
     )
 
 
 def test_peak_rate_is_exact_on_a_scripted_source():
-    source = head_source([5] * 60)
-    rate = peak_rate_over_windows(
-        source, source.handle(Role.HEAD), ScriptedClock(source, 10), windows=6
-    )
+    source = head_source([5] * 60, period_ticks=10)
+    rate = peak_rate_over_windows(source, source, windows=6)
     assert rate == 5_000_000.0  # 5 units per 1 us tick
 
 
 def test_peak_rate_takes_the_fastest_window():
-    source = head_source([1] * 10 + [9] * 10)
-    rate = peak_rate_over_windows(
-        source, source.handle(Role.HEAD), ScriptedClock(source, 10), windows=2
-    )
+    source = head_source([1] * 10 + [9] * 10, period_ticks=10)
+    rate = peak_rate_over_windows(source, source, windows=2)
     assert rate == 9_000_000.0
 
 
 def test_suspend_latency_is_exact_on_a_scripted_source():
     source = head_source([1] * 40, latency=4)
-    latency = suspend_latency_over_probes(
-        source, source.handle(Role.HEAD), ScriptedClock(source, 1), probes=2
-    )
+    latency = suspend_latency_over_probes(source, source, probes=2)
     assert latency == 4
 
 
 def test_zero_latency_source_measures_zero():
     source = head_source([1] * 20)
-    assert suspend_latency_over_probes(
-        source, source.handle(Role.HEAD), ScriptedClock(source, 1), probes=1
-    ) == 0
+    assert suspend_latency_over_probes(source, source, probes=1) == 0
 
 
 def test_measurement_preconditions():
     source = head_source([1] * 4)
     with pytest.raises(ValueError, match="window"):
-        peak_rate_over_windows(source, source.handle(Role.HEAD),
-                               ScriptedClock(source, 1), windows=0)
+        peak_rate_over_windows(source, source, windows=0)
     with pytest.raises(ValueError, match="probe"):
-        suspend_latency_over_probes(source, source.handle(Role.HEAD),
-                                    ScriptedClock(source, 1), probes=0)
+        suspend_latency_over_probes(source, source, probes=0)
 
 
 def test_calibrate_scripted_is_exact_end_to_end():
@@ -260,12 +249,15 @@ def test_real_measurement_preconditions():
         calibrate(probes=3)
 
 
-@pytest.mark.parametrize("window_us", [0, -1, 100_001])
-def test_calibrate_rejects_a_bad_window_before_spawning(monkeypatch, window_us):
+@pytest.mark.parametrize("argument, fragment", [
+    ({"check_period_us": 0}, "check_period_us must be positive"),
+    ({"safety_margin": 0.5}, "safety_margin must be >= 1"),
+], ids=["period-0", "margin-0.5"])
+def test_calibrate_rejects_a_bad_period_or_margin_before_spawning(monkeypatch, argument, fragment):
     spawned = []
     monkeypatch.setattr(replication, "spawn_replicas", lambda *a, **k: spawned.append(a))
-    with pytest.raises(ValueError, match="window_us"):
-        calibrate(duration_us=100_000, window_us=window_us)
+    with pytest.raises(ValueError, match=fragment):
+        calibrate(duration_us=100_000, **argument)
     assert spawned == []
 
 

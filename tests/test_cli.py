@@ -308,6 +308,14 @@ def test_run_rejects_an_inconsistent_calibration_file(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+def test_calibrate_with_a_zero_period_exits_sixty_four_without_forking(monkeypatch, capsys):
+    spawned = []
+    monkeypatch.setattr(replication, "spawn_replicas", lambda *a, **k: spawned.append(a))
+    assert main(["calibrate", "--period-us", "0"]) == 64
+    assert "check_period_us must be positive" in capsys.readouterr().err
+    assert spawned == []
+
+
 def test_calibrate_with_hardware_counter_reports_unavailable_if_missing(capsys):
     try:
         linuxperf.probe_counter("instructions")

@@ -156,24 +156,15 @@ def test_parse_rejects_bad_specs(text, fragment):
         parse_fault_spec(text)
 
 
-class _FakeSource:
-    def __init__(self, log):
-        self.log = log
-
-    def suspend(self, handle):
-        self.log.append(("suspend", handle))
-
-    def resume(self, handle):
-        self.log.append(("resume", handle))
-
-
 class _FakeSession:
     def __init__(self):
         self.log = []
-        self.progress_source = _FakeSource(self.log)
 
-    def handle(self, role):
-        return role
+    def suspend(self, role):
+        self.log.append(("suspend", role))
+
+    def resume(self, role):
+        self.log.append(("resume", role))
 
     def register_bitflip(self, role, output_index, byte_offset, bit_index):
         self.log.append(("bitflip", role, output_index, byte_offset, bit_index))

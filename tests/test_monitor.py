@@ -38,7 +38,6 @@ from softlockstep.monitor import (
 )
 from softlockstep.progress import (
     CounterUnavailable,
-    ScriptedClock,
     ScriptedReplicaSpec,
     ScriptedSource,
 )
@@ -182,9 +181,7 @@ def test_on_check_sees_exactly_what_the_samples_record():
     seen = []
     result = enforcement_loop(
         source=source,
-        clock=ScriptedClock(source, period_ticks=1),
-        head=source.handle(Role.HEAD),
-        trail=source.handle(Role.TRAIL),
+        clock=source,
         config=cfg(15),
         on_check=lambda now, h, t: seen.append((now, h, t)),
         backend="scripted",
@@ -200,11 +197,11 @@ class _FlakyCounterSource:
         self._inner = inner
         self._reads_left = fail_after
 
-    def read_count(self, handle):
+    def read_count(self, role):
         if self._reads_left <= 0:
             raise OSError("counter fd went away")
         self._reads_left -= 1
-        return self._inner.read_count(handle)
+        return self._inner.read_count(role)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
@@ -218,9 +215,7 @@ def test_counter_failure_mid_run_aborts_with_replica_trouble():
     flaky = _FlakyCounterSource(source, fail_after=4)
     result = enforcement_loop(
         source=flaky,
-        clock=ScriptedClock(source, period_ticks=1),
-        head=source.handle(Role.HEAD),
-        trail=source.handle(Role.TRAIL),
+        clock=source,
         config=cfg(100),
     )
     assert result.outcome is LoopOutcome.REPLICA_TROUBLE
@@ -243,12 +238,12 @@ class _FlakyPollSource:
         if name != self._method:
             return call
 
-        def flaky(handle):
-            if handle.role is self._role:
+        def flaky(role):
+            if role is self._role:
                 if self._calls_left <= 0:
                     raise OSError(f"{name} failed")
                 self._calls_left -= 1
-            return call(handle)
+            return call(role)
 
         return flaky
 
@@ -262,9 +257,7 @@ def test_a_failed_read_or_poll_blames_the_replica_it_was_about(role, method):
     })
     result = enforcement_loop(
         source=_FlakyPollSource(source, role, method, fail_after=2),
-        clock=ScriptedClock(source, period_ticks=1),
-        head=source.handle(Role.HEAD),
-        trail=source.handle(Role.TRAIL),
+        clock=source,
         config=cfg(100),
     )
     assert result.outcome is LoopOutcome.REPLICA_TROUBLE

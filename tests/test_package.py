@@ -14,9 +14,9 @@ def test_star_import_binds_exactly_all():
 
 
 @pytest.mark.parametrize("name", [
-    "ScriptedSource", "ScriptedClock", "ReplaySource", "ReplayClock", "ReplicaHandle",
-    "ProgressSource", "RealClock", "enforcement_loop", "LoopResult", "LoopOutcome",
-    "ReplicaSession", "spawn_replicas", "decide", "staggering", "validate_config",
+    "ScriptedSource", "ReplaySource", "ProgressSource", "RealClock",
+    "enforcement_loop", "LoopResult", "LoopOutcome", "ReplicaSession",
+    "spawn_replicas", "decide", "staggering", "validate_config",
     "ExitKind", "ExitStatus", "StaleHandle",
 ])
 def test_internals_leave_the_root_but_stay_importable(name):

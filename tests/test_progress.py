@@ -12,9 +12,6 @@ from softlockstep.progress import (
     ExitStatus,
     RealClock,
     ReplaySource,
-    ReplayClock,
-    ReplicaHandle,
-    ScriptedClock,
     ScriptedReplicaSpec,
     ScriptedSource,
     StaleHandle,
@@ -22,105 +19,104 @@ from softlockstep.progress import (
 
 
 def scripted(deltas, **kwargs):
-    source = ScriptedSource({Role.HEAD: ScriptedReplicaSpec.of(deltas, **kwargs)})
-    return source, source.handle(Role.HEAD)
+    return ScriptedSource({Role.HEAD: ScriptedReplicaSpec.of(deltas, **kwargs)})
 
 
 def test_running_replica_accrues_per_tick_deltas():
-    source, handle = scripted([5, 10, 0, 7])
-    assert source.read_count(handle) == 0
+    source = scripted([5, 10, 0, 7])
+    assert source.read_count(Role.HEAD) == 0
     source.advance(1)
-    assert source.read_count(handle) == 5
+    assert source.read_count(Role.HEAD) == 5
     source.advance(3)
-    assert source.read_count(handle) == 22
+    assert source.read_count(Role.HEAD) == 22
 
 
 def test_start_suspended_accrues_nothing_until_resume():
-    source, handle = scripted([5, 5, 5, 5], start_suspended=True)
+    source = scripted([5, 5, 5, 5], start_suspended=True)
     source.advance(2)
-    assert source.read_count(handle) == 0
-    source.resume(handle)
+    assert source.read_count(Role.HEAD) == 0
+    source.resume(Role.HEAD)
     source.advance(1)  # resume at tick 2 takes effect from tick 3
-    assert source.read_count(handle) == 5
+    assert source.read_count(Role.HEAD) == 5
 
 
 def test_suspend_latency_window_is_exact():
     # Suspend at tick k with latency L: the replica accrues ticks k+1 .. k+L
     # and its count is frozen from tick k+L+1 until the next resume.
-    source, handle = scripted([1] * 12, suspend_latency_ticks=2)
+    source = scripted([1] * 12, suspend_latency_ticks=2)
     source.advance(3)
-    source.suspend(handle)  # k = 3, so ticks 4 and 5 still land
+    source.suspend(Role.HEAD)  # k = 3, so ticks 4 and 5 still land
     source.advance(2)
-    assert source.read_count(handle) == 5
+    assert source.read_count(Role.HEAD) == 5
     for _ in range(3):  # ticks 6, 7, 8: frozen, byte-for-byte constant
         source.advance(1)
-        assert source.read_count(handle) == 5
-    source.resume(handle)
+        assert source.read_count(Role.HEAD) == 5
+    source.resume(Role.HEAD)
     source.advance(2)
-    assert source.read_count(handle) == 7
+    assert source.read_count(Role.HEAD) == 7
 
 
 def test_suspend_is_idempotent_and_does_not_extend_the_window():
-    source, handle = scripted([1] * 8, suspend_latency_ticks=2)
+    source = scripted([1] * 8, suspend_latency_ticks=2)
     source.advance(1)
-    source.suspend(handle)  # freezes from tick 4
+    source.suspend(Role.HEAD)  # freezes from tick 4
     source.advance(2)
-    source.suspend(handle)  # already pending: must not re-arm to tick 6
+    source.suspend(Role.HEAD)  # already pending: must not re-arm to tick 6
     source.advance(3)
-    assert source.read_count(handle) == 3
+    assert source.read_count(Role.HEAD) == 3
 
 
 def test_resume_while_running_is_a_no_op():
-    source, handle = scripted([2, 2, 2])
+    source = scripted([2, 2, 2])
     source.advance(1)
-    source.resume(handle)
+    source.resume(Role.HEAD)
     source.advance(1)
-    assert source.read_count(handle) == 4
+    assert source.read_count(Role.HEAD) == 4
 
 
 def test_suspend_while_start_suspended_keeps_the_original_freeze():
-    source, handle = scripted([3, 3, 3], start_suspended=True)
+    source = scripted([3, 3, 3], start_suspended=True)
     source.advance(1)
-    source.suspend(handle)
+    source.suspend(Role.HEAD)
     source.advance(2)
-    assert source.read_count(handle) == 0
+    assert source.read_count(Role.HEAD) == 0
 
 
 def test_termination_by_stream_exhaustion():
-    source, handle = scripted([1, 1])
-    assert source.is_terminated(handle) == (False, None)
+    source = scripted([1, 1])
+    assert source.is_terminated(Role.HEAD) == (False, None)
     source.advance(1)
-    assert source.is_terminated(handle) == (False, None)
+    assert source.is_terminated(Role.HEAD) == (False, None)
     source.advance(1)
-    done, status = source.is_terminated(handle)
+    done, status = source.is_terminated(Role.HEAD)
     assert done and status == ExitStatus(ExitKind.SUCCESS)
     source.advance(2)  # past the stream: count must not move
-    assert source.read_count(handle) == 2
+    assert source.read_count(Role.HEAD) == 2
 
 
 def test_termination_by_length_clamps_the_final_delta():
-    source, handle = scripted([5, 5, 5], length=8)
+    source = scripted([5, 5, 5], length=8)
     source.advance(2)
-    assert source.read_count(handle) == 8  # second delta clamped to 3
-    done, status = source.is_terminated(handle)
+    assert source.read_count(Role.HEAD) == 8  # second delta clamped to 3
+    done, status = source.is_terminated(Role.HEAD)
     assert done and status.success
     source.advance(1)
-    assert source.read_count(handle) == 8
+    assert source.read_count(Role.HEAD) == 8
 
 
 def test_suspended_replica_still_terminates_on_stream_exhaustion():
-    source, handle = scripted([1, 1], start_suspended=True)
+    source = scripted([1, 1], start_suspended=True)
     source.advance(2)
-    done, _ = source.is_terminated(handle)
+    done, _ = source.is_terminated(Role.HEAD)
     assert done
-    assert source.read_count(handle) == 0
+    assert source.read_count(Role.HEAD) == 0
 
 
-def test_foreign_handle_raises_stale_handle():
-    source, _ = scripted([1])
-    other, other_handle = scripted([1])
-    with pytest.raises(StaleHandle):
-        source.read_count(other_handle)
+def test_a_role_the_source_lacks_raises_stale_handle():
+    source = scripted([1])
+    for operation in (source.read_count, source.suspend, source.resume, source.is_terminated):
+        with pytest.raises(StaleHandle):
+            operation(Role.TRAIL)
 
 
 @settings(max_examples=200, deadline=None)
@@ -131,19 +127,19 @@ def test_foreign_handle_raises_stale_handle():
     start_suspended=st.booleans(),
 )
 def test_read_count_is_monotone_under_any_op_sequence(deltas, ops, latency, start_suspended):
-    source, handle = scripted(
+    source = scripted(
         deltas, suspend_latency_ticks=latency, start_suspended=start_suspended
     )
-    last = source.read_count(handle)
+    last = source.read_count(Role.HEAD)
     assert last == 0
     for op in ops:
         if op == "tick":
             source.advance(1)
         elif op == "suspend":
-            source.suspend(handle)
+            source.suspend(Role.HEAD)
         else:
-            source.resume(handle)
-        now = source.read_count(handle)
+            source.resume(Role.HEAD)
+        now = source.read_count(Role.HEAD)
         assert now >= last
         last = now
 
@@ -158,29 +154,28 @@ def test_read_count_is_monotone_under_any_op_sequence(deltas, ops, latency, star
 def test_suspension_freezes_exactly_after_the_latency(deltas, suspend_at, latency, hold):
     # After the latency window closes the count must not drift by even one
     # unit for as long as the suspension holds.
-    source, handle = scripted(deltas, suspend_latency_ticks=latency)
+    source = scripted(deltas, suspend_latency_ticks=latency)
     source.advance(suspend_at)
-    source.suspend(handle)
+    source.suspend(Role.HEAD)
     source.advance(latency)
-    frozen = source.read_count(handle)
+    frozen = source.read_count(Role.HEAD)
     for _ in range(hold):
         source.advance(1)
-        assert source.read_count(handle) == frozen
+        assert source.read_count(Role.HEAD) == frozen
 
 
 def test_scripted_clock_advances_whole_periods():
-    source, handle = scripted([1] * 10)
-    clock = ScriptedClock(source, period_ticks=3)
-    assert clock.now_ns() == 0
-    clock.wait_one_period()
+    source = ScriptedSource({Role.HEAD: ScriptedReplicaSpec.of([1] * 10)}, period_ticks=3)
+    assert source.now_ns() == 0
+    source.wait_one_period()
     assert source.tick == 3
-    assert clock.now_ns() == 3000  # default tick_ns = 1000
+    assert source.now_ns() == 3000  # default tick_ns = TICK_NS = 1000
 
 
 def test_scripted_source_honors_custom_tick_ns():
     source = ScriptedSource({Role.HEAD: ScriptedReplicaSpec.of([1])}, tick_ns=250)
     source.advance(2)
-    assert source.now_ns == 500
+    assert source.now_ns() == 500
 
 
 def test_two_replica_source_tracks_roles_independently():
@@ -189,8 +184,8 @@ def test_two_replica_source_tracks_roles_independently():
         Role.TRAIL: ScriptedReplicaSpec.of([10, 10], start_suspended=True),
     })
     source.advance(2)
-    assert source.read_count(source.handle(Role.HEAD)) == 20
-    assert source.read_count(source.handle(Role.TRAIL)) == 0
+    assert source.read_count(Role.HEAD) == 20
+    assert source.read_count(Role.TRAIL) == 0
 
 
 def replay_samples():
@@ -206,14 +201,13 @@ def replay_samples():
 
 def test_replay_source_reproduces_counts_and_terminations():
     source = ReplaySource.from_samples(replay_samples())
-    head, trail = source.handle(Role.HEAD), source.handle(Role.TRAIL)
-    clock = ReplayClock(source)
+    head, trail = Role.HEAD, Role.TRAIL
 
     assert source.is_terminated(head) == (False, None)
     seen = []
     for _ in range(5):
-        clock.wait_one_period()
-        seen.append((clock.now_ns(), source.read_count(head), source.read_count(trail)))
+        source.wait_one_period()
+        seen.append((source.now_ns(), source.read_count(head), source.read_count(trail)))
     assert seen == [
         (1000, 100, 0),
         (2000, 200, 0),
@@ -229,9 +223,9 @@ def test_replay_source_reproduces_counts_and_terminations():
 
 def test_replay_termination_lands_at_the_recorded_interval():
     source = ReplaySource.from_samples(replay_samples())
-    head, trail = source.handle(Role.HEAD), source.handle(Role.TRAIL)
+    head, trail = Role.HEAD, Role.TRAIL
     for _ in range(4):  # steps to index 3, the HEAD_DONE interval
-        source.step()
+        source.wait_one_period()
     assert source.is_terminated(head)[0]
     assert not source.is_terminated(trail)[0]
 
@@ -239,17 +233,17 @@ def test_replay_termination_lands_at_the_recorded_interval():
 def test_replay_step_clamps_at_the_last_sample():
     source = ReplaySource.from_samples(replay_samples())
     for _ in range(50):
-        source.step()
+        source.wait_one_period()
     assert source.index == 4
-    assert source.read_count(source.handle(Role.HEAD)) == 300
+    assert source.read_count(Role.HEAD) == 300
 
 
 def test_replay_suspend_resume_are_no_ops():
     source = ReplaySource.from_samples(replay_samples())
-    head = source.handle(Role.HEAD)
-    source.step()
+    head = Role.HEAD
+    source.wait_one_period()
     source.suspend(head)
-    source.step()
+    source.wait_one_period()
     assert source.read_count(head) == 200
 
 
@@ -263,12 +257,6 @@ def test_exit_status_failure_causes():
     assert ExitStatus(ExitKind.CRASH, code=9).failure_cause == "crash"
     assert ExitStatus(ExitKind.NONZERO_EXIT, code=1).failure_cause == "nonzero-exit"
     assert not ExitStatus(ExitKind.NONZERO_EXIT, code=1).success
-
-
-def test_replica_handles_are_unique():
-    a = ReplicaHandle.fresh(Role.HEAD, ref=1)
-    b = ReplicaHandle.fresh(Role.HEAD, ref=1)
-    assert a.replica_id != b.replica_id
 
 
 def test_real_clock_waits_at_least_one_period():

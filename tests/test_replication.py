@@ -70,29 +70,27 @@ def small_payload(inputs=(b"0123456789",), output_sizes=(10,)):
 
 def start_both(computation, payload, config=CONFIG):
     session = spawn_replicas(computation, payload, config)
-    session.progress_source.resume(session.handle(Role.TRAIL))
+    session.resume(Role.TRAIL)
     return session
 
 
 def wait_done(session, role, timeout=20.0):
-    source = session.progress_source
-    handle = session.handle(role)
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        done, status = source.is_terminated(handle)
+        done, status = session.is_terminated(role)
         if done:
             return status
         time.sleep(0.005)
     raise AssertionError(f"{role.value} replica did not terminate in {timeout}s")
 
 
-def settled_count(source, handle, polls=3):
+def settled_count(source, role, polls=3):
     # A SIGSTOP lands asynchronously; wait until the count stops moving.
-    last = source.read_count(handle)
+    last = source.read_count(role)
     stable = 0
     for _ in range(500):
         time.sleep(0.001)
-        now = source.read_count(handle)
+        now = source.read_count(role)
         if now == last:
             stable += 1
             if stable >= polls:
@@ -178,14 +176,12 @@ def _state(pid):
 
 def test_suspend_and_resume_leave_a_finished_replica_done_and_readable():
     with start_both(fill_pattern, PayloadSpec.of([], [], [8])) as session:
-        source = session.progress_source
-        head = session.handle(Role.HEAD)
         assert wait_done(session, Role.HEAD).success
-        for act in (source.suspend, source.resume):
-            act(head)
+        for act in (session.suspend, session.resume):
+            act(Role.HEAD)
             time.sleep(0.01)
             assert _state(session.pid(Role.HEAD)) != "T"
-            done, status = source.is_terminated(head)
+            done, status = session.is_terminated(Role.HEAD)
             assert done and status.success
             assert session.collect_outputs(Role.HEAD) == [b"\xab" * 8]
 
@@ -221,12 +217,10 @@ def test_trail_is_created_stopped_and_counts_zero():
             stat = f.read()
         state = stat.rsplit(")", 1)[1].split()[0]
         assert state == "T"
-        source = session.progress_source
-        trail = session.handle(Role.TRAIL)
-        assert source.read_count(trail) == 0
+        assert session.read_count(Role.TRAIL) == 0
         time.sleep(0.05)
-        assert source.read_count(trail) == 0  # attached while stopped: no drift
-        head_count = source.read_count(session.handle(Role.HEAD))
+        assert session.read_count(Role.TRAIL) == 0  # attached while stopped: no drift
+        head_count = session.read_count(Role.HEAD)
         assert head_count > 0  # the head was released at spawn
 
 
@@ -234,25 +228,22 @@ def test_counter_remains_readable_after_replica_exit():
     payload = small_payload()
     with start_both(double_bytes, payload) as session:
         assert wait_done(session, Role.HEAD).success
-        source = session.progress_source
-        count = source.read_count(session.handle(Role.HEAD))
+        count = session.read_count(Role.HEAD)
         assert count > 0
-        assert source.read_count(session.handle(Role.HEAD)) == count
+        assert session.read_count(Role.HEAD) == count
 
 
 def test_suspend_freezes_the_count_and_resume_restarts_it():
     payload = PayloadSpec.of([], [], [4])
     with spawn_replicas(busy, payload, CONFIG) as session:
-        source = session.progress_source
-        head = session.handle(Role.HEAD)
         time.sleep(0.02)
-        source.suspend(head)
-        frozen = settled_count(source, head)
+        session.suspend(Role.HEAD)
+        frozen = settled_count(session, Role.HEAD)
         time.sleep(0.05)
-        assert source.read_count(head) == frozen  # zero drift while stopped
-        source.resume(head)
+        assert session.read_count(Role.HEAD) == frozen  # zero drift while stopped
+        session.resume(Role.HEAD)
         deadline = time.monotonic() + 5.0
-        while source.read_count(head) == frozen:
+        while session.read_count(Role.HEAD) == frozen:
             assert time.monotonic() < deadline, "count did not move after resume"
             time.sleep(0.002)
 
@@ -296,13 +287,12 @@ def test_kill_replica_reports_a_crash():
 def test_release_is_idempotent_and_invalidates_the_session():
     payload = small_payload()
     session = start_both(double_bytes, payload)
-    head = session.handle(Role.HEAD)
     session.release()
     session.release()
     with pytest.raises(StaleHandle):
-        session.handle(Role.HEAD)
+        session.pid(Role.HEAD)
     with pytest.raises(StaleHandle):
-        session.progress_source.read_count(head)
+        session.read_count(Role.HEAD)
     with pytest.raises(StaleHandle):
         session.collect_outputs(Role.HEAD)
 
