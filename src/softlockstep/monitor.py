@@ -258,6 +258,11 @@ def protect(
     On Match the head's outputs are copied into the caller's output buffers;
     on any other verdict the caller's buffers are left untouched. The replica
     session is always torn down, whatever the verdict or exception path.
+
+    Both replicas are forked from the calling process, and only the calling
+    thread exists in a child: a lock another thread held at the fork stays
+    held there, so a computation that takes it deadlocks. Call protect()
+    from a process whose other threads hold no lock the computation needs.
     """
     problems = validate_config(config)
     if problems:

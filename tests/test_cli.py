@@ -264,6 +264,20 @@ def test_simulate_oversized_space_exits_sixty_five(capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_simulate_huge_tick_count_exits_sixty_five_promptly(capsys, fails_after):
+    with fails_after(2):
+        code = main(["simulate", "--alphabet", "0,1,2", "--ticks", "100000000",
+                     "--threshold", "4"])
+    assert code == 65
+    assert "exceeds" in capsys.readouterr().err
+
+
+def test_simulate_rates_past_int64_exit_sixty_four(capsys):
+    code = main(["simulate", "--alphabet", f"0,{2**62}", "--ticks", "2", "--threshold", "1"])
+    assert code == 64
+    assert "int64 limit of 9223372036854775807" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------- calibrate
 
 def test_scripted_calibration_is_exact_and_writes_a_report(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Enforcement loop: simulator parity, replay fidelity, verdicts, trace CSV."""
 
-import contextlib
 import gc
 import io
 import os
@@ -268,22 +267,6 @@ def test_a_failed_read_or_poll_blames_the_replica_it_was_about(role, method):
 
 # ------------------------------------------------------------------ replay
 
-@contextlib.contextmanager
-def fails_after(seconds):
-    """Turn a hang into a test failure."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_replay_reproduces_a_scripted_run_exactly():
     schedule = Schedule.of([100, 100, 0, 0, 100, 100, 100, 0], [50] * 8)
     config = cfg(150)
@@ -314,7 +297,8 @@ def test_replay_ignores_the_recorded_run_timeout():
     (Schedule.of([100] * 50, [100] * 50), cfg(150, run_timeout_us=10), cfg(150)),
     (OVERTAKE, cfg(1, diversity_loss_policy=DiversityLossPolicy.ABORT_RUN), cfg(1)),
 ], ids=["timed-out", "aborted-replayed-under-record"])
-def test_replay_times_out_where_an_unfinished_recording_ends(schedule, recorded, replayed):
+def test_replay_times_out_where_an_unfinished_recording_ends(schedule, recorded, replayed,
+                                                              fails_after):
     _, trace = run_scripted(schedule, recorded)
     assert Action.TRAIL_DONE not in [s.action for s in trace.samples]
     with fails_after(5):

@@ -1,13 +1,18 @@
 """Simulator semantics, the brute-force safety theorem, and schedule CSV."""
 
 import io
+import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from softlockstep import sim
 from softlockstep.core import Action, DiversityLossPolicy
 from softlockstep.sim import (
+    INT64_MAX,
+    CheckResult,
     EmptyTrace,
     Schedule,
     SearchSpaceTooLarge,
@@ -17,7 +22,7 @@ from softlockstep.sim import (
     simulate,
     write_schedule_csv,
 )
-from softlockstep.sim import _min_staggering_fast
+from softlockstep.sim import _min_staggering_block
 
 
 def actions(trace):
@@ -191,16 +196,96 @@ def test_exhaustive_counterexample_carries_monitor_timing():
     result = exhaustive_check([0, 1, 2], ticks=6, period_ticks=2,
                               suspend_latency_ticks=1, threshold=3)
     assert not result.safe
+    assert result.schedules_checked == 32814
+    assert result.counterexample.head_deltas == (0, 0, 1, 2, 0, 0)
     assert result.counterexample.period_ticks == 2
     assert result.counterexample.suspend_latency_ticks == 1
     trace = simulate(result.counterexample, threshold=3)
     assert min_staggering(trace) < 0
 
 
+def test_exhaustive_pins_the_benchmark_model_case():
+    # perfbench's model-check pair: its reference enumeration visits exactly
+    # these schedule counts, so they must not move.
+    safe = exhaustive_check([0, 1, 2], ticks=6, period_ticks=1,
+                            suspend_latency_ticks=1, threshold=4)
+    assert safe == CheckResult(safe=True, schedules_checked=531_441)
+    unsafe = exhaustive_check([0, 1, 2], ticks=6, period_ticks=1,
+                              suspend_latency_ticks=1, threshold=3)
+    assert unsafe == CheckResult(
+        safe=False,
+        counterexample=Schedule.of((0, 0, 1, 2, 0, 0), (0, 0, 0, 0, 2, 2),
+                                   period_ticks=1, suspend_latency_ticks=1),
+        schedules_checked=32_814,
+    )
+
+
+def naive_check(alphabet, ticks, period, latency, threshold):
+    """exhaustive_check by the plain loop: itertools.product order, simulate() as oracle."""
+    checked = 0
+    for head in itertools.product(sorted(alphabet), repeat=ticks):
+        for trail in itertools.product(sorted(alphabet), repeat=ticks):
+            checked += 1
+            schedule = Schedule.of(head, trail, period_ticks=period,
+                                   suspend_latency_ticks=latency)
+            if min_staggering(simulate(schedule, threshold=threshold)) < 0:
+                return CheckResult(safe=False, counterexample=schedule,
+                                   schedules_checked=checked)
+    return CheckResult(safe=True, schedules_checked=checked)
+
+
+@pytest.mark.parametrize("alphabet", [(0, 1, 2), (0, 1, 3), (0, 2), (1,)],
+                         ids=lambda alphabet: ",".join(map(str, alphabet)))
+def test_exhaustive_equals_the_naive_enumeration(alphabet, monkeypatch):
+    # Three ticks for three letters keeps the naive loop to seconds. Period 2
+    # divides neither 3 nor 4 ticks, nor period 3 four; a 64-schedule block
+    # puts the first counterexample in a later block and leaves a partial one.
+    ticks = 4 if len(alphabet) < 3 else 3
+    for period, latency, threshold in itertools.product(range(1, 4), range(3), range(10)):
+        expected = naive_check(alphabet, ticks, period, latency, threshold)
+        for block in (sim._BLOCK, 64):
+            monkeypatch.setattr(sim, "_BLOCK", block)
+            assert exhaustive_check(alphabet, ticks, period, latency, threshold) == expected
+
+
 def test_exhaustive_rejects_oversized_spaces():
     with pytest.raises(SearchSpaceTooLarge):
         exhaustive_check(list(range(10)), ticks=4, period_ticks=1,
                          suspend_latency_ticks=0, threshold=1)
+
+
+def test_exhaustive_bounds_the_space_without_building_its_power(fails_after):
+    # 3^(2*10^7) alone takes seconds to build and has millions of digits.
+    with fails_after(2), pytest.raises(SearchSpaceTooLarge, match="exceeds"):
+        exhaustive_check([0, 1, 2], ticks=10**7, period_ticks=1,
+                         suspend_latency_ticks=0, threshold=4)
+
+
+@pytest.mark.parametrize("alphabet, ticks, threshold, message", [
+    ([0, 2**62], 2, 1, "rate 4611686018427387904 over 2 ticks"),
+    ([1], INT64_MAX + 1, 1, "rate 1 over"),
+    ([0, 1], 2, INT64_MAX + 1, "threshold"),
+    ([0, 1], 2, -INT64_MAX - 1, "threshold"),
+], ids=["rate", "ticks", "threshold", "negative-threshold"])
+def test_exhaustive_rejects_counts_past_int64(alphabet, ticks, threshold, message):
+    with pytest.raises(ValueError, match=message) as caught:
+        exhaustive_check(alphabet, ticks=ticks, period_ticks=1,
+                         suspend_latency_ticks=0, threshold=threshold)
+    assert str(INT64_MAX) in str(caught.value)
+
+
+def test_exhaustive_accepts_counts_up_to_int64():
+    # The largest rate whose three-tick count still fits is evaluated
+    # exactly, and so is a latency far past int64 (a freeze that never
+    # bites): the trail, suspended at tick 2, overtakes by a whole rate.
+    top = INT64_MAX // 3
+    assert exhaustive_check([0, top], ticks=3, period_ticks=1, suspend_latency_ticks=10**30,
+                            threshold=INT64_MAX).safe
+    unsafe = exhaustive_check([0, top], ticks=3, period_ticks=1, suspend_latency_ticks=10**30,
+                              threshold=1)
+    assert unsafe.counterexample == Schedule.of((top, 0, 0), (0, top, top),
+                                                suspend_latency_ticks=10**30)
+    assert min_staggering(simulate(unsafe.counterexample, threshold=1)) == -top
 
 
 def test_exhaustive_validates_inputs():
@@ -238,25 +323,33 @@ def test_safety_theorem_on_random_schedules(schedule):
     assert not trace.diversity_lost
 
 
-@settings(max_examples=300, deadline=None)
+@st.composite
+def rate_blocks(draw):
+    """Many schedules of one length, as (head, trail) rows of one kernel block."""
+    ticks = draw(st.integers(min_value=1, max_value=8))
+    rates = st.lists(st.integers(min_value=0, max_value=4), min_size=ticks, max_size=ticks)
+    return draw(st.lists(st.tuples(rates, rates), min_size=1, max_size=64))
+
+
+@settings(max_examples=200, deadline=None)
 @given(
-    head=st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=8),
-    trail=st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=8),
+    rows=rate_blocks(),
     period=st.integers(min_value=1, max_value=3),
     latency=st.integers(min_value=0, max_value=2),
     threshold=st.integers(min_value=0, max_value=12),
 )
-def test_fast_min_matches_full_simulator(head, trail, period, latency, threshold):
-    # the brute-force inner loop and the trace-building simulator must agree
-    # on the minimum staggering, or exhaustive_check verdicts mean nothing.
-    n = max(len(head), len(trail))
-    head = head + [0] * (n - len(head))
-    trail = trail + [0] * (n - len(trail))
-    schedule = Schedule.of(head, trail, period_ticks=period, suspend_latency_ticks=latency)
-    fast = _min_staggering_fast(tuple(head), tuple(trail), period, latency, threshold, n)
-    full = min_staggering(simulate(schedule, threshold=threshold))
-    # fast seeds its minimum with the tick-0 staggering of 0, nothing else differs
-    assert fast == min(full, 0)
+def test_fast_min_matches_full_simulator(rows, period, latency, threshold):
+    # the brute-force kernel and the trace-building simulator must agree on
+    # the minimum staggering, or exhaustive_check verdicts mean nothing; every
+    # row of one block must agree, or rows leak into each other.
+    heads = np.array([head for head, _ in rows], dtype=np.int64)
+    trails = np.array([trail for _, trail in rows], dtype=np.int64)
+    fast = _min_staggering_block(zip(heads.T, trails.T), len(rows), period, latency, threshold)
+    for (head, trail), row_minimum in zip(rows, fast):
+        schedule = Schedule.of(head, trail, period_ticks=period, suspend_latency_ticks=latency)
+        full = min_staggering(simulate(schedule, threshold=threshold))
+        # the kernel seeds its minimum with the tick-0 staggering of 0, nothing else differs
+        assert row_minimum == min(full, 0)
 
 
 def test_schedule_csv_round_trip():
