@@ -50,6 +50,7 @@ from .replication import (
     ReplicaSession,
     WrappedComputation,
     huge_page_mapping,
+    kept_from_forks,
     spawn_replicas,
 )
 from .sim import Schedule
@@ -239,6 +240,8 @@ def _validate_caller_outputs(outputs: Sequence, output_sizes: Sequence[int]) -> 
         view = memoryview(buf)
         if view.readonly:
             raise ValueError(f"output buffer {i} is read-only")
+        if not view.c_contiguous:
+            raise ValueError(f"output buffer {i} is not C-contiguous")
         if view.nbytes != size:
             raise ValueError(f"output buffer {i} holds {view.nbytes} bytes, declared {size}")
 
@@ -259,10 +262,19 @@ def protect(
     on any other verdict the caller's buffers are left untouched. The replica
     session is always torn down, whatever the verdict or exception path.
 
+    Neither replica inherits the pages lying wholly inside the caller's input
+    and output buffers, so the computation must reach its data through its
+    views alone: one that writes a caller's buffer directly (through a
+    closure, say) crashes its replica, a REPLICA_FAILURE with cause "crash".
+
     Both replicas are forked from the calling process, and only the calling
     thread exists in a child: a lock another thread held at the fork stays
     held there, so a computation that takes it deadlocks. Call protect()
     from a process whose other threads hold no lock the computation needs.
+    A fork another thread makes while the replicas are spawned does not
+    inherit the caller's buffers' whole pages either, and on return those
+    pages are inherited by forks again, even if the caller had marked them
+    MADV_DONTFORK.
     """
     problems = validate_config(config)
     if problems:
@@ -274,7 +286,11 @@ def protect(
         if problems:
             raise ValueError("; ".join(problems))
         _validate_caller_outputs(outputs, output_sizes)
-        session = spawn_replicas(computation, payload, config, counter=counter)
+        # Each replica reads its input copy and writes its output mapping:
+        # it needs none of the caller's pages, and the copy-back into pages
+        # no fork shared takes no copy-on-write fault.
+        with kept_from_forks([*payload.inputs, *outputs]):
+            session = spawn_replicas(computation, payload, config, counter=counter)
         saved_affinity: set[int] | None = None
         head_copy = None
         try:
@@ -296,9 +312,9 @@ def protect(
                 # Made after both forks, so no replica ever maps it.
                 head_copy = huge_page_mapping(payload.total_output_bytes)
             verdict = _verdict_for(result, session, head_copy)
-            # Copy back only once both replicas are reaped: while a forked
-            # child lives, fork has left the caller's pages copy-on-write,
-            # and every page written is copied first.
+            # Copy back only once both replicas are reaped: a partly covered
+            # first or last page of a caller's buffer is still shared
+            # copy-on-write with a live replica.
             session.release()
             if verdict.kind is VerdictKind.MATCH:
                 _copy_back(head_copy, outputs, output_sizes)
@@ -345,7 +361,7 @@ def _copy_back(head_copy, outputs: Sequence, output_sizes: Sequence[int]) -> Non
     offset = 0
     with memoryview(head_copy) as copy:
         for buf, size in zip(outputs, output_sizes):
-            memoryview(buf)[:] = copy[offset : offset + size]
+            memoryview(buf).cast("B")[:] = copy[offset : offset + size]
             offset += size
 
 

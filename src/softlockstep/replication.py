@@ -7,7 +7,10 @@ buffers, the other its zeroed outputs. The controlling process unmaps both
 right after the fork, so the child holds the only mapping of each: head and
 trail never map each other's memory, no other process maps a replica's
 outputs (the monitor neither), and the two input copies are built separately
-from the caller's buffers, never one from the other.
+from the caller's buffers, never one from the other. The caller keeps the
+pages lying wholly inside its buffers out of both forks (kept_from_forks), so
+a replica reaches the caller's data only through its own copies, and writing
+those pages later takes no copy-on-write fault.
 
 The child stops itself immediately after birth; the parent attaches a
 progress counter to the stopped child, so no wrapper instruction retires
@@ -19,6 +22,7 @@ monitor reads a finished replica's outputs with process_vm_readv.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import errno
 import functools
@@ -29,6 +33,8 @@ import signal
 import traceback
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import linuxperf
 from .core import MonitorConfig, PayloadSpec, Role, validate_config
@@ -114,6 +120,48 @@ def huge_page_mapping(size: int) -> mmap.mmap:
     except OSError:
         pass  # a kernel without transparent huge pages: plain pages work too
     return region
+
+
+def _madvise(start: int, length: int, advice: int) -> bool:
+    libc = linuxperf._get_libc()
+    return libc.madvise(ctypes.c_void_p(start), ctypes.c_size_t(length), advice) == 0
+
+
+def _whole_pages(buf) -> tuple[int, int]:
+    """Start and length of the pages lying wholly inside a C-contiguous buffer.
+
+    A partly covered first or last page may hold an allocator header or a
+    neighbouring object, so it is left out; (0, 0) when no page is whole.
+    """
+    with memoryview(buf) as view:
+        if not view.c_contiguous or view.nbytes < mmap.PAGESIZE:
+            return 0, 0
+        start = np.frombuffer(view.cast("B"), dtype=np.uint8).ctypes.data
+        end = (start + view.nbytes) // mmap.PAGESIZE * mmap.PAGESIZE
+    first = -(-start // mmap.PAGESIZE) * mmap.PAGESIZE
+    return first, max(end - first, 0)
+
+
+@contextlib.contextmanager
+def kept_from_forks(buffers):
+    """No fork inside the block inherits the whole pages of these buffers.
+
+    A fork write-protects every private page it shares with its child, and
+    the parent's first write to each page afterwards faults. Pages marked
+    MADV_DONTFORK are neither shared nor write-protected; on exit they are
+    marked MADV_DOFORK again. A range the kernel refuses to advise is
+    inherited copy-on-write as before. Advising a page twice is harmless.
+    """
+    advised: list[tuple[int, int]] = []
+    try:
+        for buf in buffers:
+            start, length = _whole_pages(buf)
+            if length and _madvise(start, length, mmap.MADV_DONTFORK):
+                advised.append((start, length))
+        yield
+    finally:
+        for start, length in advised:
+            _madvise(start, length, mmap.MADV_DOFORK)
 
 
 @dataclass
@@ -411,7 +459,12 @@ def _spawn_one(
     try:
         err_read, err_write = os.pipe()
         os.set_blocking(err_read, False)
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(err_read)
+            os.close(err_write)
+            raise
         if pid == 0:
             os.close(err_read)
             _child_main(computation, input_views, output_views, err_write)

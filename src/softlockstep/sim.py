@@ -33,10 +33,12 @@ from .core import (
 )
 from .progress import TICK_NS, ScriptedReplica, ScriptedReplicaSpec
 
-# Bound on |alphabet|^(2*ticks) accepted by exhaustive_check.
-MAX_SEARCH_SPACE = 10_000_000
 # Schedules exhaustive_check evaluates together: its memory whatever the space.
 _BLOCK = 4096
+# Bound on exhaustive_check's work: blocks of _BLOCK schedules times ticks,
+# each block advanced once per tick. Every space of up to 10M schedules fits;
+# the largest, five letters over five ticks, takes 2,385 blocks x 5 ticks.
+MAX_KERNEL_WORK = 12_000
 # The kernel counts in int64, so rates and thresholds must keep counts below this.
 INT64_MAX = int(np.iinfo(np.int64).max)
 # The freeze tick of a running trail: later than any tick.
@@ -264,17 +266,17 @@ def _rates_by_tick(first, count, alphabet, ticks):
 
 
 def _search_space(size: int, ticks: int) -> int | None:
-    """size^(2*ticks), or None once it exceeds MAX_SEARCH_SPACE.
+    """size^(2*ticks), or None once its blocks times ticks exceed MAX_KERNEL_WORK.
 
     Multiplies up to the bound rather than building the full power, which
     for a large tick count takes seconds to minutes on its own.
     """
-    if size == 1:
-        return 1
+    if ticks > MAX_KERNEL_WORK:
+        return None
     space = 1
     for _ in range(2 * ticks):
         space *= size
-        if space > MAX_SEARCH_SPACE:
+        if -(-space // _BLOCK) * ticks > MAX_KERNEL_WORK:
             return None
     return space
 
@@ -308,12 +310,6 @@ def exhaustive_check(
         raise ValueError("rate alphabet must be non-empty and non-negative")
     if period_ticks < 1 or suspend_latency_ticks < 0 or ticks < 1:
         raise ValueError("period_ticks >= 1, suspend_latency_ticks >= 0, ticks >= 1 required")
-    space = _search_space(len(alphabet), ticks)
-    if space is None:
-        raise SearchSpaceTooLarge(
-            f"{len(alphabet)}^(2*{ticks}) schedules exceeds the enumerable bound "
-            f"of {MAX_SEARCH_SPACE}"
-        )
     if alphabet[-1] * ticks > INT64_MAX:
         raise ValueError(
             f"rate {alphabet[-1]} over {ticks} ticks can count past the int64 "
@@ -321,6 +317,12 @@ def exhaustive_check(
         )
     if abs(threshold) > INT64_MAX:
         raise ValueError(f"threshold {threshold} is past the int64 limit of {INT64_MAX}")
+    space = _search_space(len(alphabet), ticks)
+    if space is None:
+        raise SearchSpaceTooLarge(
+            f"{len(alphabet)}^(2*{ticks}) schedules over {ticks} ticks exceeds the "
+            f"bound of {MAX_KERNEL_WORK} blocks of {_BLOCK} schedules times ticks"
+        )
 
     # A freeze past the last tick never bites, however late: this keeps
     # tick + latency + 1 inside int64.

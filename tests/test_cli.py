@@ -272,6 +272,14 @@ def test_simulate_huge_tick_count_exits_sixty_five_promptly(capsys, fails_after)
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_simulate_one_rate_over_a_huge_tick_count_exits_sixty_five_promptly(capsys, fails_after):
+    with fails_after(2):
+        code = main(["simulate", "--alphabet", "0", "--ticks", "1000000000000",
+                     "--threshold", "0"])
+    assert code == 65
+    assert "exceeds" in capsys.readouterr().err
+
+
 def test_simulate_rates_past_int64_exit_sixty_four(capsys):
     code = main(["simulate", "--alphabet", f"0,{2**62}", "--ticks", "2", "--threshold", "1"])
     assert code == 64

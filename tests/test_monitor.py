@@ -1,8 +1,12 @@
 """Enforcement loop: simulator parity, replay fidelity, verdicts, trace CSV."""
 
+import errno
+import faulthandler
 import gc
 import io
+import mmap
 import os
+import resource
 import signal
 import weakref
 
@@ -659,6 +663,182 @@ def test_protect_validates_caller_buffers():
     with pytest.raises(ValueError, match="output buffers"):
         protect(workload.computation, workload.payload.inputs,
                 workload.payload.input_sizes, [], [16], REAL_CONFIG)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        protect(workload.computation, workload.payload.inputs,
+                workload.payload.input_sizes, [np.zeros(32, dtype=np.uint8)[::2]], [16],
+                REAL_CONFIG)
     with pytest.raises(ValueError, match="threshold"):
         protect(workload.computation, workload.payload.inputs,
                 workload.payload.input_sizes, [bytearray(16)], [16], cfg(0))
+
+
+# ------------------------------------------- caller buffers and the forks
+
+PAGE = mmap.PAGESIZE
+
+
+def _pattern(size):
+    return (bytes(range(256)) * (size // 256 + 1))[:size]
+
+
+def _fill_with_first_input_byte(inputs, outputs):
+    np.frombuffer(outputs[0], dtype=np.uint8)[:] = inputs[0][0]
+
+
+def _transparent_huge_pages():
+    try:
+        with open("/sys/kernel/mm/transparent_hugepage/enabled") as f:
+            return "[never]" not in f.read()
+    except OSError:
+        return False
+
+
+@requires_counter
+@pytest.mark.skipif(not _transparent_huge_pages(),
+                    reason="the head copy's own 4 KiB faults would swamp the count")
+def test_the_copy_back_takes_no_copy_on_write_faults():
+    # A page that a fork left write-protected faults on its first write after
+    # the fork; the copy-back would take one such fault per output page. The
+    # difference between two runs cancels the interpreter's own refaults.
+    def faults_of(size):
+        outputs = [bytearray(b"\x01" * size)]
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        verdict, _ = protect(_fill_with_first_input_byte, [b"\x07"], [1],
+                             outputs, [size], REAL_CONFIG)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert verdict.kind is VerdictKind.MATCH
+        assert outputs[0] == b"\x07" * size
+        return faults
+
+    size = 16 * 1024 * 1024
+    extra = faults_of(size) - faults_of(PAGE)
+    assert extra < size // PAGE // 4
+
+
+def _invert_each(inputs, outputs):
+    for source, dest in zip(inputs, outputs):
+        dest[:] = bytes(source).translate(_INVERT)
+
+
+def _assert_forkable(*buffers):
+    """A plain fork's child reads every page of every buffer and exits 0."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            for buf in buffers:
+                memoryview(buf).tobytes()
+            code = 0
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0  # -SIGSEGV: a page left behind
+
+
+_SIZE = 16 * PAGE + 123
+
+
+def _unshared_case():
+    """A read-only and a writable input, and two outputs, each over 16 pages."""
+    data = _pattern(_SIZE)
+    return [data, bytearray(data)], [bytearray(_SIZE), bytearray(_SIZE)]
+
+
+@requires_counter
+@pytest.mark.parametrize("inject, expected", [
+    (None, VerdictKind.MATCH),
+    (FaultSpec.bit_flip(Role.TRAIL, 0, 5 * PAGE, 1), VerdictKind.MISMATCH),
+    (FaultSpec.crash(Role.HEAD), VerdictKind.REPLICA_FAILURE),
+], ids=["match", "mismatch", "replica-failure"])
+def test_every_verdict_leaves_the_caller_buffers_forkable(inject, expected):
+    inputs, outputs = _unshared_case()
+    verdict, _ = protect(_invert_each, inputs, [_SIZE] * 2, outputs, [_SIZE] * 2,
+                         REAL_CONFIG, inject=inject)
+    assert verdict.kind is expected
+    _assert_forkable(*inputs, *outputs)
+
+
+@requires_counter
+def test_a_failed_fork_leaves_the_caller_buffers_forkable(monkeypatch):
+    real_fork = os.fork
+    forks = []
+
+    def second_fork_fails():
+        forks.append(None)
+        if len(forks) == 2:
+            raise OSError(errno.EAGAIN, "no second replica")
+        return real_fork()
+
+    inputs, outputs = _unshared_case()
+    fds_before = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    with pytest.raises(OSError, match="no second replica"):
+        protect(_invert_each, inputs, [_SIZE] * 2, outputs, [_SIZE] * 2, REAL_CONFIG)
+    monkeypatch.undo()
+    assert len(os.listdir("/proc/self/fd")) == fds_before
+    _assert_forkable(*inputs, *outputs)
+
+
+def _page_mapping(content):
+    region = mmap.mmap(-1, len(content))
+    region[:] = content
+    return region
+
+
+def _aliased():
+    buf = bytearray(_pattern(2 * PAGE + 1))
+    return [buf], [buf]
+
+
+_SLICE = 3 * PAGE + 7
+
+# Each case: inputs and outputs of pairwise equal byte sizes.
+BUFFER_SHAPES = {
+    "sub-page": lambda: ([_pattern(100)], [bytearray(100)]),
+    "unaligned-slice": lambda: (
+        [memoryview(bytearray(_pattern(5 * PAGE)))[57 : 57 + _SLICE]],
+        [memoryview(bytearray(b"\x5a" * 5 * PAGE))[99 : 99 + _SLICE]],
+    ),
+    "page-exact": lambda: ([_page_mapping(_pattern(2 * PAGE))], [bytearray(2 * PAGE)]),
+    "read-only-bytes": lambda: ([_pattern(3 * PAGE + 1)], [bytearray(3 * PAGE + 1)]),
+    "numpy-and-mmap-outputs": lambda: (
+        [_pattern(4 * PAGE), _pattern(2 * PAGE)],
+        [np.zeros(PAGE, dtype=np.uint32), mmap.mmap(-1, 2 * PAGE)],
+    ),
+    "output-aliases-input": _aliased,
+    "zero-byte": lambda: ([b"", _pattern(PAGE)], [bytearray(0), bytearray(PAGE)]),
+}
+
+
+@requires_counter
+@pytest.mark.parametrize("shape", list(BUFFER_SHAPES))
+def test_protect_delivers_exact_outputs_into_any_buffer_shape(shape):
+    inputs, outputs = BUFFER_SHAPES[shape]()
+    sizes = [memoryview(buf).nbytes for buf in inputs]
+    expected = [memoryview(buf).tobytes().translate(_INVERT) for buf in inputs]
+    verdict, _ = protect(_invert_each, inputs, sizes, outputs, sizes, REAL_CONFIG)
+    assert verdict.kind is VerdictKind.MATCH
+    assert [memoryview(buf).tobytes() for buf in outputs] == expected
+    if shape == "unaligned-slice":
+        whole = outputs[0].obj
+        assert whole[:99] + whole[99 + _SLICE :] == b"\x5a" * (len(whole) - _SLICE)
+    _assert_forkable(*inputs, *outputs)
+
+
+@requires_counter
+def test_a_computation_that_writes_the_callers_buffer_directly_crashes():
+    # A replica writes only its output views: the caller's own pages are not
+    # mapped in it, so a write through a closure faults instead of landing in
+    # a private copy.
+    caller_output = bytearray(b"\x5a" * 4 * PAGE)
+
+    def write_through_closure(inputs, outputs):
+        faulthandler.disable()  # the crash is expected: no fault dump
+        caller_output[2 * PAGE] = 0
+        outputs[0][:] = bytes(len(outputs[0]))
+
+    verdict, _ = protect(write_through_closure, [], [], [caller_output],
+                         [len(caller_output)], REAL_CONFIG)
+    assert verdict.kind is VerdictKind.REPLICA_FAILURE
+    assert verdict.failure_cause == "crash"
+    assert caller_output == b"\x5a" * 4 * PAGE

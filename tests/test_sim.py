@@ -261,6 +261,25 @@ def test_exhaustive_bounds_the_space_without_building_its_power(fails_after):
                          suspend_latency_ticks=0, threshold=4)
 
 
+def test_a_one_rate_check_is_refused_for_its_length(fails_after):
+    # One schedule, but the kernel still steps through every tick.
+    with fails_after(2), pytest.raises(SearchSpaceTooLarge, match="exceeds"):
+        exhaustive_check([0], ticks=10**12, period_ticks=1,
+                         suspend_latency_ticks=0, threshold=0)
+
+
+def test_every_space_of_up_to_ten_million_schedules_stays_within_the_work_bound():
+    # Ten million schedules was the bound on the space alone: each multi-letter
+    # check it let through is still accepted.
+    for size in range(2, 3163):
+        ticks = 1
+        while size ** (2 * ticks) <= 10_000_000:
+            assert sim._search_space(size, ticks) == size ** (2 * ticks), (size, ticks)
+            ticks += 1
+    assert sim._search_space(1, sim.MAX_KERNEL_WORK) == 1
+    assert sim._search_space(1, sim.MAX_KERNEL_WORK + 1) is None
+
+
 @pytest.mark.parametrize("alphabet, ticks, threshold, message", [
     ([0, 2**62], 2, 1, "rate 4611686018427387904 over 2 ticks"),
     ([1], INT64_MAX + 1, 1, "rate 1 over"),
