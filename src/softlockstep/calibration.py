@@ -230,6 +230,9 @@ def calibrate_scripted(
     window_ticks per period, the latency's one tick. Only the head is
     measured, so the sources script no trail.
     """
+    errors = schedule.validate()
+    if errors:
+        raise ValueError("; ".join(errors))
     if tick_us < 1:
         raise ValueError("tick_us must be >= 1")
     if window_ticks < 1:

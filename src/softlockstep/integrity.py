@@ -202,13 +202,23 @@ def parse_fault_spec(text: str) -> FaultSpec:
 
 
 class _FreezeDriver:
-    """Suspend the target out of band at the first check, resume after the hold."""
+    """Stop the target out of band at the first check and hold it for the duration.
+
+    While the hold lasts, the driver stands in for the session's suspend and
+    resume: the loop's requests for the target are recorded, not sent, so
+    none ends the hold early, and the hold ends in the state the loop last
+    asked for. The loop starts with the head running and the trail stopped,
+    so a held head runs again at the end, and a held trail only if the loop
+    has resumed it meanwhile.
+    """
 
     def __init__(self, session, fault: FaultSpec):
         self.session = session
         self.fault = fault
         self.resume_after_ns: int | None = None
         self.done = False
+        self.wants_running = fault.target is Role.HEAD
+        self._send = {False: session.suspend, True: session.resume}
 
     def on_check(self, now_ns: int, head_count: int, trail_count: int) -> None:
         if self.done:
@@ -216,9 +226,19 @@ class _FreezeDriver:
         if self.resume_after_ns is None:
             self.session.suspend(self.fault.target)
             self.resume_after_ns = now_ns + self.fault.duration_us * 1000
+            self.session.suspend = lambda role: self._request(role, False)
+            self.session.resume = lambda role: self._request(role, True)
         elif now_ns >= self.resume_after_ns:
-            self.session.resume(self.fault.target)
+            del self.session.suspend, self.session.resume
+            if self.wants_running:
+                self.session.resume(self.fault.target)
             self.done = True
+
+    def _request(self, role: Role, running: bool) -> None:
+        if role is self.fault.target:
+            self.wants_running = running
+        else:
+            self._send[running](role)
 
 
 def inject_fault(session, fault: FaultSpec) -> Callable[[int, int, int], None] | None:
@@ -228,7 +248,8 @@ def inject_fault(session, fault: FaultSpec) -> Callable[[int, int, int], None] |
     before they are read; a crash kills the target right now, before it can
     win the race against the first check. Both need no runtime hook. A freeze
     is a timed behavior, so it returns a hook the enforcement loop calls at
-    each check (after reading counts, before deciding).
+    each check (after reading counts, before deciding); while it holds the
+    target, it stands in for the session's suspend and resume.
     """
     if fault.kind is FaultKind.BIT_FLIP:
         session.register_bitflip(fault.target, fault.output_index, fault.byte_offset, fault.bit_index)

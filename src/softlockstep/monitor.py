@@ -6,12 +6,13 @@ perf counters (a ReplicaSession with a RealClock), replays a script tick by
 tick (a ScriptedSource, its own clock), or re-executes a recorded trace (a
 ReplaySource, its own clock). Every check reads the head count first, then
 the trail, computes the signed staggering, and applies exactly one action,
-which becomes one trace sample.
+which becomes one trace sample. The loop ends in a verdict: MATCH once both
+replicas finished, otherwise TIMEOUT, DIVERSITY_LOSS or REPLICA_FAILURE.
 
 protect() owns the whole lifecycle of a real run: spawn both replicas on
 private data copies, enforce staggering until both finish, compare outputs
-byte for byte, always release the session, and only then, on a match, copy
-the head's outputs into the caller's buffers.
+byte for byte after a loop MATCH, always release the session, and only then,
+on a match, copy the head's outputs into the caller's buffers.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import Callable, Sequence
 
 from . import integrity
@@ -46,6 +46,7 @@ from .progress import (
     ScriptedSource,
 )
 from .replication import (
+    PinningFailure,
     ReplicaLost,
     ReplicaSession,
     WrappedComputation,
@@ -56,13 +57,6 @@ from .replication import (
 from .sim import Schedule
 
 TRACE_HEADER = ("interval", "timestamp_ns", "head_instr", "trail_instr", "staggering", "action")
-
-
-class LoopOutcome(Enum):
-    COMPLETED = "completed"
-    DIVERSITY_ABORT = "diversity-abort"
-    TIMEOUT = "timeout"
-    REPLICA_TROUBLE = "replica-trouble"
 
 
 @dataclass
@@ -112,28 +106,23 @@ class Trace:
         return problems
 
 
-@dataclass
-class LoopResult:
-    outcome: LoopOutcome
-    trace: Trace
-    loss_sample: StaggeringSample | None = None
-    failed_role: Role | None = None
-    failure_cause: str | None = None
-
-
 def enforcement_loop(
     source: ProgressSource,
     clock: LoopClock,
     config: MonitorConfig,
     on_check: Callable[[int, int, int], None] | None = None,
     backend: str = "unknown",
-) -> LoopResult:
+) -> tuple[Verdict, Trace]:
     """Poll, decide, act, record: one iteration per check period.
 
     The trail must be suspended on entry. Each check emits exactly one
     sample; once the head terminates the trail runs unthrottled until it
     terminates too. on_check, if given, runs after the counts are read and
     before the decision (fault injection hooks in).
+
+    Returns MATCH once both replicas finished (there are no outputs here to
+    compare), TIMEOUT at the deadline, DIVERSITY_LOSS at the first loss under
+    ABORT_RUN, and REPLICA_FAILURE when a replica failed or could not be read.
     """
     threshold = config.threshold_instructions
     trace = Trace(
@@ -144,7 +133,6 @@ def enforcement_loop(
     trail_state = TrailState.SUSPENDED
     head_done = False
     trail_done = False
-    loss_sample: StaggeringSample | None = None
     interval = 0
 
     started_ns = clock.now_ns()
@@ -156,7 +144,7 @@ def enforcement_loop(
         clock.wait_one_period()
         now_ns = clock.now_ns()
         if deadline_ns is not None and now_ns >= deadline_ns:
-            return LoopResult(outcome=LoopOutcome.TIMEOUT, trace=trace, loss_sample=loss_sample)
+            return Verdict.timeout(), trace
         # Each failed read or poll is blamed on the replica it was about.
         polled = Role.HEAD
         try:
@@ -165,26 +153,16 @@ def enforcement_loop(
             trail_count = source.read_count(Role.TRAIL)
             exits = {}
             for polled in Role:
-                exits[polled] = source.is_terminated(polled)
+                exits[polled] = source.exit_status(polled)
         except (CounterUnavailable, OSError):
-            return LoopResult(
-                outcome=LoopOutcome.REPLICA_TROUBLE,
-                trace=trace,
-                failed_role=polled,
-                failure_cause="counter-failure",
-            )
+            return Verdict.replica_failure(polled, "counter-failure"), trace
         if on_check is not None:
             on_check(now_ns, head_count, trail_count)
-        for role, (terminated, status) in exits.items():
-            if terminated and not status.success:
-                return LoopResult(
-                    outcome=LoopOutcome.REPLICA_TROUBLE,
-                    trace=trace,
-                    failed_role=role,
-                    failure_cause=status.failure_cause,
-                )
-        head_term = exits[Role.HEAD][0]
-        trail_term = exits[Role.TRAIL][0]
+        for role, status in exits.items():
+            if status is not None and not status.success:
+                return Verdict.replica_failure(role, status.failure_cause), trace
+        head_term = exits[Role.HEAD] is not None
+        trail_term = exits[Role.TRAIL] is not None
 
         stag = staggering(head_count, trail_count)
         if head_term and not head_done:
@@ -218,17 +196,10 @@ def enforcement_loop(
         trace.samples.append(sample)
         interval += 1
 
-        if action is Action.DIVERSITY_LOSS:
-            if loss_sample is None:
-                loss_sample = sample
-            if config.diversity_loss_policy is DiversityLossPolicy.ABORT_RUN:
-                return LoopResult(
-                    outcome=LoopOutcome.DIVERSITY_ABORT,
-                    trace=trace,
-                    loss_sample=loss_sample,
-                )
+        if action is Action.DIVERSITY_LOSS and config.diversity_loss_policy is DiversityLossPolicy.ABORT_RUN:
+            return Verdict.diversity_loss(sample), trace
         if head_done and trail_done:
-            return LoopResult(outcome=LoopOutcome.COMPLETED, trace=trace, loss_sample=loss_sample)
+            return Verdict.match(), trace
 
 
 def _validate_caller_outputs(outputs: Sequence, output_sizes: Sequence[int]) -> None:
@@ -296,29 +267,31 @@ def protect(
         try:
             if config.monitor_core is not None:
                 saved_affinity = os.sched_getaffinity(0)
-                os.sched_setaffinity(0, {config.monitor_core})
+                _pin_monitor(config.monitor_core)
             on_check = None
             if inject is not None:
                 on_check = integrity.inject_fault(session, inject)
-            result = enforcement_loop(
+            verdict, trace = enforcement_loop(
                 source=session,
                 clock=RealClock(config.check_period_us),
                 config=config,
                 on_check=on_check,
                 backend=f"process/{session.counter_kind}",
             )
-            result.trace.counter = session.counter_kind
-            if result.outcome is LoopOutcome.COMPLETED:
+            trace.counter = session.counter_kind
+            if verdict.kind is VerdictKind.MATCH:
                 # Made after both forks, so no replica ever maps it.
                 head_copy = huge_page_mapping(payload.total_output_bytes)
-            verdict = _verdict_for(result, session, head_copy)
+                verdict = _compare(session, head_copy)
+            elif verdict.kind is VerdictKind.REPLICA_FAILURE:
+                verdict = replace(verdict, detail=session.failure_detail(verdict.failed_role))
             # Copy back only once both replicas are reaped: a partly covered
             # first or last page of a caller's buffer is still shared
             # copy-on-write with a live replica.
             session.release()
             if verdict.kind is VerdictKind.MATCH:
                 _copy_back(head_copy, outputs, output_sizes)
-            return verdict, result.trace
+            return verdict, trace
         finally:
             session.release()
             if saved_affinity is not None:
@@ -327,22 +300,15 @@ def protect(
                 head_copy.close()
 
 
-def _verdict_for(result: LoopResult, session: ReplicaSession | None, head_copy=None) -> Verdict:
-    """The verdict of a loop outcome, for protect() and run_scripted() alike.
+def _pin_monitor(core: int) -> None:
+    try:
+        os.sched_setaffinity(0, {core})
+    except (OSError, ValueError) as exc:
+        raise PinningFailure(f"cannot pin the monitor to core {core}: {exc}") from exc
 
-    A completed run compares the session's outputs into head_copy; a
-    scripted run has no session and no outputs, so completing is a match.
-    """
-    if result.outcome is LoopOutcome.TIMEOUT:
-        return Verdict.timeout()
-    if result.outcome is LoopOutcome.DIVERSITY_ABORT:
-        return Verdict.diversity_loss(result.loss_sample)
-    if result.outcome is LoopOutcome.REPLICA_TROUBLE:
-        role = result.failed_role
-        detail = session.failure_detail(role) if session is not None else ""
-        return Verdict.replica_failure(role, result.failure_cause, detail)
-    if session is None:
-        return Verdict.match()
+
+def _compare(session: ReplicaSession, head_copy) -> Verdict:
+    """Compare both finished replicas' outputs, the head's read into head_copy."""
     try:
         return integrity.compare_outputs(
             session.outputs(Role.HEAD),
@@ -368,9 +334,8 @@ def _copy_back(head_copy, outputs: Sequence, output_sizes: Sequence[int]) -> Non
 def run_scripted(schedule: Schedule, config: MonitorConfig) -> tuple[Verdict, Trace]:
     """Drive the real enforcement loop from a scripted schedule (no processes).
 
-    One tick is progress.TICK_NS of scripted time. A completed scripted run
-    reports Match: there are no outputs to compare, the verdict just records
-    clean completion.
+    One tick is progress.TICK_NS of scripted time. The loop's verdict is the
+    run's: there are no outputs to compare, so MATCH records clean completion.
     """
     errors = schedule.validate()
     if errors:
@@ -379,22 +344,17 @@ def run_scripted(schedule: Schedule, config: MonitorConfig) -> tuple[Verdict, Tr
     if problems:
         raise ValueError("; ".join(problems))
     source = ScriptedSource(schedule.replica_specs(), schedule.period_ticks)
-    result = enforcement_loop(
-        source=source,
-        clock=source,
-        config=config,
-        backend="scripted",
-    )
-    return _verdict_for(result, session=None), result.trace
+    return enforcement_loop(source=source, clock=source, config=config, backend="scripted")
 
 
-def replay(trace: Trace, config: MonitorConfig) -> LoopResult:
+def replay(trace: Trace, config: MonitorConfig) -> tuple[Verdict, Trace]:
     """Re-run the loop against a recorded trace's counts and timestamps.
 
     The recorded run's timeout is not replayed. The replay times out where
     the recording ends instead, so a run recorded without both replicas
     finishing (timed out, or aborted and replayed under another policy)
-    ends as TIMEOUT. An empty trace raises ValueError.
+    ends as TIMEOUT. A replayed run that completes is a MATCH: the recording
+    holds no outputs to compare. An empty trace raises ValueError.
     """
     source = ReplaySource.from_samples(trace.samples)
     return enforcement_loop(

@@ -1,7 +1,7 @@
 """Per-replica progress counting and suspension control.
 
 The monitor only ever talks to a ProgressSource, keyed by Role: read a
-replica's cumulative progress count, stop it, wake it, ask whether it exited.
+replica's cumulative progress count, stop it, wake it, ask how it exited.
 The OS-backed source is replication.ReplicaSession, over perf counters from
 linuxperf.py; this module holds the contract, the deterministic scripted
 source used by protocol tests, and a replay source that feeds a previously
@@ -63,6 +63,8 @@ class ExitStatus:
         return self.kind.value
 
 
+_SUCCESS = ExitStatus(ExitKind.SUCCESS)
+
 # One tick of scripted and simulated time: 1 us, so timestamps and any run
 # timeout line up.
 TICK_NS = 1000
@@ -75,7 +77,8 @@ class ProgressSource(Protocol):
     read_count is monotonically non-decreasing per role and must work
     without any cooperation from the replica, including while it is stopped.
     suspend/resume are idempotent. An operation on a role the source lacks,
-    or on a released source, raises StaleHandle.
+    or on a released source, raises StaleHandle. exit_status is None while
+    the replica runs, and how it ended once it has.
     """
 
     def read_count(self, role: Role) -> int: ...
@@ -84,7 +87,7 @@ class ProgressSource(Protocol):
 
     def resume(self, role: Role) -> None: ...
 
-    def is_terminated(self, role: Role) -> tuple[bool, ExitStatus | None]: ...
+    def exit_status(self, role: Role) -> ExitStatus | None: ...
 
 
 class LoopClock(Protocol):
@@ -205,10 +208,8 @@ class ScriptedSource:
     def resume(self, role: Role) -> None:
         self._replica(role).resume()
 
-    def is_terminated(self, role: Role) -> tuple[bool, ExitStatus | None]:
-        if self._replica(role).terminated_at(self.tick):
-            return True, ExitStatus(ExitKind.SUCCESS)
-        return False, None
+    def exit_status(self, role: Role) -> ExitStatus | None:
+        return _SUCCESS if self._replica(role).terminated_at(self.tick) else None
 
 
 class ReplaySource:
@@ -278,7 +279,5 @@ class ReplaySource:
     def resume(self, role: Role) -> None:
         pass
 
-    def is_terminated(self, role: Role) -> tuple[bool, ExitStatus | None]:
-        if self.index >= self._done[role]:
-            return True, ExitStatus(ExitKind.SUCCESS)
-        return False, None
+    def exit_status(self, role: Role) -> ExitStatus | None:
+        return _SUCCESS if self.index >= self._done[role] else None

@@ -348,9 +348,8 @@ class ReplicaSession:
     def resume(self, role: Role) -> None:
         self._signal(role, signal.SIGCONT)
 
-    def is_terminated(self, role: Role) -> tuple[bool, ExitStatus | None]:
-        status = self._replica(role).poll_exit()
-        return (status is not None), status
+    def exit_status(self, role: Role) -> ExitStatus | None:
+        return self._replica(role).poll_exit()
 
     def failure_detail(self, role: Role) -> str:
         """What the replica wrote before failing: its traceback, or ''."""

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from softlockstep import linuxperf
+from softlockstep import linuxperf, monitor
+from softlockstep.core import VerdictKind
 from softlockstep.progress import CounterUnavailable
+from softlockstep.workloads import checksum_workload
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import cases  # noqa: E402
@@ -46,3 +48,35 @@ def test_the_benchmark_tracer_wraps_and_restores_every_function_it_names():
         tracer.uninstall()
     assert all(vars(owner)[attr] is raw
                for (owner, attr, _), raw in zip(spans.TARGETS, originals))
+
+
+def test_protect_runs_once_through_each_layer_the_tracer_times():
+    # Each per-layer metric is read from the span of one wrapped function: a
+    # protect() that stopped calling it through the wrapped name would report
+    # that layer as zero.
+    if _counter_reason:
+        pytest.skip(f"no progress counter: {_counter_reason}")
+    workload = checksum_workload(nbytes=4096)
+    payload = workload.payload
+    outputs = [bytearray(size) for size in payload.output_sizes]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        verdict, _ = monitor.protect(workload.computation, payload.inputs, payload.input_sizes,
+                                     outputs, payload.output_sizes, cases.CONFIG,
+                                     counter=cases.COUNTER)
+    finally:
+        tracer.uninstall()
+    assert verdict.kind is VerdictKind.MATCH
+    names = [span[0] for span in tracer.spans]
+    assert names.count(spans.PROTECT) == 1
+    protect = names.index(spans.PROTECT)
+
+    def inside_protect(index):
+        while index >= 0 and index != protect:
+            index = tracer.spans[index][3]
+        return index == protect
+
+    for name in (spans.SPAWN, spans.LOOP, spans.COMPARE):
+        inside = [i for i, n in enumerate(names) if n == name and inside_protect(tracer.spans[i][3])]
+        assert len(inside) == names.count(name) == 1, name

@@ -238,6 +238,10 @@ def test_calibrate_scripted_validates_inputs():
         calibrate_scripted(schedule, tick_us=0)
     with pytest.raises(ValueError, match="window_ticks"):
         calibrate_scripted(schedule, window_ticks=0)
+    with pytest.raises(ValueError, match="deltas must be non-negative"):
+        calibrate_scripted(Schedule.of([1, -3], [0, 0]))
+    with pytest.raises(ValueError, match="suspend_latency_ticks"):
+        calibrate_scripted(Schedule.of([1] * 10, [0] * 10, suspend_latency_ticks=-2))
 
 
 # ------------------------------------------------------- real measurement

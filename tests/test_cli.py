@@ -303,6 +303,21 @@ def test_scripted_calibration_is_exact_and_writes_a_report(tmp_path, capsys):
     assert read_report(str(out_path)) == report
 
 
+@pytest.mark.parametrize("command", [["run", "--threshold", "5"], ["calibrate"]],
+                         ids=["run", "calibrate"])
+@pytest.mark.parametrize("deltas, flags, fragment", [
+    ([5, -3], [], "deltas must be non-negative"),
+    ([5, 5], ["--scripted-latency", "-2"], "suspend_latency_ticks must be >= 0"),
+], ids=["negative-delta", "negative-latency"])
+def test_a_bad_scripted_schedule_exits_sixty_four(tmp_path, capsys, command, deltas, flags,
+                                                   fragment):
+    path = schedule_file(tmp_path, Schedule.of(deltas, [1, 1]))
+    assert main([*command, "--backend", f"scripted:{path}", *flags]) == 64
+    captured = capsys.readouterr()
+    assert fragment in captured.err
+    assert captured.out == ""
+
+
 def test_run_takes_threshold_and_counter_from_a_calibration_file(tmp_path, capsys):
     path = schedule_file(tmp_path, Schedule.of([5] * 60, [5] * 60))
     report = CalibrationReport(

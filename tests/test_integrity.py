@@ -202,3 +202,29 @@ def test_freeze_driver_suspends_then_resumes_after_the_hold():
     assert session.log == [("suspend", Role.HEAD), ("resume", Role.HEAD)]
     hook(1_200_000, 0, 0)  # done: never fires again
     assert session.log == [("suspend", Role.HEAD), ("resume", Role.HEAD)]
+
+
+def test_a_trail_freeze_holds_the_loops_requests_and_ends_as_last_asked():
+    session = _FakeSession()
+    hook = inject_fault(session, FaultSpec.freeze(Role.TRAIL, duration_us=100))
+    hook(1_000_000, 0, 0)
+    for request in (session.resume, session.suspend, session.resume):
+        request(Role.TRAIL)  # the loop's requests inside the hold: held back
+    assert session.log == [("suspend", Role.TRAIL)]
+    hook(1_100_000, 0, 0)  # the loop last asked for a running trail
+    assert session.log == [("suspend", Role.TRAIL), ("resume", Role.TRAIL)]
+    session.suspend(Role.TRAIL)  # after the hold, requests go straight through
+    assert session.log[-1] == ("suspend", Role.TRAIL)
+
+
+def test_a_freeze_ends_stopped_for_a_trail_and_passes_the_other_role_through():
+    session = _FakeSession()
+    hook = inject_fault(session, FaultSpec.freeze(Role.TRAIL, duration_us=100))
+    hook(1_000_000, 0, 0)
+    hook(1_100_000, 0, 0)  # the loop never resumed it: it stays stopped
+    assert session.log == [("suspend", Role.TRAIL)]
+    session = _FakeSession()
+    hook = inject_fault(session, FaultSpec.freeze(Role.HEAD, duration_us=100))
+    hook(1_000_000, 0, 0)
+    session.resume(Role.TRAIL)
+    assert session.log == [("suspend", Role.HEAD), ("resume", Role.TRAIL)]

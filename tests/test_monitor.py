@@ -26,10 +26,8 @@ from softlockstep.core import (
     Verdict,
     VerdictKind,
 )
-from softlockstep.integrity import FaultSpec, compare_outputs
+from softlockstep.integrity import FaultSpec, compare_outputs, inject_fault
 from softlockstep.monitor import (
-    LoopOutcome,
-    LoopResult,
     TRACE_HEADER,
     Trace,
     enforcement_loop,
@@ -44,7 +42,7 @@ from softlockstep.progress import (
     ScriptedReplicaSpec,
     ScriptedSource,
 )
-from softlockstep.replication import spawn_replicas
+from softlockstep.replication import PinningFailure, spawn_replicas
 from softlockstep.sim import Schedule, simulate
 from softlockstep.workloads import Workload, checksum_workload, direct_run
 
@@ -182,15 +180,44 @@ def test_on_check_sees_exactly_what_the_samples_record():
         Role.TRAIL: ScriptedReplicaSpec.of([10, 10, 10], start_suspended=True),
     })
     seen = []
-    result = enforcement_loop(
+    verdict, trace = enforcement_loop(
         source=source,
         clock=source,
         config=cfg(15),
         on_check=lambda now, h, t: seen.append((now, h, t)),
         backend="scripted",
     )
-    assert result.outcome is LoopOutcome.COMPLETED
-    assert seen == [(s.timestamp_ns, s.head_count, s.trail_count) for s in result.trace.samples]
+    assert verdict.kind is VerdictKind.MATCH
+    assert seen == [(s.timestamp_ns, s.head_count, s.trail_count) for s in trace.samples]
+
+
+def freeze_run(schedule, threshold, freeze=None):
+    """The loop over a scripted schedule, with a freeze injected if given."""
+    source = ScriptedSource(schedule.replica_specs(), schedule.period_ticks)
+    on_check = inject_fault(source, freeze) if freeze is not None else None
+    return enforcement_loop(source=source, clock=source, config=cfg(threshold),
+                            on_check=on_check)
+
+
+def test_a_trail_freeze_keeps_the_staggering_it_tests():
+    # The loop holds the trail stopped through the whole 5-tick hold; the
+    # hold's end must not wake it behind the loop's back.
+    schedule = Schedule.of([1] * 60, [3] * 60)
+    verdict, trace = freeze_run(schedule, 10, FaultSpec.freeze(Role.TRAIL, duration_us=5))
+    assert verdict.kind is VerdictKind.MATCH
+    assert trace.validate() == []
+    assert trace.samples == freeze_run(schedule, 10)[1].samples
+    assert all(s.action is not Action.DIVERSITY_LOSS for s in trace.samples)
+
+
+def test_a_trail_freeze_holds_back_the_loops_resume_until_it_ends():
+    # The loop resumes the trail at the tick-2 check, inside the hold that
+    # ends at the tick-6 check: the trail accrues nothing before tick 7.
+    schedule = Schedule.of([1] * 20, [1] * 20)
+    _, trace = freeze_run(schedule, 2, FaultSpec.freeze(Role.TRAIL, duration_us=5))
+    assert trace.samples[1].action is Action.RESUME
+    assert [s.trail_count for s in trace.samples[:7]] == [0, 0, 0, 0, 0, 0, 1]
+    assert trace.validate() == []
 
 
 class _FlakyCounterSource:
@@ -216,15 +243,15 @@ def test_counter_failure_mid_run_aborts_with_replica_trouble():
         Role.TRAIL: ScriptedReplicaSpec.of([1] * 10, start_suspended=True),
     })
     flaky = _FlakyCounterSource(source, fail_after=4)
-    result = enforcement_loop(
+    verdict, trace = enforcement_loop(
         source=flaky,
         clock=source,
         config=cfg(100),
     )
-    assert result.outcome is LoopOutcome.REPLICA_TROUBLE
-    assert result.failure_cause == "counter-failure"
-    assert result.failed_role is Role.HEAD
-    assert len(result.trace.samples) == 2  # two clean checks before the failure
+    assert verdict.kind is VerdictKind.REPLICA_FAILURE
+    assert verdict.failure_cause == "counter-failure"
+    assert verdict.failed_role is Role.HEAD
+    assert len(trace.samples) == 2  # two clean checks before the failure
 
 
 class _FlakyPollSource:
@@ -252,21 +279,21 @@ class _FlakyPollSource:
 
 
 @pytest.mark.parametrize("role", [Role.HEAD, Role.TRAIL])
-@pytest.mark.parametrize("method", ["read_count", "is_terminated"])
+@pytest.mark.parametrize("method", ["read_count", "exit_status"])
 def test_a_failed_read_or_poll_blames_the_replica_it_was_about(role, method):
     source = ScriptedSource({
         Role.HEAD: ScriptedReplicaSpec.of([1] * 10),
         Role.TRAIL: ScriptedReplicaSpec.of([1] * 10, start_suspended=True),
     })
-    result = enforcement_loop(
+    verdict, trace = enforcement_loop(
         source=_FlakyPollSource(source, role, method, fail_after=2),
         clock=source,
         config=cfg(100),
     )
-    assert result.outcome is LoopOutcome.REPLICA_TROUBLE
-    assert result.failure_cause == "counter-failure"
-    assert result.failed_role is role
-    assert len(result.trace.samples) == 2
+    assert verdict.kind is VerdictKind.REPLICA_FAILURE
+    assert verdict.failure_cause == "counter-failure"
+    assert verdict.failed_role is role
+    assert len(trace.samples) == 2
 
 
 # ------------------------------------------------------------------ replay
@@ -275,26 +302,27 @@ def test_replay_reproduces_a_scripted_run_exactly():
     schedule = Schedule.of([100, 100, 0, 0, 100, 100, 100, 0], [50] * 8)
     config = cfg(150)
     _, trace = run_scripted(schedule, config)
-    result = replay(trace, config)
-    assert result.outcome is LoopOutcome.COMPLETED
-    assert result.trace.samples == trace.samples
-    assert result.trace.backend == "replay"
+    verdict, replayed = replay(trace, config)
+    assert verdict.kind is VerdictKind.MATCH
+    assert replayed.samples == trace.samples
+    assert replayed.backend == "replay"
 
 
 def test_replay_reproduces_an_aborted_run():
     config = cfg(1, diversity_loss_policy=DiversityLossPolicy.ABORT_RUN)
-    _, trace = run_scripted(OVERTAKE, config)
-    result = replay(trace, config)
-    assert result.outcome is LoopOutcome.DIVERSITY_ABORT
-    assert result.trace.samples == trace.samples
+    recorded, trace = run_scripted(OVERTAKE, config)
+    verdict, replayed = replay(trace, config)
+    assert verdict.kind is VerdictKind.DIVERSITY_LOSS
+    assert verdict == recorded
+    assert replayed.samples == trace.samples
 
 
 def test_replay_ignores_the_recorded_run_timeout():
     schedule = Schedule.of([100] * 6, [100] * 6)
     _, trace = run_scripted(schedule, cfg(150))
-    result = replay(trace, cfg(150, run_timeout_us=1))
-    assert result.outcome is LoopOutcome.COMPLETED
-    assert result.trace.samples == trace.samples
+    verdict, replayed = replay(trace, cfg(150, run_timeout_us=1))
+    assert verdict.kind is VerdictKind.MATCH
+    assert replayed.samples == trace.samples
 
 
 @pytest.mark.parametrize("schedule, recorded, replayed", [
@@ -306,9 +334,9 @@ def test_replay_times_out_where_an_unfinished_recording_ends(schedule, recorded,
     _, trace = run_scripted(schedule, recorded)
     assert Action.TRAIL_DONE not in [s.action for s in trace.samples]
     with fails_after(5):
-        result = replay(trace, replayed)
-    assert result.outcome is LoopOutcome.TIMEOUT
-    assert result.trace.samples == trace.samples
+        verdict, replayed_trace = replay(trace, replayed)
+    assert verdict.kind is VerdictKind.TIMEOUT
+    assert replayed_trace.samples == trace.samples
 
 
 def test_replay_rejects_an_empty_trace():
@@ -450,9 +478,9 @@ def test_protect_replay_recomputes_the_recorded_actions():
     workload = checksum_workload(nbytes=4096)
     verdict, trace, _ = run_protected(workload)
     assert verdict.kind is VerdictKind.MATCH
-    result = replay(trace, REAL_CONFIG)
-    assert result.outcome is LoopOutcome.COMPLETED
-    assert result.trace.samples == trace.samples
+    replayed_verdict, replayed = replay(trace, REAL_CONFIG)
+    assert replayed_verdict.kind is VerdictKind.MATCH
+    assert replayed.samples == trace.samples
 
 
 @requires_counter
@@ -517,30 +545,64 @@ def test_protect_frees_its_session_on_return(monkeypatch):
 
 
 LOSS = StaggeringSample.at(3, 3000, 5, 8, Action.DIVERSITY_LOSS)
-VERDICT_FOR_OUTCOME = {
-    LoopOutcome.TIMEOUT: Verdict.timeout(),
-    LoopOutcome.DIVERSITY_ABORT: Verdict.diversity_loss(LOSS),
-    LoopOutcome.REPLICA_TROUBLE: Verdict.replica_failure(Role.TRAIL, "counter-failure"),
+LOOP_VERDICTS = {
+    VerdictKind.TIMEOUT: Verdict.timeout(),
+    VerdictKind.DIVERSITY_LOSS: Verdict.diversity_loss(LOSS),
+    VerdictKind.REPLICA_FAILURE: Verdict.replica_failure(Role.TRAIL, "counter-failure"),
 }
 
 
 @pytest.mark.parametrize("caller", ["protect", "run_scripted"])
-@pytest.mark.parametrize("outcome", list(VERDICT_FOR_OUTCOME))
-def test_a_loop_outcome_gives_one_verdict_whoever_runs_the_loop(monkeypatch, caller, outcome):
+@pytest.mark.parametrize("kind", list(LOOP_VERDICTS))
+def test_a_loop_verdict_other_than_match_ends_the_run(monkeypatch, caller, kind):
+    # run_scripted returns the loop's verdict and trace as they are; protect
+    # compares no outputs and only adds the failed replica's detail.
     if caller == "protect" and _counter_reason:
         pytest.skip(f"no progress counter: {_counter_reason}")
+    loop_trace = Trace()
+    monkeypatch.setattr(monitor, "enforcement_loop", lambda *a, **k: (LOOP_VERDICTS[kind], loop_trace))
+    if caller == "run_scripted":
+        verdict, trace = run_scripted(Schedule.of([1], [1]), cfg(1))
+        assert verdict is LOOP_VERDICTS[kind] and trace is loop_trace
+        return
 
-    def canned_loop(*args, **kwargs):
-        return LoopResult(outcome, Trace(), loss_sample=LOSS,
-                          failed_role=Role.TRAIL, failure_cause="counter-failure")
+    def spawn(*args, **kwargs):
+        session = spawn_replicas(*args, **kwargs)
+        session.failure_detail = lambda role: f"{role.value} traceback"
+        return session
 
-    monkeypatch.setattr(monitor, "enforcement_loop", canned_loop)
-    if caller == "protect":
-        verdict, _, outputs = run_protected(checksum_workload(nbytes=64))
-        assert all(bytes(buf) == bytes(len(buf)) for buf in outputs)
-    else:
-        verdict, _ = run_scripted(Schedule.of([1], [1]), cfg(1))
-    assert verdict == VERDICT_FOR_OUTCOME[outcome]
+    compared = []
+    monkeypatch.setattr(monitor, "spawn_replicas", spawn)
+    monkeypatch.setattr(monitor.integrity, "compare_outputs", lambda *a: compared.append(a))
+    verdict, trace, outputs = run_protected(checksum_workload(nbytes=64))
+    expected = LOOP_VERDICTS[kind]
+    if kind is VerdictKind.REPLICA_FAILURE:
+        expected = Verdict.replica_failure(Role.TRAIL, "counter-failure", "trail traceback")
+    assert verdict == expected
+    assert trace is loop_trace
+    assert compared == []
+    assert all(bytes(buf) == bytes(len(buf)) for buf in outputs)
+
+
+@requires_counter
+def test_a_monitor_core_that_cannot_be_used_is_a_pinning_failure(monkeypatch):
+    pids = []
+
+    def spawn(*args, **kwargs):
+        session = spawn_replicas(*args, **kwargs)
+        pids.extend(session.pid(role) for role in Role)
+        return session
+
+    monkeypatch.setattr(monitor, "spawn_replicas", spawn)
+    affinity = os.sched_getaffinity(0)
+    with pytest.raises(PinningFailure, match="cannot pin the monitor to core 4096"):
+        run_protected(checksum_workload(nbytes=64),
+                      MonitorConfig(threshold_instructions=2_000_000, monitor_core=4096))
+    assert os.sched_getaffinity(0) == affinity
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def _boom(inputs, outputs):

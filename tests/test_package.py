@@ -15,7 +15,7 @@ def test_star_import_binds_exactly_all():
 
 @pytest.mark.parametrize("name", [
     "ScriptedSource", "ReplaySource", "ProgressSource", "RealClock",
-    "enforcement_loop", "LoopResult", "LoopOutcome", "ReplicaSession",
+    "enforcement_loop", "ReplicaSession",
     "spawn_replicas", "decide", "staggering", "validate_config",
     "ExitKind", "ExitStatus", "StaleHandle",
 ])

@@ -84,12 +84,11 @@ def test_suspend_while_start_suspended_keeps_the_original_freeze():
 
 def test_termination_by_stream_exhaustion():
     source = scripted([1, 1])
-    assert source.is_terminated(Role.HEAD) == (False, None)
+    assert source.exit_status(Role.HEAD) is None
     source.advance(1)
-    assert source.is_terminated(Role.HEAD) == (False, None)
+    assert source.exit_status(Role.HEAD) is None
     source.advance(1)
-    done, status = source.is_terminated(Role.HEAD)
-    assert done and status == ExitStatus(ExitKind.SUCCESS)
+    assert source.exit_status(Role.HEAD) == ExitStatus(ExitKind.SUCCESS)
     source.advance(2)  # past the stream: count must not move
     assert source.read_count(Role.HEAD) == 2
 
@@ -98,8 +97,7 @@ def test_termination_by_length_clamps_the_final_delta():
     source = scripted([5, 5, 5], length=8)
     source.advance(2)
     assert source.read_count(Role.HEAD) == 8  # second delta clamped to 3
-    done, status = source.is_terminated(Role.HEAD)
-    assert done and status.success
+    assert source.exit_status(Role.HEAD).success
     source.advance(1)
     assert source.read_count(Role.HEAD) == 8
 
@@ -107,14 +105,13 @@ def test_termination_by_length_clamps_the_final_delta():
 def test_suspended_replica_still_terminates_on_stream_exhaustion():
     source = scripted([1, 1], start_suspended=True)
     source.advance(2)
-    done, _ = source.is_terminated(Role.HEAD)
-    assert done
+    assert source.exit_status(Role.HEAD) is not None
     assert source.read_count(Role.HEAD) == 0
 
 
 def test_a_role_the_source_lacks_raises_stale_handle():
     source = scripted([1])
-    for operation in (source.read_count, source.suspend, source.resume, source.is_terminated):
+    for operation in (source.read_count, source.suspend, source.resume, source.exit_status):
         with pytest.raises(StaleHandle):
             operation(Role.TRAIL)
 
@@ -203,7 +200,7 @@ def test_replay_source_reproduces_counts_and_terminations():
     source = ReplaySource.from_samples(replay_samples())
     head, trail = Role.HEAD, Role.TRAIL
 
-    assert source.is_terminated(head) == (False, None)
+    assert source.exit_status(head) is None
     seen = []
     for _ in range(5):
         source.wait_one_period()
@@ -215,10 +212,8 @@ def test_replay_source_reproduces_counts_and_terminations():
         (4000, 300, 200),
         (5000, 300, 300),
     ]
-    done, status = source.is_terminated(head)
-    assert done and status.success
-    done, _ = source.is_terminated(trail)
-    assert done
+    assert source.exit_status(head).success
+    assert source.exit_status(trail) is not None
 
 
 def test_replay_termination_lands_at_the_recorded_interval():
@@ -226,8 +221,8 @@ def test_replay_termination_lands_at_the_recorded_interval():
     head, trail = Role.HEAD, Role.TRAIL
     for _ in range(4):  # steps to index 3, the HEAD_DONE interval
         source.wait_one_period()
-    assert source.is_terminated(head)[0]
-    assert not source.is_terminated(trail)[0]
+    assert source.exit_status(head) is not None
+    assert source.exit_status(trail) is None
 
 
 def test_replay_step_clamps_at_the_last_sample():

@@ -111,15 +111,15 @@ class LiveSessionContract(RuleBasedStateMachine):
 
     @rule(role=roles)
     def poll(self, role):
-        done, status = self.session.is_terminated(role)
+        status = self.session.exit_status(role)
         if role not in self.killed:
-            assert (done, status) == (False, None)  # busy never finishes
+            assert status is None  # busy never finishes
             return
         deadline = time.monotonic() + 5.0
-        while not done:
+        while status is None:
             assert time.monotonic() < deadline, "a killed replica never polled as terminated"
             time.sleep(0.001)
-            done, status = self.session.is_terminated(role)
+            status = self.session.exit_status(role)
         assert status.kind is ExitKind.CRASH
 
     def teardown(self):
@@ -134,7 +134,7 @@ class LiveSessionContract(RuleBasedStateMachine):
                 self.session.read_count,
                 self.session.suspend,
                 self.session.resume,
-                self.session.is_terminated,
+                self.session.exit_status,
                 self.session.kill_replica,
                 self.session.pid,
             ):

@@ -77,8 +77,8 @@ def start_both(computation, payload, config=CONFIG):
 def wait_done(session, role, timeout=20.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        done, status = session.is_terminated(role)
-        if done:
+        status = session.exit_status(role)
+        if status is not None:
             return status
         time.sleep(0.005)
     raise AssertionError(f"{role.value} replica did not terminate in {timeout}s")
@@ -181,8 +181,7 @@ def test_suspend_and_resume_leave_a_finished_replica_done_and_readable():
             act(Role.HEAD)
             time.sleep(0.01)
             assert _state(session.pid(Role.HEAD)) != "T"
-            done, status = session.is_terminated(Role.HEAD)
-            assert done and status.success
+            assert session.exit_status(Role.HEAD).success
             assert session.collect_outputs(Role.HEAD) == [b"\xab" * 8]
 
 
