@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import linuxperf
@@ -21,7 +21,6 @@ from .progress import (
     LoopClock,
     ProgressSource,
     RealClock,
-    ScriptedReplicaSpec,
     ScriptedSource,
 )
 
@@ -36,10 +35,12 @@ _REPORT_KEYS = (
 # Fixed measurement settings. A real calibration samples the rate over
 # 20 ms windows and polls a suspended replica every 100 us; a latency probe
 # ends after three polls without a count change; a scripted calibration
-# needs only three probes, since its latency is exact by construction.
+# samples the rate over 10-tick windows and needs only three probes, since
+# its latency is exact by construction.
 _WINDOW_US = 20_000
 _POLL_US = 100
 _SETTLE_POLLS = 3
+_WINDOW_TICKS = 10
 _SCRIPTED_PROBES = 3
 
 
@@ -55,6 +56,8 @@ def recommend_threshold(
     microseconds. Fractions avoid binary-float rounding: the result is the
     true ceiling, not the ceiling of an approximation.
     """
+    if not math.isfinite(peak_rate):
+        raise ValueError("peak_rate must be finite")
     if peak_rate <= 0:
         raise ValueError("peak_rate must be positive")
     if monitor_latency_us < 0:
@@ -68,6 +71,8 @@ def recommend_threshold(
 def _check_period_and_margin(check_period_us: int, safety_margin: float) -> None:
     if check_period_us <= 0:
         raise ValueError("check_period_us must be positive")
+    if not math.isfinite(safety_margin):
+        raise ValueError("safety_margin must be finite")
     if safety_margin < 1:
         raise ValueError("safety_margin must be >= 1")
 
@@ -85,13 +90,17 @@ class CalibrationReport:
 
     def validate(self) -> list[str]:
         problems = []
-        if self.peak_rate <= 0:
+        if not math.isfinite(self.peak_rate):
+            problems.append("peak_rate must be finite")
+        elif self.peak_rate <= 0:
             problems.append("peak_rate must be positive")
         if self.check_period_us <= 0:
             problems.append("check_period_us must be positive")
         if self.monitor_latency_us < 0:
             problems.append("monitor_latency_us must be non-negative")
-        if self.safety_margin < 1:
+        if not math.isfinite(self.safety_margin):
+            problems.append("safety_margin must be finite")
+        elif self.safety_margin < 1:
             problems.append("safety_margin must be >= 1")
         if not problems:
             expected = recommend_threshold(
@@ -215,44 +224,35 @@ def suspend_latency_over_probes(source: ProgressSource, clock: LoopClock, probes
 
 def calibrate_scripted(
     schedule,
-    tick_us: int = 1,
     check_period_us: int = 1000,
     safety_margin: float = 2.0,
-    window_ticks: int = 10,
 ) -> CalibrationReport:
     """Calibrate against a scripted schedule: exact results, no privileges.
 
     The schedule's head deltas define the measured rate (constant delta d per
-    tick of tick_us gives exactly d * 1e6 / tick_us units per second) and its
-    suspend_latency_ticks the measured latency (exactly latency * tick_us).
-    Rate and latency run over two fresh sources so neither measurement
-    consumes the other's delta stream: the rate's source advances
-    window_ticks per period, the latency's one tick. Only the head is
-    measured, so the sources script no trail.
+    1 us tick gives exactly d * 1e6 units per second) and its
+    suspend_latency_ticks the measured latency (exactly that many us). Rate
+    and latency run over two fresh sources so neither measurement consumes
+    the other's delta stream: the rate's source advances _WINDOW_TICKS per
+    period, the latency's one tick. The head must script at least one whole
+    rate window and the first latency probe, which suspends it after two
+    ticks and sees it accrue for the latency's ticks after that; a shorter
+    head would read as a lower rate or latency, and so an unsafe threshold.
     """
-    errors = schedule.validate()
-    if errors:
-        raise ValueError("; ".join(errors))
-    if tick_us < 1:
-        raise ValueError("tick_us must be >= 1")
-    if window_ticks < 1:
-        raise ValueError("window_ticks must be >= 1")
-
-    def fresh_source(period_ticks: int) -> ScriptedSource:
-        return ScriptedSource(
-            {
-                Role.HEAD: ScriptedReplicaSpec.of(
-                    schedule.head_deltas,
-                    suspend_latency_ticks=schedule.suspend_latency_ticks,
-                ),
-            },
-            period_ticks=period_ticks,
-            tick_ns=tick_us * 1000,
+    # Checked as given, although both measuring sources replace its period.
+    ScriptedSource(schedule)
+    latency_ticks = schedule.suspend_latency_ticks
+    needed = max(_WINDOW_TICKS, latency_ticks + 2)
+    if len(schedule.head_deltas) < needed:
+        raise ValueError(
+            f"scripted calibration needs at least {needed} head ticks (a "
+            f"{_WINDOW_TICKS}-tick rate window and a latency probe of "
+            f"{latency_ticks} + 2 ticks), got {len(schedule.head_deltas)}"
         )
 
-    source = fresh_source(window_ticks)
-    rate = peak_rate_over_windows(source, source, windows=max(1, schedule.ticks // window_ticks))
-    source = fresh_source(1)
+    source = ScriptedSource(replace(schedule, period_ticks=_WINDOW_TICKS))
+    rate = peak_rate_over_windows(source, source, windows=schedule.ticks // _WINDOW_TICKS)
+    source = ScriptedSource(replace(schedule, period_ticks=1))
     latency_us = suspend_latency_over_probes(source, source, probes=_SCRIPTED_PROBES)
     return _report("scripted", rate, check_period_us, latency_us, safety_margin)
 

@@ -70,9 +70,7 @@ def _build_parser() -> _Parser:
     cal.add_argument("--samples", type=int, default=30, help="suspension latency probe count")
     cal.add_argument("--counter", default="auto", choices=["auto", "instructions", "task-clock"], help="progress counter kind")
     cal.add_argument("--backend", default="process", help="'process' or 'scripted:FILE' for exact, privilege-free calibration")
-    cal.add_argument("--tick-us", type=int, default=1, help="scripted backend: tick length in microseconds")
     cal.add_argument("--scripted-latency", type=int, default=0, help="scripted backend: suspension latency in ticks")
-    cal.add_argument("--window-ticks", type=int, default=10, help="scripted backend: rate window length in ticks")
     cal.add_argument("--out", help="also write the report to this file")
 
     check = sub.add_parser("simulate", help="brute-force the staggering model over a rate alphabet")
@@ -196,11 +194,7 @@ def _cmd_calibrate(args) -> int:
                 f, suspend_latency_ticks=args.scripted_latency
             )
         report = calibration.calibrate_scripted(
-            schedule,
-            tick_us=args.tick_us,
-            check_period_us=args.period_us,
-            safety_margin=args.margin,
-            window_ticks=args.window_ticks,
+            schedule, check_period_us=args.period_us, safety_margin=args.margin
         )
     else:
         raise ValueError(f"unknown backend {args.backend!r} (expected process or scripted:FILE)")

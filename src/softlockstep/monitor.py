@@ -337,13 +337,10 @@ def run_scripted(schedule: Schedule, config: MonitorConfig) -> tuple[Verdict, Tr
     One tick is progress.TICK_NS of scripted time. The loop's verdict is the
     run's: there are no outputs to compare, so MATCH records clean completion.
     """
-    errors = schedule.validate()
-    if errors:
-        raise ValueError("; ".join(errors))
+    source = ScriptedSource(schedule)
     problems = validate_config(config)
     if problems:
         raise ValueError("; ".join(problems))
-    source = ScriptedSource(schedule.replica_specs(), schedule.period_ticks)
     return enforcement_loop(source=source, clock=source, config=config, backend="scripted")
 
 

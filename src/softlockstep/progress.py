@@ -4,17 +4,17 @@ The monitor only ever talks to a ProgressSource, keyed by Role: read a
 replica's cumulative progress count, stop it, wake it, ask how it exited.
 The OS-backed source is replication.ReplicaSession, over perf counters from
 linuxperf.py; this module holds the contract, the deterministic scripted
-source used by protocol tests, and a replay source that feeds a previously
-recorded run back through the live loop. The scripted and replay sources are
-their own loop clocks.
+source that plays a sim.Schedule, and a replay source that feeds a
+previously recorded run back through the live loop. The scripted and replay
+sources are their own loop clocks.
 
 Scripted time is measured in ticks. During tick i a running scripted replica
 accrues its i-th delta; a suspend issued at tick k with latency L lets it
 accrue through tick k+L and freezes it from tick k+L+1; a resume at tick k
-takes effect from tick k+1. ScriptedReplica holds these rules, and the
-simulator drives the same class, so a scripted run and a simulation accrue
-identically; what the two cross-check is the monitor rule, which each
-writes on its own.
+takes effect from tick k+1. ScriptedSource holds these rules, and
+run_scripted, the simulator and the scripted calibration all build one from
+their schedule, so a scripted run and a simulation accrue identically; what
+the two cross-check is the monitor rule, which each writes on its own.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class CounterUnavailable(ProgressError):
 
 
 class StaleHandle(ProgressError):
-    """Operation on a released session, or on a role the source lacks."""
+    """Operation on a released session."""
 
 
 class ExitKind(enum.Enum):
@@ -76,9 +76,9 @@ class ProgressSource(Protocol):
 
     read_count is monotonically non-decreasing per role and must work
     without any cooperation from the replica, including while it is stopped.
-    suspend/resume are idempotent. An operation on a role the source lacks,
-    or on a released source, raises StaleHandle. exit_status is None while
-    the replica runs, and how it ended once it has.
+    suspend/resume are idempotent. An operation on a released source raises
+    StaleHandle. exit_status is None while the replica runs, and how it
+    ended once it has.
     """
 
     def read_count(self, role: Role) -> int: ...
@@ -111,52 +111,40 @@ class RealClock:
         return time.monotonic_ns()
 
 
-@dataclass(frozen=True)
-class ScriptedReplicaSpec:
-    """Per-tick deltas plus suspension behavior for one scripted replica.
+class _ScriptedReplica:
+    """One scripted replica's count, advanced one tick at a time.
 
     length, when set, terminates the replica as soon as its count reaches it;
     either way the replica terminates once its delta list is exhausted.
     """
 
-    deltas: tuple[int, ...]
-    length: int | None = None
-    suspend_latency_ticks: int = 0
-    start_suspended: bool = False
-
-    @classmethod
-    def of(cls, deltas, length=None, suspend_latency_ticks=0, start_suspended=False):
-        return cls(tuple(int(d) for d in deltas), length, suspend_latency_ticks, start_suspended)
-
-
-class ScriptedReplica:
-    """One scripted replica's count, advanced one tick at a time."""
-
-    def __init__(self, spec: ScriptedReplicaSpec):
-        self.spec = spec
+    def __init__(self, deltas, length, suspend_latency_ticks, running):
+        self.deltas = deltas
+        self.length = length
+        self.suspend_latency_ticks = suspend_latency_ticks
         self.count = 0
         # Tick index from which accrual stops; None while running, 0 = never ran.
-        self.frozen_from: int | None = 0 if spec.start_suspended else None
+        self.frozen_from: int | None = None if running else 0
 
     def accrue(self, tick: int) -> None:
         if self.terminated_at(tick - 1):
             return
         if self.frozen_from is not None and tick >= self.frozen_from:
             return
-        delta = self.spec.deltas[tick - 1] if tick <= len(self.spec.deltas) else 0
-        if self.spec.length is not None:
-            delta = min(delta, self.spec.length - self.count)
+        delta = self.deltas[tick - 1] if tick <= len(self.deltas) else 0
+        if self.length is not None:
+            delta = min(delta, self.length - self.count)
         self.count += delta
 
     def terminated_at(self, tick: int) -> bool:
-        if self.spec.length is not None and self.count >= self.spec.length:
+        if self.length is not None and self.count >= self.length:
             return True
-        return tick >= len(self.spec.deltas)
+        return tick >= len(self.deltas)
 
     def suspend(self, tick: int) -> None:
         """Suspend issued at tick: accrues through tick + latency, then freezes."""
         if self.frozen_from is None:
-            self.frozen_from = tick + self.spec.suspend_latency_ticks + 1
+            self.frozen_from = tick + self.suspend_latency_ticks + 1
 
     def resume(self) -> None:
         self.frozen_from = None
@@ -165,27 +153,29 @@ class ScriptedReplica:
 class ScriptedSource:
     """Deterministic test double implementing the full ProgressSource contract.
 
-    Time only moves when advance() is called. The source is its own loop
-    clock: wait_one_period advances period_ticks ticks, so scripted runs are
-    exactly reproducible.
+    It plays a sim.Schedule (taken by duck type: sim imports this module):
+    the head runs from tick 0, the trail starts suspended, and a suspend of
+    either lands after the schedule's suspend_latency_ticks. Time only moves
+    when advance() is called. The source is its own loop clock:
+    wait_one_period advances the schedule's period_ticks ticks of TICK_NS
+    each, so scripted runs are exactly reproducible.
     """
 
-    def __init__(
-        self,
-        specs: dict[Role, ScriptedReplicaSpec],
-        period_ticks: int = 1,
-        tick_ns: int = TICK_NS,
-    ):
+    def __init__(self, schedule):
+        errors = schedule.validate()
+        if errors:
+            raise ValueError("; ".join(errors))
         self.tick = 0
-        self.period_ticks = period_ticks
-        self.tick_ns = tick_ns
-        self._replicas = {role: ScriptedReplica(spec) for role, spec in specs.items()}
-
-    def _replica(self, role: Role) -> ScriptedReplica:
-        try:
-            return self._replicas[role]
-        except KeyError:
-            raise StaleHandle(f"no scripted {role!r} replica") from None
+        self.period_ticks = schedule.period_ticks
+        latency = schedule.suspend_latency_ticks
+        self._replicas = {
+            Role.HEAD: _ScriptedReplica(
+                schedule.head_deltas, schedule.head_length, latency, running=True
+            ),
+            Role.TRAIL: _ScriptedReplica(
+                schedule.trail_deltas, schedule.trail_length, latency, running=False
+            ),
+        }
 
     def advance(self, ticks: int) -> None:
         for _ in range(ticks):
@@ -197,19 +187,19 @@ class ScriptedSource:
         self.advance(self.period_ticks)
 
     def now_ns(self) -> int:
-        return self.tick * self.tick_ns
+        return self.tick * TICK_NS
 
     def read_count(self, role: Role) -> int:
-        return self._replica(role).count
+        return self._replicas[role].count
 
     def suspend(self, role: Role) -> None:
-        self._replica(role).suspend(self.tick)
+        self._replicas[role].suspend(self.tick)
 
     def resume(self, role: Role) -> None:
-        self._replica(role).resume()
+        self._replicas[role].resume()
 
     def exit_status(self, role: Role) -> ExitStatus | None:
-        return _SUCCESS if self._replica(role).terminated_at(self.tick) else None
+        return _SUCCESS if self._replicas[role].terminated_at(self.tick) else None
 
 
 class ReplaySource:
@@ -246,11 +236,11 @@ class ReplaySource:
     @classmethod
     def from_samples(cls, samples: list[StaggeringSample]) -> "ReplaySource":
         head_done = trail_done = len(samples)
-        for sample in samples:
+        for position, sample in enumerate(samples):
             if sample.action is Action.HEAD_DONE:
-                head_done = sample.interval_index
+                head_done = position
             elif sample.action is Action.TRAIL_DONE:
-                trail_done = sample.interval_index
+                trail_done = position
         return cls(
             head_counts=[s.head_count for s in samples],
             trail_counts=[s.trail_count for s in samples],

@@ -3,8 +3,9 @@
 Time advances in ticks. During tick i a running replica retires its scheduled
 per-tick delta; every period_ticks the monitor samples both counts and applies
 the enforcement rule; a suspend decision takes effect suspend_latency_ticks
-later. The replicas are progress.ScriptedReplica, the model the scripted
-source runs too; this module writes only the monitor's side. Because the
+later. The replicas are a progress.ScriptedSource built from the schedule,
+the model run_scripted plays too; this module writes only the monitor's
+side. Because the
 model also tracks staggering at every tick boundary (not just at checks), it
 captures the true minimum staggering, which is exactly the hazard the
 threshold guards against: the trail catching up between checks.
@@ -31,7 +32,7 @@ from .core import (
     TrailState,
     decide,
 )
-from .progress import TICK_NS, ScriptedReplica, ScriptedReplicaSpec
+from .progress import ScriptedSource
 
 # Schedules exhaustive_check evaluates together: its memory whatever the space.
 _BLOCK = 4096
@@ -100,18 +101,6 @@ class Schedule:
             errors.append("trail_length must be >= 0 when set")
         return errors
 
-    def replica_specs(self) -> dict[Role, ScriptedReplicaSpec]:
-        """The two scripted replicas this schedule describes; the trail starts suspended."""
-        return {
-            Role.HEAD: ScriptedReplicaSpec.of(self.head_deltas, length=self.head_length),
-            Role.TRAIL: ScriptedReplicaSpec.of(
-                self.trail_deltas,
-                length=self.trail_length,
-                suspend_latency_ticks=self.suspend_latency_ticks,
-                start_suspended=True,
-            ),
-        }
-
 
 @dataclass
 class SimTrace:
@@ -148,13 +137,7 @@ def simulate(
     is released for good. The run ends when both replicas have terminated
     (or immediately on diversity loss under ABORT_RUN).
     """
-    errors = schedule.validate()
-    if errors:
-        raise ValueError("; ".join(errors))
-
-    specs = schedule.replica_specs()
-    head = ScriptedReplica(specs[Role.HEAD])
-    trail = ScriptedReplica(specs[Role.TRAIL])
+    source = ScriptedSource(schedule)
     # Kept here rather than asked of the head: a head with no work is
     # terminated at tick 0 already, yet its first tick is a modeled instant.
     head_alive = True
@@ -163,34 +146,32 @@ def simulate(
     trail_done_emitted = False
     trace = SimTrace()
     interval = 0
-    tick = 0
 
     while True:
         # One monitor period: the replicas run period_ticks ticks, then a check.
         for _ in range(schedule.period_ticks):
-            tick += 1
-            head.accrue(tick)
-            trail.accrue(tick)
+            source.advance(1)
             if head_alive:
-                trace.instants.append((tick, head.count - trail.count))
-                head_alive = not head.terminated_at(tick)
+                stag = source.read_count(Role.HEAD) - source.read_count(Role.TRAIL)
+                trace.instants.append((source.tick, stag))
+                head_alive = source.exit_status(Role.HEAD) is None
 
-        head_count, trail_count = head.count, trail.count
-        head_done = head.terminated_at(tick)
-        trail_done = trail.terminated_at(tick)
+        head_count, trail_count = source.read_count(Role.HEAD), source.read_count(Role.TRAIL)
+        head_done = source.exit_status(Role.HEAD) is not None
+        trail_done = source.exit_status(Role.TRAIL) is not None
         stag = head_count - trail_count
 
         if head_done and not head_done_emitted:
             action = Action.HEAD_DONE
             head_done_emitted = True
             if trail_view is TrailState.SUSPENDED:
-                trail.resume()
+                source.resume(Role.TRAIL)
                 trail_view = TrailState.RUNNING
         elif not head_done_emitted and stag < 0:
             action = Action.DIVERSITY_LOSS
             trace.diversity_lost = True
             if trail_view is TrailState.RUNNING:
-                trail.suspend(tick)
+                source.suspend(Role.TRAIL)
                 trail_view = TrailState.SUSPENDED
         elif trail_done and not trail_done_emitted:
             action = Action.TRAIL_DONE
@@ -200,14 +181,14 @@ def simulate(
         else:
             action = decide(stag, threshold, trail_view)
             if action is Action.SUSPEND:
-                trail.suspend(tick)
+                source.suspend(Role.TRAIL)
                 trail_view = TrailState.SUSPENDED
             elif action is Action.RESUME:
-                trail.resume()
+                source.resume(Role.TRAIL)
                 trail_view = TrailState.RUNNING
 
         trace.samples.append(
-            StaggeringSample.at(interval, tick * TICK_NS, head_count, trail_count, action)
+            StaggeringSample.at(interval, source.now_ns(), head_count, trail_count, action)
         )
         interval += 1
         if action is Action.DIVERSITY_LOSS and diversity_loss_policy is DiversityLossPolicy.ABORT_RUN:

@@ -18,12 +18,7 @@ from softlockstep.calibration import (
     suspend_latency_over_probes,
     write_report,
 )
-from softlockstep.core import Role
-from softlockstep.progress import (
-    CounterUnavailable,
-    ScriptedReplicaSpec,
-    ScriptedSource,
-)
+from softlockstep.progress import CounterUnavailable, ScriptedSource
 from softlockstep.sim import Schedule, exhaustive_check
 
 try:
@@ -62,6 +57,19 @@ def test_threshold_input_validation():
         recommend_threshold(1e9, 100, -1, 1.0)
     with pytest.raises(ValueError, match="safety_margin"):
         recommend_threshold(1e9, 100, 0, 0.99)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+def test_a_non_finite_rate_or_margin_is_refused_by_name(value):
+    with pytest.raises(ValueError, match="peak_rate must be finite"):
+        recommend_threshold(value, 100, 0, 1.0)
+    with pytest.raises(ValueError, match="safety_margin must be finite"):
+        recommend_threshold(1e9, 100, 0, value)
+    report = CalibrationReport(
+        counter="scripted", peak_rate=value, check_period_us=100,
+        monitor_latency_us=0, safety_margin=value, recommended_threshold=10,
+    )
+    assert report.validate() == ["peak_rate must be finite", "safety_margin must be finite"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -184,8 +192,7 @@ def test_report_validate_flags_bad_fields():
 
 def head_source(deltas, latency=0, period_ticks=1):
     return ScriptedSource(
-        {Role.HEAD: ScriptedReplicaSpec.of(deltas, suspend_latency_ticks=latency)},
-        period_ticks=period_ticks,
+        Schedule.of(deltas, [], period_ticks=period_ticks, suspend_latency_ticks=latency)
     )
 
 
@@ -222,9 +229,7 @@ def test_measurement_preconditions():
 
 def test_calibrate_scripted_is_exact_end_to_end():
     schedule = Schedule.of([5] * 60, [0] * 60, suspend_latency_ticks=2)
-    report = calibrate_scripted(
-        schedule, tick_us=1, check_period_us=8, safety_margin=2.0, window_ticks=10
-    )
+    report = calibrate_scripted(schedule, check_period_us=8, safety_margin=2.0)
     assert report.counter == "scripted"
     assert report.peak_rate == 5_000_000.0
     assert report.monitor_latency_us == 2
@@ -233,15 +238,29 @@ def test_calibrate_scripted_is_exact_end_to_end():
 
 
 def test_calibrate_scripted_validates_inputs():
-    schedule = Schedule.of([1] * 10, [0] * 10)
-    with pytest.raises(ValueError, match="tick_us"):
-        calibrate_scripted(schedule, tick_us=0)
-    with pytest.raises(ValueError, match="window_ticks"):
-        calibrate_scripted(schedule, window_ticks=0)
     with pytest.raises(ValueError, match="deltas must be non-negative"):
         calibrate_scripted(Schedule.of([1, -3], [0, 0]))
     with pytest.raises(ValueError, match="suspend_latency_ticks"):
         calibrate_scripted(Schedule.of([1] * 10, [0] * 10, suspend_latency_ticks=-2))
+
+
+@pytest.mark.parametrize("ticks, latency", [(5, 4), (9, 0), (11, 10)])
+def test_calibrate_scripted_refuses_a_head_too_short_to_measure(ticks, latency):
+    # Five ticks at rate 5 and latency 4 measured 2.5e6 and 3, and so
+    # recommended 55 at period 8; the same rate and latency over 60 ticks
+    # give 5e6, 4 and 120. A shorter head reads as a slower, quicker one.
+    needed = max(10, latency + 2)
+    schedule = Schedule.of([5] * ticks, [0] * 60, suspend_latency_ticks=latency)
+    with pytest.raises(ValueError, match=f"needs at least {needed} head ticks.*got {ticks}"):
+        calibrate_scripted(schedule, check_period_us=8)
+
+
+def test_calibrate_scripted_measures_a_head_exactly_long_enough():
+    report = calibrate_scripted(
+        Schedule.of([5] * 10, [], suspend_latency_ticks=8), check_period_us=8
+    )
+    assert (report.peak_rate, report.monitor_latency_us) == (5_000_000.0, 8)
+    assert report.recommended_threshold == 160  # ceil(5e6 * 16us * 2)
 
 
 # ------------------------------------------------------- real measurement
@@ -256,7 +275,9 @@ def test_real_measurement_preconditions():
 @pytest.mark.parametrize("argument, fragment", [
     ({"check_period_us": 0}, "check_period_us must be positive"),
     ({"safety_margin": 0.5}, "safety_margin must be >= 1"),
-], ids=["period-0", "margin-0.5"])
+    ({"safety_margin": math.inf}, "safety_margin must be finite"),
+    ({"safety_margin": math.nan}, "safety_margin must be finite"),
+], ids=["period-0", "margin-0.5", "margin-inf", "margin-nan"])
 def test_calibrate_rejects_a_bad_period_or_margin_before_spawning(monkeypatch, argument, fragment):
     spawned = []
     monkeypatch.setattr(replication, "spawn_replicas", lambda *a, **k: spawned.append(a))

@@ -291,7 +291,7 @@ def test_simulate_rates_past_int64_exit_sixty_four(capsys):
 def test_scripted_calibration_is_exact_and_writes_a_report(tmp_path, capsys):
     path = schedule_file(tmp_path, Schedule.of([5] * 60, [0] * 60))
     out_path = tmp_path / "report.txt"
-    code = main(["calibrate", "--backend", f"scripted:{path}", "--tick-us", "1",
+    code = main(["calibrate", "--backend", f"scripted:{path}",
                  "--scripted-latency", "2", "--period-us", "8", "--margin", "2.0",
                  "--out", str(out_path)])
     assert code == 0
@@ -343,6 +343,32 @@ def test_run_rejects_an_inconsistent_calibration_file(tmp_path, capsys):
                  "--calibration-file", str(report_path)])
     assert code == 64
     assert "does not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("peak_rate", "inf"), ("safety_margin", "inf"), ("peak_rate", "nan"),
+], ids=["rate-inf", "margin-inf", "rate-nan"])
+def test_run_rejects_a_non_finite_calibration_file(tmp_path, capsys, field, value):
+    fields = {"counter": "task-clock", "peak_rate": "1000000.0", "check_period_us": "50",
+              "monitor_latency_us": "50", "safety_margin": "1.0",
+              "recommended_threshold": "100"}
+    fields[field] = value
+    report_path = tmp_path / "report.txt"
+    report_path.write_text("".join(f"{key}={text}\n" for key, text in fields.items()))
+    code = main(["run", "--workload", "checksum:64",
+                 "--calibration-file", str(report_path)])
+    assert code == 64
+    assert f"{field} must be finite" in capsys.readouterr().err
+
+
+def test_scripted_calibration_of_a_short_head_exits_sixty_four(tmp_path, capsys):
+    path = schedule_file(tmp_path, Schedule.of([5] * 5, [0] * 5))
+    code = main(["calibrate", "--backend", f"scripted:{path}", "--scripted-latency", "4",
+                 "--period-us", "8"])
+    assert code == 64
+    captured = capsys.readouterr()
+    assert "needs at least 10 head ticks" in captured.err
+    assert captured.out == ""
 
 
 def test_calibrate_with_a_zero_period_exits_sixty_four_without_forking(monkeypatch, capsys):

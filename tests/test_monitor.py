@@ -9,6 +9,7 @@ import os
 import resource
 import signal
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,11 +38,7 @@ from softlockstep.monitor import (
     run_scripted,
     write_trace,
 )
-from softlockstep.progress import (
-    CounterUnavailable,
-    ScriptedReplicaSpec,
-    ScriptedSource,
-)
+from softlockstep.progress import CounterUnavailable, ScriptedSource
 from softlockstep.replication import PinningFailure, spawn_replicas
 from softlockstep.sim import Schedule, simulate
 from softlockstep.workloads import Workload, checksum_workload, direct_run
@@ -175,10 +172,7 @@ def test_run_scripted_rejects_bad_schedule_and_config():
 
 
 def test_on_check_sees_exactly_what_the_samples_record():
-    source = ScriptedSource({
-        Role.HEAD: ScriptedReplicaSpec.of([10, 10, 10]),
-        Role.TRAIL: ScriptedReplicaSpec.of([10, 10, 10], start_suspended=True),
-    })
+    source = ScriptedSource(Schedule.of([10, 10, 10], [10, 10, 10]))
     seen = []
     verdict, trace = enforcement_loop(
         source=source,
@@ -193,7 +187,7 @@ def test_on_check_sees_exactly_what_the_samples_record():
 
 def freeze_run(schedule, threshold, freeze=None):
     """The loop over a scripted schedule, with a freeze injected if given."""
-    source = ScriptedSource(schedule.replica_specs(), schedule.period_ticks)
+    source = ScriptedSource(schedule)
     on_check = inject_fault(source, freeze) if freeze is not None else None
     return enforcement_loop(source=source, clock=source, config=cfg(threshold),
                             on_check=on_check)
@@ -238,10 +232,7 @@ class _FlakyCounterSource:
 
 
 def test_counter_failure_mid_run_aborts_with_replica_trouble():
-    source = ScriptedSource({
-        Role.HEAD: ScriptedReplicaSpec.of([1] * 10),
-        Role.TRAIL: ScriptedReplicaSpec.of([1] * 10, start_suspended=True),
-    })
+    source = ScriptedSource(Schedule.of([1] * 10, [1] * 10))
     flaky = _FlakyCounterSource(source, fail_after=4)
     verdict, trace = enforcement_loop(
         source=flaky,
@@ -281,10 +272,7 @@ class _FlakyPollSource:
 @pytest.mark.parametrize("role", [Role.HEAD, Role.TRAIL])
 @pytest.mark.parametrize("method", ["read_count", "exit_status"])
 def test_a_failed_read_or_poll_blames_the_replica_it_was_about(role, method):
-    source = ScriptedSource({
-        Role.HEAD: ScriptedReplicaSpec.of([1] * 10),
-        Role.TRAIL: ScriptedReplicaSpec.of([1] * 10, start_suspended=True),
-    })
+    source = ScriptedSource(Schedule.of([1] * 10, [1] * 10))
     verdict, trace = enforcement_loop(
         source=_FlakyPollSource(source, role, method, fail_after=2),
         clock=source,
@@ -314,6 +302,18 @@ def test_replay_reproduces_an_aborted_run():
     verdict, replayed = replay(trace, config)
     assert verdict.kind is VerdictKind.DIVERSITY_LOSS
     assert verdict == recorded
+    assert replayed.samples == trace.samples
+
+
+def test_replay_finds_the_terminations_of_a_trace_not_indexed_from_zero():
+    # The done actions end the replay at their positions in the trace, not
+    # at their interval indices, which a valid trace may start anywhere.
+    verdict, trace = run_scripted(Schedule.of([5] * 6, [5] * 6), cfg(3))
+    assert verdict.kind is VerdictKind.MATCH
+    shifted = Trace([replace(s, interval_index=s.interval_index + 10) for s in trace.samples])
+    assert shifted.validate() == []
+    verdict, replayed = replay(shifted, cfg(3))
+    assert verdict.kind is VerdictKind.MATCH
     assert replayed.samples == trace.samples
 
 

@@ -12,14 +12,18 @@ from softlockstep.progress import (
     ExitStatus,
     RealClock,
     ReplaySource,
-    ScriptedReplicaSpec,
     ScriptedSource,
-    StaleHandle,
 )
+from softlockstep.sim import Schedule
 
 
-def scripted(deltas, **kwargs):
-    return ScriptedSource({Role.HEAD: ScriptedReplicaSpec.of(deltas, **kwargs)})
+def scripted(deltas, role=Role.HEAD, length=None, latency=0):
+    """A source whose replica `role` plays deltas; the other one has none."""
+    if role is Role.HEAD:
+        schedule = Schedule.of(deltas, [], suspend_latency_ticks=latency, head_length=length)
+    else:
+        schedule = Schedule.of([], deltas, suspend_latency_ticks=latency, trail_length=length)
+    return ScriptedSource(schedule)
 
 
 def test_running_replica_accrues_per_tick_deltas():
@@ -31,19 +35,19 @@ def test_running_replica_accrues_per_tick_deltas():
     assert source.read_count(Role.HEAD) == 22
 
 
-def test_start_suspended_accrues_nothing_until_resume():
-    source = scripted([5, 5, 5, 5], start_suspended=True)
+def test_the_trail_accrues_nothing_until_resume():
+    source = scripted([5, 5, 5, 5], role=Role.TRAIL)
     source.advance(2)
-    assert source.read_count(Role.HEAD) == 0
-    source.resume(Role.HEAD)
+    assert source.read_count(Role.TRAIL) == 0
+    source.resume(Role.TRAIL)
     source.advance(1)  # resume at tick 2 takes effect from tick 3
-    assert source.read_count(Role.HEAD) == 5
+    assert source.read_count(Role.TRAIL) == 5
 
 
 def test_suspend_latency_window_is_exact():
     # Suspend at tick k with latency L: the replica accrues ticks k+1 .. k+L
     # and its count is frozen from tick k+L+1 until the next resume.
-    source = scripted([1] * 12, suspend_latency_ticks=2)
+    source = scripted([1] * 12, latency=2)
     source.advance(3)
     source.suspend(Role.HEAD)  # k = 3, so ticks 4 and 5 still land
     source.advance(2)
@@ -57,7 +61,7 @@ def test_suspend_latency_window_is_exact():
 
 
 def test_suspend_is_idempotent_and_does_not_extend_the_window():
-    source = scripted([1] * 8, suspend_latency_ticks=2)
+    source = scripted([1] * 8, latency=2)
     source.advance(1)
     source.suspend(Role.HEAD)  # freezes from tick 4
     source.advance(2)
@@ -74,12 +78,12 @@ def test_resume_while_running_is_a_no_op():
     assert source.read_count(Role.HEAD) == 4
 
 
-def test_suspend_while_start_suspended_keeps_the_original_freeze():
-    source = scripted([3, 3, 3], start_suspended=True)
+def test_suspending_the_suspended_trail_keeps_the_original_freeze():
+    source = scripted([3, 3, 3], role=Role.TRAIL, latency=1)
     source.advance(1)
-    source.suspend(Role.HEAD)
+    source.suspend(Role.TRAIL)
     source.advance(2)
-    assert source.read_count(Role.HEAD) == 0
+    assert source.read_count(Role.TRAIL) == 0
 
 
 def test_termination_by_stream_exhaustion():
@@ -103,17 +107,10 @@ def test_termination_by_length_clamps_the_final_delta():
 
 
 def test_suspended_replica_still_terminates_on_stream_exhaustion():
-    source = scripted([1, 1], start_suspended=True)
+    source = scripted([1, 1], role=Role.TRAIL)
     source.advance(2)
-    assert source.exit_status(Role.HEAD) is not None
-    assert source.read_count(Role.HEAD) == 0
-
-
-def test_a_role_the_source_lacks_raises_stale_handle():
-    source = scripted([1])
-    for operation in (source.read_count, source.suspend, source.resume, source.exit_status):
-        with pytest.raises(StaleHandle):
-            operation(Role.TRAIL)
+    assert source.exit_status(Role.TRAIL) is not None
+    assert source.read_count(Role.TRAIL) == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -121,22 +118,20 @@ def test_a_role_the_source_lacks_raises_stale_handle():
     deltas=st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=12),
     ops=st.lists(st.sampled_from(["tick", "suspend", "resume"]), min_size=1, max_size=30),
     latency=st.integers(min_value=0, max_value=3),
-    start_suspended=st.booleans(),
+    role=st.sampled_from(list(Role)),
 )
-def test_read_count_is_monotone_under_any_op_sequence(deltas, ops, latency, start_suspended):
-    source = scripted(
-        deltas, suspend_latency_ticks=latency, start_suspended=start_suspended
-    )
-    last = source.read_count(Role.HEAD)
+def test_read_count_is_monotone_under_any_op_sequence(deltas, ops, latency, role):
+    source = scripted(deltas, role=role, latency=latency)
+    last = source.read_count(role)
     assert last == 0
     for op in ops:
         if op == "tick":
             source.advance(1)
         elif op == "suspend":
-            source.suspend(Role.HEAD)
+            source.suspend(role)
         else:
-            source.resume(Role.HEAD)
-        now = source.read_count(Role.HEAD)
+            source.resume(role)
+        now = source.read_count(role)
         assert now >= last
         last = now
 
@@ -151,7 +146,7 @@ def test_read_count_is_monotone_under_any_op_sequence(deltas, ops, latency, star
 def test_suspension_freezes_exactly_after_the_latency(deltas, suspend_at, latency, hold):
     # After the latency window closes the count must not drift by even one
     # unit for as long as the suspension holds.
-    source = scripted(deltas, suspend_latency_ticks=latency)
+    source = scripted(deltas, latency=latency)
     source.advance(suspend_at)
     source.suspend(Role.HEAD)
     source.advance(latency)
@@ -162,24 +157,15 @@ def test_suspension_freezes_exactly_after_the_latency(deltas, suspend_at, latenc
 
 
 def test_scripted_clock_advances_whole_periods():
-    source = ScriptedSource({Role.HEAD: ScriptedReplicaSpec.of([1] * 10)}, period_ticks=3)
+    source = ScriptedSource(Schedule.of([1] * 10, [], period_ticks=3))
     assert source.now_ns() == 0
     source.wait_one_period()
     assert source.tick == 3
-    assert source.now_ns() == 3000  # default tick_ns = TICK_NS = 1000
-
-
-def test_scripted_source_honors_custom_tick_ns():
-    source = ScriptedSource({Role.HEAD: ScriptedReplicaSpec.of([1])}, tick_ns=250)
-    source.advance(2)
-    assert source.now_ns() == 500
+    assert source.now_ns() == 3000  # TICK_NS = 1000
 
 
 def test_two_replica_source_tracks_roles_independently():
-    source = ScriptedSource({
-        Role.HEAD: ScriptedReplicaSpec.of([10, 10]),
-        Role.TRAIL: ScriptedReplicaSpec.of([10, 10], start_suspended=True),
-    })
+    source = ScriptedSource(Schedule.of([10, 10], [10, 10]))
     source.advance(2)
     assert source.read_count(Role.HEAD) == 20
     assert source.read_count(Role.TRAIL) == 0

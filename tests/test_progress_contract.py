@@ -21,11 +21,11 @@ from softlockstep.progress import (
     ExitKind,
     ProgressSource,
     ReplaySource,
-    ScriptedReplicaSpec,
     ScriptedSource,
     StaleHandle,
 )
 from softlockstep.replication import ReplicaSession, spawn_replicas
+from softlockstep.sim import Schedule
 
 try:
     linuxperf.probe_counter("auto")
@@ -41,7 +41,7 @@ requires_counter = pytest.mark.skipif(
 def test_every_source_conforms_to_the_progress_source_protocol():
     sources = [
         ReplicaSession(PayloadSpec.of([], [], [4]), "task-clock", {}),
-        ScriptedSource({Role.HEAD: ScriptedReplicaSpec.of([1])}),
+        ScriptedSource(Schedule.of([1], [])),
         ReplaySource.from_samples([StaggeringSample.at(0, 1000, 1, 0, Action.NONE)]),
     ]
     for source in sources:

@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softlockstep import sim
-from softlockstep.core import Action, DiversityLossPolicy
+from softlockstep.calibration import calibrate_scripted
+from softlockstep.core import Action, DiversityLossPolicy, MonitorConfig
+from softlockstep.monitor import run_scripted
+from softlockstep.progress import ScriptedSource
 from softlockstep.sim import (
     INT64_MAX,
     CheckResult,
@@ -172,6 +175,25 @@ def test_simulate_rejects_invalid_schedules():
         simulate(Schedule.of([1], [-1]), threshold=1)
     with pytest.raises(ValueError):
         simulate(Schedule.of([1], [1], period_ticks=0), threshold=1)
+
+
+@pytest.mark.parametrize("entry_point", [
+    ScriptedSource,
+    # An invalid config too: the schedule's errors come first.
+    lambda schedule: run_scripted(schedule, MonitorConfig(threshold_instructions=0)),
+    lambda schedule: simulate(schedule, threshold=1),
+    # A head too short to calibrate too: the schedule's errors come first.
+    calibrate_scripted,
+], ids=["ScriptedSource", "run_scripted", "simulate", "calibrate_scripted"])
+@pytest.mark.parametrize("schedule, message", [
+    (Schedule.of([1, -1], [1, 1]), "deltas must be non-negative"),
+    (Schedule.of([1, 1], [1, 1], period_ticks=0), "period_ticks must be >= 1"),
+    (Schedule.of([1, 1], [1, 1], suspend_latency_ticks=-1), "suspend_latency_ticks must be >= 0"),
+], ids=["negative-delta", "period-0", "negative-latency"])
+def test_every_scripted_entry_point_validates_the_schedule_alike(entry_point, schedule, message):
+    with pytest.raises(ValueError) as caught:
+        entry_point(schedule)
+    assert str(caught.value) == message
 
 
 def test_exhaustive_tightness_small_case():
