@@ -35,12 +35,11 @@ _REPORT_KEYS = (
 # Fixed measurement settings. A real calibration samples the rate over
 # 20 ms windows and polls a suspended replica every 100 us; a latency probe
 # ends after three polls without a count change; a scripted calibration
-# samples the rate over 10-tick windows and needs only three probes, since
-# its latency is exact by construction.
+# samples the rate over 1-tick windows, one per head delta, and needs only
+# three probes, since its latency is exact by construction.
 _WINDOW_US = 20_000
 _POLL_US = 100
 _SETTLE_POLLS = 3
-_WINDOW_TICKS = 10
 _SCRIPTED_PROBES = 3
 
 
@@ -229,30 +228,30 @@ def calibrate_scripted(
 ) -> CalibrationReport:
     """Calibrate against a scripted schedule: exact results, no privileges.
 
-    The schedule's head deltas define the measured rate (constant delta d per
-    1 us tick gives exactly d * 1e6 units per second) and its
-    suspend_latency_ticks the measured latency (exactly that many us). Rate
-    and latency run over two fresh sources so neither measurement consumes
-    the other's delta stream: the rate's source advances _WINDOW_TICKS per
-    period, the latency's one tick. The head must script at least one whole
-    rate window and the first latency probe, which suspends it after two
+    The schedule's head deltas define the measured rate (the largest delta d
+    per 1 us tick gives exactly d * 1e6 units per second, the r_max of the
+    bound r * (P + L)) and its suspend_latency_ticks the measured latency
+    (exactly that many us). Rate and latency run over two fresh sources, each
+    advancing one tick per period, so neither measurement consumes the
+    other's delta stream; the rate is read over one window per head delta.
+    The head must script the first latency probe, which suspends it after two
     ticks and sees it accrue for the latency's ticks after that; a shorter
-    head would read as a lower rate or latency, and so an unsafe threshold.
+    head would read as a lower latency, and so an unsafe threshold.
     """
     # Checked as given, although both measuring sources replace its period.
     ScriptedSource(schedule)
     latency_ticks = schedule.suspend_latency_ticks
-    needed = max(_WINDOW_TICKS, latency_ticks + 2)
+    needed = latency_ticks + 2
     if len(schedule.head_deltas) < needed:
         raise ValueError(
             f"scripted calibration needs at least {needed} head ticks (a "
-            f"{_WINDOW_TICKS}-tick rate window and a latency probe of "
-            f"{latency_ticks} + 2 ticks), got {len(schedule.head_deltas)}"
+            f"latency probe of {latency_ticks} + 2 ticks), got {len(schedule.head_deltas)}"
         )
 
-    source = ScriptedSource(replace(schedule, period_ticks=_WINDOW_TICKS))
-    rate = peak_rate_over_windows(source, source, windows=schedule.ticks // _WINDOW_TICKS)
-    source = ScriptedSource(replace(schedule, period_ticks=1))
+    per_tick = replace(schedule, period_ticks=1)
+    source = ScriptedSource(per_tick)
+    rate = peak_rate_over_windows(source, source, windows=len(schedule.head_deltas))
+    source = ScriptedSource(per_tick)
     latency_us = suspend_latency_over_probes(source, source, probes=_SCRIPTED_PROBES)
     return _report("scripted", rate, check_period_us, latency_us, safety_margin)
 

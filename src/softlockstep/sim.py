@@ -13,13 +13,14 @@ threshold guards against: the trail catching up between checks.
 The model is small enough to brute-force. exhaustive_check enumerates every
 per-tick rate assignment over a small alphabet and either certifies that no
 schedule drives the staggering negative or returns one that does. It walks
-the schedules in blocks of _BLOCK, each advanced tick by tick as int64 numpy
-arrays with one row per schedule; simulate() stays the tick-by-tick reference
+the trails of a block of whole heads as a prefix tree in int64 numpy arrays,
+advancing each tick prefix once; simulate() stays the tick-by-tick reference
 the tests hold that kernel to.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,11 +35,13 @@ from .core import (
 )
 from .progress import ScriptedSource
 
-# Schedules exhaustive_check evaluates together: its memory whatever the space.
-_BLOCK = 4096
-# Bound on exhaustive_check's work: blocks of _BLOCK schedules times ticks,
-# each block advanced once per tick. Every space of up to 10M schedules fits;
-# the largest, five letters over five ticks, takes 2,385 blocks x 5 ticks.
+# Schedules exhaustive_check evaluates together, as whole heads and at least
+# one: its memory whatever the space, 128 KiB per int64 array at full width.
+_BLOCK = 16_384
+# Bound on exhaustive_check's work: units of _WORK_UNIT schedules times ticks.
+# Every space of up to 10M schedules fits; the largest, five letters over five
+# ticks, counts 2,385 units x 5 ticks and takes about 0.2 s of one 2-vCPU VM.
+_WORK_UNIT = 4096
 MAX_KERNEL_WORK = 12_000
 # The kernel counts in int64, so rates and thresholds must keep counts below this.
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -197,57 +200,46 @@ def simulate(
             return trace
 
 
-def _min_staggering_block(rates_by_tick, rows, period_ticks, latency_ticks, threshold):
-    """Minimum tick-boundary staggering of `rows` schedules evaluated together.
+def _min_staggering_tree(heads, letters, period_ticks, latency_ticks, threshold):
+    """Minimum tick-boundary staggering of every trail under each of `heads`.
 
-    rates_by_tick yields, for ticks 1, 2, ..., the head's and the trail's
-    per-tick deltas as two int64 arrays of shape (rows,); row i of every pair
-    belongs to schedule i, and no row reads another. The rules are
-    simulate()'s restricted to replicas without lengths, and the minimum
-    starts from the tick-0 staggering of 0. Only the staggering is kept, not
-    the two counts it is the difference of. A schedule's trail is frozen from
-    the tick in its freeze array: 0 at the start, check tick + latency + 1
-    after a suspend, and _RUNNING, later than any tick, once resumed; so the
-    freeze tick is also the monitor's view. Ticks after the last yielded pair
-    accrue nothing and cannot lower the minimum, so the kernel stops there,
-    also in the middle of a check period.
+    heads holds one row of per-tick rates per head and letters the alphabet,
+    both int64; row h of the result holds the minimum of each of the
+    |letters|^ticks trails under head h, in itertools.product order. The
+    state after tick t depends only on the head and the trail's first t
+    rates, so tick t advances each (t-1)-tick prefix once and broadcasts the
+    alphabet over it: the arrays grow from |letters|^(t-1) to |letters|^t
+    columns. Prefixes are shared, but every schedule keeps its own exact
+    minimum: none is skipped or pruned, and no two distinct prefixes are
+    merged into one row. The rules are simulate()'s restricted to replicas
+    without lengths, and the minimum starts from the tick-0 staggering of 0.
+    A trail is frozen from the tick in frozen_from: 0 at the start, check
+    tick + latency + 1 after a suspend, and _RUNNING, later than any tick,
+    once resumed; so the freeze tick is also the monitor's view. It changes
+    only at checks, so it keeps one entry per prefix as of the last check.
     """
-    staggering = np.zeros(rows, dtype=np.int64)
-    minimum = np.zeros(rows, dtype=np.int64)
-    frozen_from = np.zeros(rows, dtype=np.int64)
-    for tick, (head_rates, trail_rates) in enumerate(rates_by_tick, start=1):
-        staggering += head_rates
-        np.subtract(staggering, trail_rates, out=staggering, where=tick < frozen_from)
-        np.minimum(minimum, staggering, out=minimum)
+    rows = len(heads)
+    staggering = minimum = np.zeros((rows, 1), dtype=np.int64)
+    frozen_from = np.zeros((rows, 1, 1, 1), dtype=np.int64)
+    for tick, head_rates in enumerate(heads.T[:, :, None, None, None], start=1):
+        # Columns grouped by their prefix at the last check, whose freeze they share.
+        prefixes = frozen_from.shape[1]
+        staggering = (staggering.reshape(rows, prefixes, -1, 1)
+                      + (head_rates - (tick < frozen_from) * letters)).reshape(rows, -1)
+        minimum = np.minimum(minimum[:, :, None], staggering.reshape(rows, -1, len(letters)))
+        minimum = minimum.reshape(rows, -1)
         if tick % period_ticks == 0:
             # A suspend keeps an earlier freeze tick; a resume runs the trail.
             frozen_from = np.where(
-                staggering < threshold,
+                staggering.reshape(rows, prefixes, -1, 1) < threshold,
                 np.minimum(frozen_from, tick + latency_ticks + 1),
                 _RUNNING,
-            )
+            ).reshape(rows, -1, 1, 1)
     return minimum
 
 
-def _rates_by_tick(first, count, alphabet, ticks):
-    """Per tick, the head and trail rates of schedules first .. first+count-1.
-
-    Schedule k (0-based) is the k-th of the head-major itertools.product
-    order: its head is k // |alphabet|^ticks and its trail the remainder,
-    each written in base |alphabet|, most significant digit at tick 1.
-    """
-    rates = np.array(alphabet, dtype=np.int64)
-    place = len(alphabet) ** ticks
-    head, trail = np.divmod(np.arange(first, first + count, dtype=np.int64), place)
-    for _ in range(ticks):
-        place //= len(alphabet)
-        head_digit, head = np.divmod(head, place)
-        trail_digit, trail = np.divmod(trail, place)
-        yield rates[head_digit], rates[trail_digit]
-
-
 def _search_space(size: int, ticks: int) -> int | None:
-    """size^(2*ticks), or None once its blocks times ticks exceed MAX_KERNEL_WORK.
+    """size^(2*ticks), or None once its work units times ticks exceed MAX_KERNEL_WORK.
 
     Multiplies up to the bound rather than building the full power, which
     for a large tick count takes seconds to minutes on its own.
@@ -257,7 +249,7 @@ def _search_space(size: int, ticks: int) -> int | None:
     space = 1
     for _ in range(2 * ticks):
         space *= size
-        if -(-space // _BLOCK) * ticks > MAX_KERNEL_WORK:
+        if -(-space // _WORK_UNIT) * ticks > MAX_KERNEL_WORK:
             return None
     return space
 
@@ -282,9 +274,11 @@ def exhaustive_check(
     order and returns the first one whose staggering goes negative at any
     tick boundary, or a safe verdict if none exists. schedules_checked is
     the 1-based index of that counterexample, or the whole space when safe.
-    Schedules are evaluated _BLOCK at a time, and the search stops at the
-    first block holding a counterexample. The enumeration itself is the
-    oracle: no schedule is skipped, merged or pruned.
+    Whole heads are evaluated together, about _BLOCK schedules and at least
+    one head at a time, and the search stops at the first block holding a
+    counterexample. Each head's trails share their tick prefixes, but every
+    schedule keeps its own exact minimum: none is skipped or pruned, and no
+    two distinct prefixes are merged into one row.
     """
     alphabet = tuple(sorted({int(r) for r in rate_alphabet}))
     if not alphabet or any(r < 0 for r in alphabet):
@@ -302,27 +296,33 @@ def exhaustive_check(
     if space is None:
         raise SearchSpaceTooLarge(
             f"{len(alphabet)}^(2*{ticks}) schedules over {ticks} ticks exceeds the "
-            f"bound of {MAX_KERNEL_WORK} blocks of {_BLOCK} schedules times ticks"
+            f"bound of {MAX_KERNEL_WORK} blocks of {_WORK_UNIT} schedules times ticks"
         )
 
     # A freeze past the last tick never bites, however late: this keeps
     # tick + latency + 1 inside int64.
     latency = min(suspend_latency_ticks, ticks)
-    for first in range(0, space, _BLOCK):
-        count = min(_BLOCK, space - first)
-        minimum = _min_staggering_block(
-            _rates_by_tick(first, count, alphabet, ticks),
-            count, period_ticks, latency, threshold,
+    heads = np.array(list(itertools.product(alphabet, repeat=ticks)), dtype=np.int64)
+    letters = np.array(alphabet, dtype=np.int64)
+    trails = len(alphabet) ** ticks
+    per_block = max(1, _BLOCK // trails)
+    for first in range(0, len(heads), per_block):
+        minimum = _min_staggering_tree(
+            heads[first:first + per_block], letters, period_ticks, latency, threshold
         )
         unsafe = np.flatnonzero(minimum < 0)
         if unsafe.size:
-            index = first + int(unsafe[0])
-            rates = list(_rates_by_tick(index, 1, alphabet, ticks))
+            index = first * trails + int(unsafe[0])
+            # Head then trail digits of the index, most significant first.
+            rates, rest = [], index
+            for _ in range(2 * ticks):
+                rest, digit = divmod(rest, len(alphabet))
+                rates.append(alphabet[digit])
+            rates.reverse()
             return CheckResult(
                 safe=False,
                 counterexample=Schedule.of(
-                    [int(head[0]) for head, _ in rates],
-                    [int(trail[0]) for _, trail in rates],
+                    rates[:ticks], rates[ticks:],
                     period_ticks=period_ticks,
                     suspend_latency_ticks=suspend_latency_ticks,
                 ),

@@ -85,8 +85,8 @@ def checksum_workload(nbytes: int = 65536, seed: int = 0) -> Workload:
 
 def spin_workload(iters: int = 5_000_000, seed: int = 0) -> Workload:
     """A counted arithmetic loop; progress scales directly with iterations."""
-    if iters < 1:
-        raise ValueError("iteration count must be >= 1")
+    if not 1 <= iters < 2**64:
+        raise ValueError("iteration count must be >= 1 and below 2**64")
     payload = PayloadSpec.of([iters.to_bytes(8, "little")], [8], [8])
     return Workload(name="spin", param=iters, seed=seed, payload=payload, computation=_spin)
 

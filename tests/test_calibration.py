@@ -244,12 +244,24 @@ def test_calibrate_scripted_validates_inputs():
         calibrate_scripted(Schedule.of([1] * 10, [0] * 10, suspend_latency_ticks=-2))
 
 
-@pytest.mark.parametrize("ticks, latency", [(5, 4), (9, 0), (11, 10)])
+@pytest.mark.parametrize("head, trail", [
+    ([1] * 10 + [9] * 10, [0] * 20),
+    ([1] * 10 + [9] * 9, [0] * 19),
+    ([1] * 10 + [9] * 5, [0] * 20),
+], ids=["whole-window", "burst-at-the-end", "short-burst"])
+def test_calibrate_scripted_sees_every_head_tick_at_its_own_rate(head, trail):
+    # r_max in the bound r * (P + L) is the fastest single tick: a burst
+    # late in the head or shorter than ten ticks must not read slower.
+    report = calibrate_scripted(Schedule.of(head, trail), check_period_us=8)
+    assert (report.peak_rate, report.recommended_threshold) == (9_000_000.0, 144)
+
+
+@pytest.mark.parametrize("ticks, latency", [(5, 4), (1, 0), (11, 10)])
 def test_calibrate_scripted_refuses_a_head_too_short_to_measure(ticks, latency):
-    # Five ticks at rate 5 and latency 4 measured 2.5e6 and 3, and so
-    # recommended 55 at period 8; the same rate and latency over 60 ticks
-    # give 5e6, 4 and 120. A shorter head reads as a slower, quicker one.
-    needed = max(10, latency + 2)
+    # Five ticks at latency 4 end before the first latency probe has seen
+    # the freeze land; the same rate and latency over 60 ticks give 5e6, 4
+    # and 120 at period 8. A shorter head reads as a quicker one.
+    needed = latency + 2
     schedule = Schedule.of([5] * ticks, [0] * 60, suspend_latency_ticks=latency)
     with pytest.raises(ValueError, match=f"needs at least {needed} head ticks.*got {ticks}"):
         calibrate_scripted(schedule, check_period_us=8)

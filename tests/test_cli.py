@@ -205,6 +205,14 @@ def test_usage_errors_exit_sixty_four(argv, fragment, capsys):
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("iters", ["0", str(2**64), "99999999999999999999999"])
+def test_a_spin_count_outside_its_eight_bytes_exits_sixty_four(iters, capsys):
+    assert main(["run", "--workload", f"spin:{iters}", "--threshold", "5"]) == 64
+    captured = capsys.readouterr()
+    assert "iteration count must be >= 1 and below 2**64" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_scripted_backend_refuses_workload_and_injection(tmp_path, capsys):
     path = schedule_file(tmp_path, STEADY)
     code = main(["run", "--backend", f"scripted:{path}", "--threshold", "5",
@@ -367,7 +375,7 @@ def test_scripted_calibration_of_a_short_head_exits_sixty_four(tmp_path, capsys)
                  "--period-us", "8"])
     assert code == 64
     captured = capsys.readouterr()
-    assert "needs at least 10 head ticks" in captured.err
+    assert "needs at least 6 head ticks" in captured.err
     assert captured.out == ""
 
 

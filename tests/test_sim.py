@@ -25,7 +25,7 @@ from softlockstep.sim import (
     simulate,
     write_schedule_csv,
 )
-from softlockstep.sim import _min_staggering_block
+from softlockstep.sim import _min_staggering_tree
 
 
 def actions(trace):
@@ -261,13 +261,57 @@ def naive_check(alphabet, ticks, period, latency, threshold):
 def test_exhaustive_equals_the_naive_enumeration(alphabet, monkeypatch):
     # Three ticks for three letters keeps the naive loop to seconds. Period 2
     # divides neither 3 nor 4 ticks, nor period 3 four; a 64-schedule block
-    # puts the first counterexample in a later block and leaves a partial one.
+    # holds two heads of 27 trails or four of 16, so the first counterexample
+    # falls in a later block, and 27 heads leave a partial last one.
     ticks = 4 if len(alphabet) < 3 else 3
     for period, latency, threshold in itertools.product(range(1, 4), range(3), range(10)):
         expected = naive_check(alphabet, ticks, period, latency, threshold)
         for block in (sim._BLOCK, 64):
             monkeypatch.setattr(sim, "_BLOCK", block)
             assert exhaustive_check(alphabet, ticks, period, latency, threshold) == expected
+
+
+def test_a_block_smaller_than_one_head_still_holds_a_whole_head(monkeypatch):
+    # Eight rows cannot hold one head's 27 trails: each block is one head.
+    monkeypatch.setattr(sim, "_BLOCK", 8)
+    for period, latency, threshold in itertools.product(range(1, 4), range(3), range(-1, 8)):
+        expected = naive_check((0, 1, 2), 3, period, latency, threshold)
+        assert exhaustive_check((0, 1, 2), 3, period, latency, threshold) == expected
+
+
+def test_each_block_holds_whole_heads_and_every_head_is_evaluated_once(monkeypatch):
+    # A safe verdict counts the whole space, so a skipped block would not
+    # show in its result: record the heads each kernel call is given.
+    blocks = []
+    kernel = sim._min_staggering_tree
+
+    def recording(heads, *args):
+        blocks.append(heads.tolist())
+        return kernel(heads, *args)
+
+    monkeypatch.setattr(sim, "_min_staggering_tree", recording)
+    for block, sizes in ((8, [1] * 27), (64, [2] * 13 + [1]), (sim._BLOCK, [27])):
+        blocks.clear()
+        monkeypatch.setattr(sim, "_BLOCK", block)
+        assert exhaustive_check((0, 1, 2), 3, 1, 1, 4).safe  # 4 = r_max * (P + L)
+        assert [len(heads) for heads in blocks] == sizes
+        assert [head for heads in blocks for head in heads] == [
+            list(head) for head in itertools.product((0, 1, 2), repeat=3)
+        ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alphabet=st.sets(st.integers(min_value=0, max_value=6), min_size=1, max_size=3),
+    ticks=st.integers(min_value=1, max_value=3),
+    period=st.integers(min_value=1, max_value=4),
+    latency=st.integers(min_value=0, max_value=3),
+    threshold=st.integers(min_value=-1, max_value=12),
+)
+def test_exhaustive_equals_the_naive_enumeration_on_random_inputs(
+        alphabet, ticks, period, latency, threshold):
+    expected = naive_check(alphabet, ticks, period, latency, threshold)
+    assert exhaustive_check(alphabet, ticks, period, latency, threshold) == expected
 
 
 def test_exhaustive_rejects_oversized_spaces():
@@ -365,28 +409,34 @@ def test_safety_theorem_on_random_schedules(schedule):
 
 
 @st.composite
-def rate_blocks(draw):
-    """Many schedules of one length, as (head, trail) rows of one kernel block."""
-    ticks = draw(st.integers(min_value=1, max_value=8))
-    rates = st.lists(st.integers(min_value=0, max_value=4), min_size=ticks, max_size=ticks)
-    return draw(st.lists(st.tuples(rates, rates), min_size=1, max_size=64))
+def head_runs(draw):
+    """An alphabet, a tick count and a run of consecutive heads over them."""
+    letters = sorted(draw(st.sets(st.integers(min_value=0, max_value=4), min_size=1, max_size=3)))
+    ticks = draw(st.integers(min_value=1, max_value=4))
+    heads = list(itertools.product(letters, repeat=ticks))
+    first = draw(st.integers(min_value=0, max_value=len(heads) - 1))
+    count = draw(st.integers(min_value=1, max_value=len(heads) - first))
+    return letters, ticks, heads[first:first + count]
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    rows=rate_blocks(),
+    run=head_runs(),
     period=st.integers(min_value=1, max_value=3),
     latency=st.integers(min_value=0, max_value=2),
     threshold=st.integers(min_value=0, max_value=12),
 )
-def test_fast_min_matches_full_simulator(rows, period, latency, threshold):
-    # the brute-force kernel and the trace-building simulator must agree on
-    # the minimum staggering, or exhaustive_check verdicts mean nothing; every
-    # row of one block must agree, or rows leak into each other.
-    heads = np.array([head for head, _ in rows], dtype=np.int64)
-    trails = np.array([trail for _, trail in rows], dtype=np.int64)
-    fast = _min_staggering_block(zip(heads.T, trails.T), len(rows), period, latency, threshold)
-    for (head, trail), row_minimum in zip(rows, fast):
+def test_fast_min_matches_full_simulator(run, period, latency, threshold):
+    # the tree kernel and the trace-building simulator must agree on the
+    # minimum staggering of every (head, trail) row, in head-major order, or
+    # exhaustive_check verdicts and indices mean nothing; shared prefixes
+    # must not leak one trail's state into another.
+    letters, ticks, heads = run
+    fast = _min_staggering_tree(np.array(heads, dtype=np.int64), np.array(letters, dtype=np.int64),
+                                period, latency, threshold)
+    assert fast.shape == (len(heads), len(letters) ** ticks)
+    rows = itertools.product(heads, itertools.product(letters, repeat=ticks))
+    for (head, trail), row_minimum in zip(rows, fast.ravel(), strict=True):
         schedule = Schedule.of(head, trail, period_ticks=period, suspend_latency_ticks=latency)
         full = min_staggering(simulate(schedule, threshold=threshold))
         # the kernel seeds its minimum with the tick-0 staggering of 0, nothing else differs
