@@ -60,8 +60,8 @@ def _build_parser() -> _Parser:
     run.add_argument("--cores", help="pin replicas (and monitor) to cores: HEAD,TRAIL[,MONITOR]")
     run.add_argument("--seed", type=int, default=0, help="workload input generation seed")
     run.add_argument("--on-diversity-loss", default="record", choices=["record", "abort"], help="what to do when staggering goes negative")
-    run.add_argument("--period-ticks", type=int, default=1, help="scripted backend: ticks per check")
-    run.add_argument("--scripted-latency", type=int, default=0, help="scripted backend: suspension latency in ticks")
+    run.add_argument("--period-ticks", type=int, help="scripted backend: ticks per check (default 1)")
+    run.add_argument("--scripted-latency", type=int, help="scripted backend: suspension latency in ticks (default 0)")
 
     cal = sub.add_parser("calibrate", help="measure this host and recommend a threshold")
     cal.add_argument("--period-us", type=int, default=1000, help="check period the threshold is for")
@@ -70,7 +70,7 @@ def _build_parser() -> _Parser:
     cal.add_argument("--samples", type=int, default=30, help="suspension latency probe count")
     cal.add_argument("--counter", default="auto", choices=["auto", "instructions", "task-clock"], help="progress counter kind")
     cal.add_argument("--backend", default="process", help="'process' or 'scripted:FILE' for exact, privilege-free calibration")
-    cal.add_argument("--scripted-latency", type=int, default=0, help="scripted backend: suspension latency in ticks")
+    cal.add_argument("--scripted-latency", type=int, help="scripted backend: suspension latency in ticks (default 0)")
     cal.add_argument("--out", help="also write the report to this file")
 
     check = sub.add_parser("simulate", help="brute-force the staggering model over a rate alphabet")
@@ -90,6 +90,27 @@ def _parse_cores(text: str) -> tuple[int, int, int | None]:
         raise ValueError("--cores needs HEAD,TRAIL or HEAD,TRAIL,MONITOR")
     values = [int(p) for p in parts]
     return values[0], values[1], values[2] if len(values) == 3 else None
+
+
+def _refuse_scripted_flags(args) -> None:
+    """A scripted-only flag given to the process backend is a usage error, not a no-op."""
+    for flag in ("--period-ticks", "--scripted-latency"):
+        if getattr(args, flag[2:].replace("-", "_"), None) is not None:
+            raise ValueError(f"{flag} applies only to the scripted backend (scripted:FILE)")
+
+
+def _read_schedule(args):
+    """The schedule of a scripted:FILE backend, at the given or default timing."""
+    path = args.backend.partition(":")[2]
+    if not path:
+        raise ValueError("scripted backend needs a file: --backend scripted:FILE")
+    period_ticks = getattr(args, "period_ticks", None)
+    with open(path) as f:
+        return sim.read_schedule_csv(
+            f,
+            period_ticks=1 if period_ticks is None else period_ticks,
+            suspend_latency_ticks=0 if args.scripted_latency is None else args.scripted_latency,
+        )
 
 
 def _run_config(args, threshold: int) -> MonitorConfig:
@@ -130,6 +151,7 @@ def _resolve_threshold(args) -> tuple[int, str]:
 def _cmd_run(args) -> int:
     threshold, counter = _resolve_threshold(args)
     if args.backend == "process":
+        _refuse_scripted_flags(args)
         if not args.workload:
             raise ValueError("the process backend needs --workload")
         workload = parse_workload_id(args.workload, seed=args.seed)
@@ -151,15 +173,9 @@ def _cmd_run(args) -> int:
             raise ValueError("the scripted backend replays a schedule; it takes no --workload")
         if args.inject:
             raise ValueError("fault injection needs real replicas (process backend)")
-        path = args.backend.partition(":")[2]
-        if not path:
-            raise ValueError("scripted backend needs a file: --backend scripted:FILE")
-        with open(path) as f:
-            schedule = sim.read_schedule_csv(
-                f,
-                period_ticks=args.period_ticks,
-                suspend_latency_ticks=args.scripted_latency,
-            )
+        if args.cores is not None:
+            raise ValueError("--cores pins real replicas (process backend)")
+        schedule = _read_schedule(args)
         config = _run_config(args, threshold)
         verdict, trace = monitor.run_scripted(schedule, config)
     else:
@@ -178,6 +194,7 @@ def _cmd_calibrate(args) -> int:
     if args.margin < 1:
         raise ValueError("margin must be >= 1")
     if args.backend == "process":
+        _refuse_scripted_flags(args)
         report = calibration.calibrate(
             check_period_us=args.period_us,
             safety_margin=args.margin,
@@ -186,15 +203,8 @@ def _cmd_calibrate(args) -> int:
             counter=args.counter,
         )
     elif args.backend.startswith("scripted:"):
-        path = args.backend.partition(":")[2]
-        if not path:
-            raise ValueError("scripted backend needs a file: --backend scripted:FILE")
-        with open(path) as f:
-            schedule = sim.read_schedule_csv(
-                f, suspend_latency_ticks=args.scripted_latency
-            )
         report = calibration.calibrate_scripted(
-            schedule, check_period_us=args.period_us, safety_margin=args.margin
+            _read_schedule(args), check_period_us=args.period_us, safety_margin=args.margin
         )
     else:
         raise ValueError(f"unknown backend {args.backend!r} (expected process or scripted:FILE)")

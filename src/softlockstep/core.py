@@ -157,31 +157,20 @@ def _byte_view(buf) -> memoryview:
 
 @dataclass(frozen=True)
 class StaggeringSample:
-    """One monitor observation: both counts, their signed difference, the action."""
+    """One monitor observation: both counts and the action taken on them.
+
+    Only what was observed is stored; the signed staggering is derived.
+    """
 
     interval_index: int
     timestamp_ns: int
     head_count: int
     trail_count: int
-    staggering: int
     action: Action
 
-    def __post_init__(self):
-        if self.staggering != self.head_count - self.trail_count:
-            raise ValueError(
-                f"staggering {self.staggering} != head {self.head_count} - trail {self.trail_count}"
-            )
-
-    @classmethod
-    def at(cls, interval_index, timestamp_ns, head_count, trail_count, action) -> "StaggeringSample":
-        return cls(
-            interval_index=interval_index,
-            timestamp_ns=timestamp_ns,
-            head_count=head_count,
-            trail_count=trail_count,
-            staggering=head_count - trail_count,
-            action=action,
-        )
+    @property
+    def staggering(self) -> int:
+        return self.head_count - self.trail_count
 
 
 class VerdictKind(enum.Enum):

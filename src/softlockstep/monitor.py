@@ -61,11 +61,13 @@ TRACE_HEADER = ("interval", "timestamp_ns", "head_instr", "trail_instr", "stagge
 
 @dataclass
 class Trace:
-    """A recorded run: the sample sequence plus how it was produced."""
+    """A recorded run: the sample sequence plus how it was produced.
+
+    A protected run's backend, "process/<counter kind>", names its counter.
+    """
 
     samples: list[StaggeringSample] = field(default_factory=list)
     backend: str = "unknown"
-    counter: str = ""
     threshold: int | None = None
     check_period_us: int | None = None
 
@@ -192,7 +194,7 @@ def enforcement_loop(
                 source.resume(Role.TRAIL)
                 trail_state = TrailState.RUNNING
 
-        sample = StaggeringSample.at(interval, now_ns, head_count, trail_count, action)
+        sample = StaggeringSample(interval, now_ns, head_count, trail_count, action)
         trace.samples.append(sample)
         interval += 1
 
@@ -278,7 +280,6 @@ def protect(
                 on_check=on_check,
                 backend=f"process/{session.counter_kind}",
             )
-            trace.counter = session.counter_kind
             if verdict.kind is VerdictKind.MATCH:
                 # Made after both forks, so no replica ever maps it.
                 head_copy = huge_page_mapping(payload.total_output_bytes)
@@ -353,7 +354,7 @@ def replay(trace: Trace, config: MonitorConfig) -> tuple[Verdict, Trace]:
     ends as TIMEOUT. A replayed run that completes is a MATCH: the recording
     holds no outputs to compare. An empty trace raises ValueError.
     """
-    source = ReplaySource.from_samples(trace.samples)
+    source = ReplaySource(trace.samples)
     return enforcement_loop(
         source=source,
         clock=source,
@@ -377,7 +378,7 @@ def write_trace(trace: Trace, sink) -> None:
 
 
 def read_trace(source) -> Trace:
-    """Parse a trace CSV; rejects bad headers and inconsistent staggering."""
+    """Parse a trace CSV; rejects bad headers and a staggering its counts contradict."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, newline="") as f:
             return read_trace(f)
@@ -394,14 +395,10 @@ def read_trace(source) -> Trace:
             continue
         if len(row) != 6:
             raise ValueError(f"row {len(samples) + 2}: expected 6 fields, got {len(row)}")
-        samples.append(
-            StaggeringSample(
-                interval_index=int(row[0]),
-                timestamp_ns=int(row[1]),
-                head_count=int(row[2]),
-                trail_count=int(row[3]),
-                staggering=int(row[4]),
-                action=Action(row[5]),
-            )
-        )
+        interval, timestamp, head, trail, stag = (int(v) for v in row[:5])
+        sample = StaggeringSample(interval, timestamp, head, trail, Action(row[5]))
+        # Checked, then dropped: a sample derives its staggering from its counts.
+        if stag != sample.staggering:
+            raise ValueError(f"staggering {stag} != head {head} - trail {trail}")
+        samples.append(sample)
     return Trace(samples=samples, backend="file")

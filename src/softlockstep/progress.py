@@ -27,11 +27,7 @@ from typing import Protocol, runtime_checkable
 from .core import Action, Role, StaggeringSample
 
 
-class ProgressError(Exception):
-    pass
-
-
-class CounterUnavailable(ProgressError):
+class CounterUnavailable(Exception):
     """The host cannot provide the requested progress counter.
 
     The message always carries remediation hints (privilege knob or missing
@@ -39,7 +35,7 @@ class CounterUnavailable(ProgressError):
     """
 
 
-class StaleHandle(ProgressError):
+class StaleHandle(Exception):
     """Operation on a released session."""
 
 
@@ -203,65 +199,46 @@ class ScriptedSource:
 
 
 class ReplaySource:
-    """Feeds counts recorded at each check of a previous run back to the loop.
+    """Feeds the samples of a previous run back to the loop, one per check.
 
     Suspend/resume are no-ops: the recorded counts already embody whatever
     suspensions the original monitor applied, so re-applying them would
-    distort the replay. Termination is reproduced at the recorded intervals.
-    The source is its own loop clock: each period steps to the next sample.
-    The recording lasts duration_us, the whole microseconds from its first
-    sample to just past its latest; a step past the last sample moves the
-    clock to that end.
+    distort the replay. A replica terminates at the sample that recorded
+    its HEAD_DONE or TRAIL_DONE, and never if none did. The source is its
+    own loop clock: each period steps to the next sample. The recording
+    lasts duration_us, the whole microseconds from its first sample to just
+    past its latest; a step past the last sample moves the clock to that end.
     """
 
-    def __init__(
-        self,
-        head_counts: list[int],
-        trail_counts: list[int],
-        head_done_interval: int,
-        trail_done_interval: int,
-        timestamps_ns: list[int],
-    ):
-        if not (len(head_counts) == len(trail_counts) == len(timestamps_ns)):
-            raise ValueError("replay streams must have equal length")
-        if not timestamps_ns:
+    def __init__(self, samples: list[StaggeringSample]):
+        if not samples:
             raise ValueError("nothing to replay: no recorded samples")
-        self._counts = {Role.HEAD: head_counts, Role.TRAIL: trail_counts}
-        self._timestamps = timestamps_ns
-        self._done = {Role.HEAD: head_done_interval, Role.TRAIL: trail_done_interval}
-        self.duration_us = (max(timestamps_ns) - timestamps_ns[0]) // 1000 + 1
+        self._samples = samples
+        self._done = {Role.HEAD: len(samples), Role.TRAIL: len(samples)}
+        for position, sample in enumerate(samples):
+            if sample.action is Action.HEAD_DONE:
+                self._done[Role.HEAD] = position
+            elif sample.action is Action.TRAIL_DONE:
+                self._done[Role.TRAIL] = position
+        start_ns = samples[0].timestamp_ns
+        self.duration_us = (max(s.timestamp_ns for s in samples) - start_ns) // 1000 + 1
         self.index = -1
         self.exhausted = False
 
-    @classmethod
-    def from_samples(cls, samples: list[StaggeringSample]) -> "ReplaySource":
-        head_done = trail_done = len(samples)
-        for position, sample in enumerate(samples):
-            if sample.action is Action.HEAD_DONE:
-                head_done = position
-            elif sample.action is Action.TRAIL_DONE:
-                trail_done = position
-        return cls(
-            head_counts=[s.head_count for s in samples],
-            trail_counts=[s.trail_count for s in samples],
-            head_done_interval=head_done,
-            trail_done_interval=trail_done,
-            timestamps_ns=[s.timestamp_ns for s in samples],
-        )
-
     def wait_one_period(self) -> None:
-        if self.index + 1 < len(self._timestamps):
+        if self.index + 1 < len(self._samples):
             self.index += 1
         else:
             self.exhausted = True
 
     def now_ns(self) -> int:
         if self.exhausted:
-            return self._timestamps[0] + self.duration_us * 1000
-        return self._timestamps[max(self.index, 0)]
+            return self._samples[0].timestamp_ns + self.duration_us * 1000
+        return self._samples[max(self.index, 0)].timestamp_ns
 
     def read_count(self, role: Role) -> int:
-        return self._counts[role][max(self.index, 0)]
+        sample = self._samples[max(self.index, 0)]
+        return sample.head_count if role is Role.HEAD else sample.trail_count
 
     def suspend(self, role: Role) -> None:
         pass

@@ -111,12 +111,15 @@ class SimTrace:
 
     instants holds (tick, staggering) for every completed tick while the head
     was still alive; samples holds what a live monitor would have recorded at
-    check instants.
+    check instants. Whether diversity was lost is read off the samples.
     """
 
     samples: list[StaggeringSample] = field(default_factory=list)
     instants: list[tuple[int, int]] = field(default_factory=list)
-    diversity_lost: bool = False
+
+    @property
+    def diversity_lost(self) -> bool:
+        return any(s.action is Action.DIVERSITY_LOSS for s in self.samples)
 
 
 def min_staggering(trace: SimTrace) -> int:
@@ -172,7 +175,6 @@ def simulate(
                 trail_view = TrailState.RUNNING
         elif not head_done_emitted and stag < 0:
             action = Action.DIVERSITY_LOSS
-            trace.diversity_lost = True
             if trail_view is TrailState.RUNNING:
                 source.suspend(Role.TRAIL)
                 trail_view = TrailState.SUSPENDED
@@ -191,7 +193,7 @@ def simulate(
                 trail_view = TrailState.RUNNING
 
         trace.samples.append(
-            StaggeringSample.at(interval, source.now_ns(), head_count, trail_count, action)
+            StaggeringSample(interval, source.now_ns(), head_count, trail_count, action)
         )
         interval += 1
         if action is Action.DIVERSITY_LOSS and diversity_loss_policy is DiversityLossPolicy.ABORT_RUN:
@@ -296,7 +298,7 @@ def exhaustive_check(
     if space is None:
         raise SearchSpaceTooLarge(
             f"{len(alphabet)}^(2*{ticks}) schedules over {ticks} ticks exceeds the "
-            f"bound of {MAX_KERNEL_WORK} blocks of {_WORK_UNIT} schedules times ticks"
+            f"bound of {MAX_KERNEL_WORK} units of {_WORK_UNIT} schedules times ticks"
         )
 
     # A freeze past the last tick never bites, however late: this keeps
@@ -340,8 +342,7 @@ def write_schedule_csv(schedule: Schedule, sink) -> None:
         sink.write(f"{i + 1},{head},{trail}\n")
 
 
-def read_schedule_csv(source, period_ticks=1, suspend_latency_ticks=0,
-                      head_length=None, trail_length=None) -> Schedule:
+def read_schedule_csv(source, period_ticks=1, suspend_latency_ticks=0) -> Schedule:
     """Parse `tick,head_delta,trail_delta` rows back into a Schedule."""
     lines = [line.strip() for line in source if line.strip()]
     if not lines or lines[0] != "tick,head_delta,trail_delta":
@@ -361,6 +362,4 @@ def read_schedule_csv(source, period_ticks=1, suspend_latency_ticks=0,
         head_deltas, trail_deltas,
         period_ticks=period_ticks,
         suspend_latency_ticks=suspend_latency_ticks,
-        head_length=head_length,
-        trail_length=trail_length,
     )

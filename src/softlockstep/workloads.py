@@ -33,10 +33,6 @@ class Workload:
     payload: PayloadSpec
     computation: Callable[[Sequence[memoryview], Sequence[memoryview]], object]
 
-    @property
-    def ident(self) -> str:
-        return f"{self.name}:{self.param}"
-
 
 def _matmul(inputs: Sequence[memoryview], outputs: Sequence[memoryview]) -> None:
     a_flat = np.frombuffer(inputs[0], dtype=np.int64)

@@ -199,9 +199,20 @@ def test_impossible_pinning_exits_seventy(tmp_path, capsys):
       "--cores", "1"], "HEAD,TRAIL"),
     (["calibrate", "--margin", "0.5"], "margin must be >= 1"),
     (["calibrate", "--backend", "scripted:"], "needs a file"),
+    # A flag the chosen backend would ignore is refused, not dropped.
+    (["run", "--workload", "spin:1000", "--threshold", "5", "--period-ticks", "0"],
+     "--period-ticks applies only to the scripted backend"),
+    (["run", "--workload", "spin:1000", "--threshold", "5", "--scripted-latency", "7"],
+     "--scripted-latency applies only to the scripted backend"),
+    (["calibrate", "--scripted-latency", "2"],
+     "--scripted-latency applies only to the scripted backend"),
+    (["run", "--backend", "scripted:{schedule}", "--threshold", "5", "--cores", "0,1"],
+     "--cores pins real replicas"),
 ])
-def test_usage_errors_exit_sixty_four(argv, fragment, capsys):
-    assert main(argv) == 64
+def test_usage_errors_exit_sixty_four(argv, fragment, tmp_path, capsys):
+    schedule = tmp_path / "schedule.csv"
+    schedule.write_text("tick,head_delta,trail_delta\n1,5,1\n2,5,1\n")
+    assert main([arg.format(schedule=schedule) for arg in argv]) == 64
     assert fragment in capsys.readouterr().err
 
 
@@ -269,7 +280,10 @@ def test_simulate_oversized_space_exits_sixty_five(capsys):
     code = main(["simulate", "--alphabet", ",".join(map(str, range(10))),
                  "--ticks", "8", "--threshold", "1"])
     assert code == 65
-    assert "exceeds" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: 10^(2*8) schedules over 8 ticks exceeds the bound of "
+        "12000 units of 4096 schedules times ticks\n"
+    )
 
 
 def test_simulate_huge_tick_count_exits_sixty_five_promptly(capsys, fails_after):

@@ -2,7 +2,6 @@
 
 import time
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -179,11 +178,11 @@ def replay_samples():
         (3, 4000, 300, 200, Action.HEAD_DONE),
         (4, 5000, 300, 300, Action.TRAIL_DONE),
     ]
-    return [StaggeringSample.at(*row) for row in rows]
+    return [StaggeringSample(*row) for row in rows]
 
 
 def test_replay_source_reproduces_counts_and_terminations():
-    source = ReplaySource.from_samples(replay_samples())
+    source = ReplaySource(replay_samples())
     head, trail = Role.HEAD, Role.TRAIL
 
     assert source.exit_status(head) is None
@@ -203,7 +202,7 @@ def test_replay_source_reproduces_counts_and_terminations():
 
 
 def test_replay_termination_lands_at_the_recorded_interval():
-    source = ReplaySource.from_samples(replay_samples())
+    source = ReplaySource(replay_samples())
     head, trail = Role.HEAD, Role.TRAIL
     for _ in range(4):  # steps to index 3, the HEAD_DONE interval
         source.wait_one_period()
@@ -212,7 +211,7 @@ def test_replay_termination_lands_at_the_recorded_interval():
 
 
 def test_replay_step_clamps_at_the_last_sample():
-    source = ReplaySource.from_samples(replay_samples())
+    source = ReplaySource(replay_samples())
     for _ in range(50):
         source.wait_one_period()
     assert source.index == 4
@@ -220,17 +219,12 @@ def test_replay_step_clamps_at_the_last_sample():
 
 
 def test_replay_suspend_resume_are_no_ops():
-    source = ReplaySource.from_samples(replay_samples())
+    source = ReplaySource(replay_samples())
     head = Role.HEAD
     source.wait_one_period()
     source.suspend(head)
     source.wait_one_period()
     assert source.read_count(head) == 200
-
-
-def test_replay_rejects_unequal_streams():
-    with pytest.raises(ValueError):
-        ReplaySource([1, 2], [1], 0, 0, [10, 20])
 
 
 def test_exit_status_failure_causes():

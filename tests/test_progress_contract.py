@@ -42,7 +42,7 @@ def test_every_source_conforms_to_the_progress_source_protocol():
     sources = [
         ReplicaSession(PayloadSpec.of([], [], [4]), "task-clock", {}),
         ScriptedSource(Schedule.of([1], [])),
-        ReplaySource.from_samples([StaggeringSample.at(0, 1000, 1, 0, Action.NONE)]),
+        ReplaySource([StaggeringSample(0, 1000, 1, 0, Action.NONE)]),
     ]
     for source in sources:
         assert isinstance(source, ProgressSource), type(source).__name__
