@@ -56,9 +56,9 @@ def _build_parser() -> _Parser:
     run.add_argument("--trace-out", help="write the staggering trace CSV here")
     run.add_argument("--inject", help="fault to inject: bitflip:ROLE:OUT:BYTE:BIT, freeze:ROLE:DUR, crash:ROLE")
     run.add_argument("--backend", default="process", help="'process' or 'scripted:FILE' with tick,head_delta,trail_delta rows")
-    run.add_argument("--counter", default="auto", choices=["auto", "instructions", "task-clock"], help="progress counter kind")
+    run.add_argument("--counter", choices=["auto", "instructions", "task-clock"], help="process backend: progress counter kind (default auto)")
     run.add_argument("--cores", help="pin replicas (and monitor) to cores: HEAD,TRAIL[,MONITOR]")
-    run.add_argument("--seed", type=int, default=0, help="workload input generation seed")
+    run.add_argument("--seed", type=int, help="process backend: workload input generation seed (default 0)")
     run.add_argument("--on-diversity-loss", default="record", choices=["record", "abort"], help="what to do when staggering goes negative")
     run.add_argument("--period-ticks", type=int, help="scripted backend: ticks per check (default 1)")
     run.add_argument("--scripted-latency", type=int, help="scripted backend: suspension latency in ticks (default 0)")
@@ -66,14 +66,14 @@ def _build_parser() -> _Parser:
     cal = sub.add_parser("calibrate", help="measure this host and recommend a threshold")
     cal.add_argument("--period-us", type=int, default=1000, help="check period the threshold is for")
     cal.add_argument("--margin", type=float, default=2.0, help="safety margin multiplier (>= 1)")
-    cal.add_argument("--duration-ms", type=int, default=300, help="rate measurement duration")
-    cal.add_argument("--samples", type=int, default=30, help="suspension latency probe count")
-    cal.add_argument("--counter", default="auto", choices=["auto", "instructions", "task-clock"], help="progress counter kind")
+    cal.add_argument("--duration-ms", type=int, help="process backend: rate measurement duration (default 300)")
+    cal.add_argument("--samples", type=int, help="process backend: suspension latency probe count (default 30)")
+    cal.add_argument("--counter", choices=["auto", "instructions", "task-clock"], help="process backend: progress counter kind (default auto)")
     cal.add_argument("--backend", default="process", help="'process' or 'scripted:FILE' for exact, privilege-free calibration")
     cal.add_argument("--scripted-latency", type=int, help="scripted backend: suspension latency in ticks (default 0)")
     cal.add_argument("--out", help="also write the report to this file")
 
-    check = sub.add_parser("simulate", help="brute-force the staggering model over a rate alphabet")
+    check = sub.add_parser("simulate", help="check the staggering model over every schedule of a rate alphabet")
     check.add_argument("--alphabet", required=True, help="comma-separated per-tick rates, e.g. 0,1,2")
     check.add_argument("--ticks", type=int, required=True, help="schedule length in ticks")
     check.add_argument("--period", type=int, default=1, help="ticks per monitor check")
@@ -92,11 +92,14 @@ def _parse_cores(text: str) -> tuple[int, int, int | None]:
     return values[0], values[1], values[2] if len(values) == 3 else None
 
 
-def _refuse_scripted_flags(args) -> None:
-    """A scripted-only flag given to the process backend is a usage error, not a no-op."""
-    for flag in ("--period-ticks", "--scripted-latency"):
+_SCRIPTED_FLAGS = ("--period-ticks", "--scripted-latency")
+
+
+def _refuse_flags(args, flags, backend: str) -> None:
+    """A flag the chosen backend would ignore is a usage error, not a no-op."""
+    for flag in flags:
         if getattr(args, flag[2:].replace("-", "_"), None) is not None:
-            raise ValueError(f"{flag} applies only to the scripted backend (scripted:FILE)")
+            raise ValueError(f"{flag} applies only to the {backend}")
 
 
 def _read_schedule(args):
@@ -138,12 +141,12 @@ def _resolve_threshold(args) -> tuple[int, str]:
     if args.threshold is not None and args.calibration_file:
         raise ValueError("give either --threshold or --calibration-file, not both")
     if args.threshold is not None:
-        return args.threshold, args.counter
+        return args.threshold, args.counter or "auto"
     if args.calibration_file:
         report = calibration.read_report(args.calibration_file)
         # A threshold is only meaningful against the counter it was measured
         # with; adopt the report's counter unless explicitly overridden.
-        counter = report.counter if args.counter == "auto" else args.counter
+        counter = report.counter if args.counter in (None, "auto") else args.counter
         return report.recommended_threshold, counter
     raise ValueError("a threshold is required: --threshold N or --calibration-file FILE")
 
@@ -151,10 +154,10 @@ def _resolve_threshold(args) -> tuple[int, str]:
 def _cmd_run(args) -> int:
     threshold, counter = _resolve_threshold(args)
     if args.backend == "process":
-        _refuse_scripted_flags(args)
+        _refuse_flags(args, _SCRIPTED_FLAGS, "scripted backend (scripted:FILE)")
         if not args.workload:
             raise ValueError("the process backend needs --workload")
-        workload = parse_workload_id(args.workload, seed=args.seed)
+        workload = parse_workload_id(args.workload, seed=0 if args.seed is None else args.seed)
         config = _run_config(args, threshold)
         fault = integrity.parse_fault_spec(args.inject) if args.inject else None
         outputs = [bytearray(size) for size in workload.payload.output_sizes]
@@ -169,6 +172,7 @@ def _cmd_run(args) -> int:
             inject=fault,
         )
     elif args.backend.startswith("scripted:"):
+        _refuse_flags(args, ("--seed", "--counter"), "process backend")
         if args.workload:
             raise ValueError("the scripted backend replays a schedule; it takes no --workload")
         if args.inject:
@@ -194,15 +198,16 @@ def _cmd_calibrate(args) -> int:
     if args.margin < 1:
         raise ValueError("margin must be >= 1")
     if args.backend == "process":
-        _refuse_scripted_flags(args)
+        _refuse_flags(args, _SCRIPTED_FLAGS, "scripted backend (scripted:FILE)")
         report = calibration.calibrate(
             check_period_us=args.period_us,
             safety_margin=args.margin,
-            duration_us=args.duration_ms * 1000,
-            probes=args.samples,
-            counter=args.counter,
+            duration_us=(300 if args.duration_ms is None else args.duration_ms) * 1000,
+            probes=30 if args.samples is None else args.samples,
+            counter=args.counter or "auto",
         )
     elif args.backend.startswith("scripted:"):
+        _refuse_flags(args, ("--samples", "--duration-ms", "--counter"), "process backend")
         report = calibration.calibrate_scripted(
             _read_schedule(args), check_period_us=args.period_us, safety_margin=args.margin
         )

@@ -378,7 +378,7 @@ def write_trace(trace: Trace, sink) -> None:
 
 
 def read_trace(source) -> Trace:
-    """Parse a trace CSV; rejects bad headers and a staggering its counts contradict."""
+    """Parse a trace CSV; rejects bad headers, negative counts and a staggering they contradict."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, newline="") as f:
             return read_trace(f)
@@ -396,6 +396,9 @@ def read_trace(source) -> Trace:
         if len(row) != 6:
             raise ValueError(f"row {len(samples) + 2}: expected 6 fields, got {len(row)}")
         interval, timestamp, head, trail, stag = (int(v) for v in row[:5])
+        if head < 0 or trail < 0:
+            raise ValueError(f"row {len(samples) + 2}: progress counts must be non-negative, "
+                             f"got head {head}, trail {trail}")
         sample = StaggeringSample(interval, timestamp, head, trail, Action(row[5]))
         # Checked, then dropped: a sample derives its staggering from its counts.
         if stag != sample.staggering:

@@ -10,20 +10,19 @@ model also tracks staggering at every tick boundary (not just at checks), it
 captures the true minimum staggering, which is exactly the hazard the
 threshold guards against: the trail catching up between checks.
 
-The model is small enough to brute-force. exhaustive_check enumerates every
-per-tick rate assignment over a small alphabet and either certifies that no
-schedule drives the staggering negative or returns one that does. It walks
-the trails of a block of whole heads as a prefix tree in int64 numpy arrays,
-advancing each tick prefix once; simulate() stays the tick-by-tick reference
-the tests hold that kernel to.
+The model is small enough to check exhaustively. exhaustive_check covers
+every per-tick rate assignment over a small alphabet and either certifies
+that no schedule drives the staggering negative or returns the first one, in
+head-major order, that does. It walks the monitor states reachable after each
+tick, keeping for each state the least prefix that reaches it, rather than
+the schedules; simulate() stays the tick-by-tick reference the tests hold
+that walk to.
 """
 
 from __future__ import annotations
 
-import itertools
+import bisect
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .core import (
     Action,
@@ -35,18 +34,14 @@ from .core import (
 )
 from .progress import ScriptedSource
 
-# Schedules exhaustive_check evaluates together, as whole heads and at least
-# one: its memory whatever the space, 128 KiB per int64 array at full width.
-_BLOCK = 16_384
-# Bound on exhaustive_check's work: units of _WORK_UNIT schedules times ticks.
-# Every space of up to 10M schedules fits; the largest, five letters over five
-# ticks, counts 2,385 units x 5 ticks and takes about 0.2 s of one 2-vCPU VM.
+# Bound on exhaustive_check's input: units of _WORK_UNIT schedules times ticks.
+# It was set for a kernel that stepped every schedule; the state walk costs
+# far less, but the bound stays so that the same checks are accepted. Every
+# space of up to 10M schedules fits, and a single letter may run 12,000 ticks.
 _WORK_UNIT = 4096
 MAX_KERNEL_WORK = 12_000
-# The kernel counts in int64, so rates and thresholds must keep counts below this.
-INT64_MAX = int(np.iinfo(np.int64).max)
-# The freeze tick of a running trail: later than any tick.
-_RUNNING = INT64_MAX
+# Rates and thresholds must keep counts within int64, the counters' width.
+INT64_MAX = 2**63 - 1
 
 
 class EmptyTrace(ValueError):
@@ -202,42 +197,54 @@ def simulate(
             return trace
 
 
-def _min_staggering_tree(heads, letters, period_ticks, latency_ticks, threshold):
-    """Minimum tick-boundary staggering of every trail under each of `heads`.
+def _first_counterexample(alphabet, ticks, period_ticks, latency, threshold):
+    """(head index, trail index) of the first schedule that goes negative, or None.
 
-    heads holds one row of per-tick rates per head and letters the alphabet,
-    both int64; row h of the result holds the minimum of each of the
-    |letters|^ticks trails under head h, in itertools.product order. The
-    state after tick t depends only on the head and the trail's first t
-    rates, so tick t advances each (t-1)-tick prefix once and broadcasts the
-    alphabet over it: the arrays grow from |letters|^(t-1) to |letters|^t
-    columns. Prefixes are shared, but every schedule keeps its own exact
-    minimum: none is skipped or pruned, and no two distinct prefixes are
-    merged into one row. The rules are simulate()'s restricted to replicas
-    without lengths, and the minimum starts from the tick-0 staggering of 0.
-    A trail is frozen from the tick in frozen_from: 0 at the start, check
-    tick + latency + 1 after a suspend, and _RUNNING, later than any tick,
-    once resumed; so the freeze tick is also the monitor's view. It changes
-    only at checks, so it keeps one entry per prefix as of the last check.
+    Walks the monitor states reachable after each tick: the staggering and
+    the tick the trail is frozen from (it runs at tick u while u < that
+    tick): 0 once it is frozen for the next tick, ticks + 1 if it runs to
+    the end, else a pending suspend's check tick + latency + 1. Each state
+    keeps the least (head, trail) prefix reaching it: prefixes in one state
+    go negative under the same extensions, and a common extension keeps
+    their head-major order. A state goes negative soonest under the lowest
+    head rate and the least trail rate above its staggering plus that;
+    padded with the lowest rate, that is a candidate, and a state whose
+    least extension cannot precede the least candidate is dropped. The rules
+    are simulate()'s restricted to replicas without lengths.
     """
-    rows = len(heads)
-    staggering = minimum = np.zeros((rows, 1), dtype=np.int64)
-    frozen_from = np.zeros((rows, 1, 1, 1), dtype=np.int64)
-    for tick, head_rates in enumerate(heads.T[:, :, None, None, None], start=1):
-        # Columns grouped by their prefix at the last check, whose freeze they share.
-        prefixes = frozen_from.shape[1]
-        staggering = (staggering.reshape(rows, prefixes, -1, 1)
-                      + (head_rates - (tick < frozen_from) * letters)).reshape(rows, -1)
-        minimum = np.minimum(minimum[:, :, None], staggering.reshape(rows, -1, len(letters)))
-        minimum = minimum.reshape(rows, -1)
-        if tick % period_ticks == 0:
-            # A suspend keeps an earlier freeze tick; a resume runs the trail.
-            frozen_from = np.where(
-                staggering.reshape(rows, prefixes, -1, 1) < threshold,
-                np.minimum(frozen_from, tick + latency_ticks + 1),
-                _RUNNING,
-            ).reshape(rows, -1, 1, 1)
-    return minimum
+    size, lowest = len(alphabet), alphabet[0]
+    states = {(0, 0): (0, 0)}
+    # Past every schedule while no candidate is known.
+    first = past = (size**ticks, 0)
+    for tick in range(1, ticks + 1):
+        # Extensions of one replica's prefix of this tick to the full length.
+        rest = size ** (ticks - tick)
+        reached = {}
+        for (staggering, frozen_from), (head, trail) in states.items():
+            head, trail = head * size, trail * size
+            if (head * rest, trail * rest) >= first:
+                continue
+            running = tick < frozen_from
+            if running and (over := bisect.bisect_right(alphabet, staggering + lowest)) < size:
+                first = min(first, (head * rest, (trail + over) * rest))
+            if tick == ticks:
+                continue
+            # A frozen trail's rate does not count: its lowest stands for all.
+            for head_digit, head_rate in enumerate(alphabet):
+                for trail_digit, trail_rate in enumerate(alphabet if running else (0,)):
+                    now = staggering + head_rate - trail_rate
+                    if now < 0:
+                        break
+                    freeze = frozen_from
+                    if tick % period_ticks == 0:
+                        # A suspend keeps an earlier freeze tick; a resume runs the trail.
+                        freeze = min(freeze, tick + latency + 1) if now < threshold else ticks + 1
+                    state = (now, 0 if freeze <= tick + 1 else min(freeze, ticks + 1))
+                    prefix = (head + head_digit, trail + trail_digit)
+                    if state not in reached or prefix < reached[state]:
+                        reached[state] = prefix
+        states = reached
+    return None if first == past else first
 
 
 def _search_space(size: int, ticks: int) -> int | None:
@@ -270,17 +277,16 @@ def exhaustive_check(
     suspend_latency_ticks: int,
     threshold: int,
 ) -> CheckResult:
-    """Brute-force the safety claim over every head/trail rate assignment.
+    """Check the safety claim over every head/trail rate assignment.
 
-    Enumerates |alphabet|^(2*ticks) schedules in head-major itertools.product
+    Covers |alphabet|^(2*ticks) schedules in head-major itertools.product
     order and returns the first one whose staggering goes negative at any
     tick boundary, or a safe verdict if none exists. schedules_checked is
     the 1-based index of that counterexample, or the whole space when safe.
-    Whole heads are evaluated together, about _BLOCK schedules and at least
-    one head at a time, and the search stops at the first block holding a
-    counterexample. Each head's trails share their tick prefixes, but every
-    schedule keeps its own exact minimum: none is skipped or pruned, and no
-    two distinct prefixes are merged into one row.
+    The schedules are not stepped one by one: the walk advances the monitor
+    states reachable after each tick, each with the least prefix reaching
+    it, which finds exactly the counterexample a schedule-by-schedule
+    enumeration would find first.
     """
     alphabet = tuple(sorted({int(r) for r in rate_alphabet}))
     if not alphabet or any(r < 0 for r in alphabet):
@@ -301,36 +307,19 @@ def exhaustive_check(
             f"bound of {MAX_KERNEL_WORK} units of {_WORK_UNIT} schedules times ticks"
         )
 
-    # A freeze past the last tick never bites, however late: this keeps
-    # tick + latency + 1 inside int64.
-    latency = min(suspend_latency_ticks, ticks)
-    heads = np.array(list(itertools.product(alphabet, repeat=ticks)), dtype=np.int64)
-    letters = np.array(alphabet, dtype=np.int64)
-    trails = len(alphabet) ** ticks
-    per_block = max(1, _BLOCK // trails)
-    for first in range(0, len(heads), per_block):
-        minimum = _min_staggering_tree(
-            heads[first:first + per_block], letters, period_ticks, latency, threshold
-        )
-        unsafe = np.flatnonzero(minimum < 0)
-        if unsafe.size:
-            index = first * trails + int(unsafe[0])
-            # Head then trail digits of the index, most significant first.
-            rates, rest = [], index
-            for _ in range(2 * ticks):
-                rest, digit = divmod(rest, len(alphabet))
-                rates.append(alphabet[digit])
-            rates.reverse()
-            return CheckResult(
-                safe=False,
-                counterexample=Schedule.of(
-                    rates[:ticks], rates[ticks:],
-                    period_ticks=period_ticks,
-                    suspend_latency_ticks=suspend_latency_ticks,
-                ),
-                schedules_checked=index + 1,
-            )
-    return CheckResult(safe=True, schedules_checked=space)
+    first = _first_counterexample(alphabet, ticks, period_ticks, suspend_latency_ticks, threshold)
+    if first is None:
+        return CheckResult(safe=True, schedules_checked=space)
+    size = len(alphabet)
+    # Each index read as base-|alphabet| digits, most significant first.
+    head, trail = ([alphabet[index // size**k % size] for k in reversed(range(ticks))]
+                   for index in first)
+    return CheckResult(
+        safe=False,
+        counterexample=Schedule.of(head, trail, period_ticks=period_ticks,
+                                   suspend_latency_ticks=suspend_latency_ticks),
+        schedules_checked=first[0] * size**ticks + first[1] + 1,
+    )
 
 
 def write_schedule_csv(schedule: Schedule, sink) -> None:

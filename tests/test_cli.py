@@ -208,6 +208,16 @@ def test_impossible_pinning_exits_seventy(tmp_path, capsys):
      "--scripted-latency applies only to the scripted backend"),
     (["run", "--backend", "scripted:{schedule}", "--threshold", "5", "--cores", "0,1"],
      "--cores pins real replicas"),
+    (["run", "--backend", "scripted:{schedule}", "--threshold", "5", "--seed", "7"],
+     "--seed applies only to the process backend"),
+    (["run", "--backend", "scripted:{schedule}", "--threshold", "5", "--counter", "instructions"],
+     "--counter applies only to the process backend"),
+    (["calibrate", "--backend", "scripted:{schedule}", "--samples", "1"],
+     "--samples applies only to the process backend"),
+    (["calibrate", "--backend", "scripted:{schedule}", "--duration-ms", "1"],
+     "--duration-ms applies only to the process backend"),
+    (["calibrate", "--backend", "scripted:{schedule}", "--counter", "auto"],
+     "--counter applies only to the process backend"),
 ])
 def test_usage_errors_exit_sixty_four(argv, fragment, tmp_path, capsys):
     schedule = tmp_path / "schedule.csv"

@@ -404,6 +404,15 @@ def test_read_trace_rejects_malformed_input():
         read_trace(io.StringIO(header + "0,0,5,1,4,FROB\n"))
 
 
+@pytest.mark.parametrize("row", ["0,0,-5,1,-6,NONE", "0,0,5,-1,6,NONE"],
+                         ids=["head", "trail"])
+def test_read_trace_refuses_negative_counts(row):
+    # Refused when read, not later by replay's staggering rule.
+    header = ",".join(TRACE_HEADER) + "\n"
+    with pytest.raises(ValueError, match="row 3: progress counts must be non-negative"):
+        read_trace(io.StringIO(header + "0,0,5,1,4,NONE\n" + row + "\n"))
+
+
 def test_trace_validate_flags_illegal_structures():
     ok = Trace(samples=[
         sample(0, 10, 5, 0, Action.NONE),

@@ -3,7 +3,6 @@
 import io
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +24,6 @@ from softlockstep.sim import (
     simulate,
     write_schedule_csv,
 )
-from softlockstep.sim import _min_staggering_tree
 
 
 def actions(trace):
@@ -258,60 +256,76 @@ def naive_check(alphabet, ticks, period, latency, threshold):
 
 @pytest.mark.parametrize("alphabet", [(0, 1, 2), (0, 1, 3), (0, 2), (1,)],
                          ids=lambda alphabet: ",".join(map(str, alphabet)))
-def test_exhaustive_equals_the_naive_enumeration(alphabet, monkeypatch):
+def test_exhaustive_equals_the_naive_enumeration(alphabet):
     # Three ticks for three letters keeps the naive loop to seconds. Period 2
-    # divides neither 3 nor 4 ticks, nor period 3 four; a 64-schedule block
-    # holds two heads of 27 trails or four of 16, so the first counterexample
-    # falls in a later block, and 27 heads leave a partial last one.
+    # divides neither 3 nor 4 ticks, nor period 3 four.
     ticks = 4 if len(alphabet) < 3 else 3
-    for period, latency, threshold in itertools.product(range(1, 4), range(3), range(10)):
+    for period, latency, threshold in itertools.product(range(1, 4), range(3), range(-1, 10)):
         expected = naive_check(alphabet, ticks, period, latency, threshold)
-        for block in (sim._BLOCK, 64):
-            monkeypatch.setattr(sim, "_BLOCK", block)
-            assert exhaustive_check(alphabet, ticks, period, latency, threshold) == expected
+        assert exhaustive_check(alphabet, ticks, period, latency, threshold) == expected
 
 
-def test_a_block_smaller_than_one_head_still_holds_a_whole_head(monkeypatch):
-    # Eight rows cannot hold one head's 27 trails: each block is one head.
-    monkeypatch.setattr(sim, "_BLOCK", 8)
-    for period, latency, threshold in itertools.product(range(1, 4), range(3), range(-1, 8)):
-        expected = naive_check((0, 1, 2), 3, period, latency, threshold)
-        assert exhaustive_check((0, 1, 2), 3, period, latency, threshold) == expected
+def first_negative_tick(schedule, threshold):
+    return next(tick for tick, stag in simulate(schedule, threshold).instants if stag < 0)
 
 
-def test_each_block_holds_whole_heads_and_every_head_is_evaluated_once(monkeypatch):
-    # A safe verdict counts the whole space, so a skipped block would not
-    # show in its result: record the heads each kernel call is given.
-    blocks = []
-    kernel = sim._min_staggering_tree
-
-    def recording(heads, *args):
-        blocks.append(heads.tolist())
-        return kernel(heads, *args)
-
-    monkeypatch.setattr(sim, "_min_staggering_tree", recording)
-    for block, sizes in ((8, [1] * 27), (64, [2] * 13 + [1]), (sim._BLOCK, [27])):
-        blocks.clear()
-        monkeypatch.setattr(sim, "_BLOCK", block)
-        assert exhaustive_check((0, 1, 2), 3, 1, 1, 4).safe  # 4 = r_max * (P + L)
-        assert [len(heads) for heads in blocks] == sizes
-        assert [head for heads in blocks for head in heads] == [
-            list(head) for head in itertools.product((0, 1, 2), repeat=3)
-        ]
+def test_the_first_counterexample_may_go_negative_later_than_another():
+    # Head 0,0,1,0 goes negative only at tick 4, head 1,0,0,0 already at
+    # tick 2: a walk that stopped at the first tick with a candidate would
+    # return the later head.
+    args = ((0, 1, 2), 4, 1, 1, 1)
+    result = exhaustive_check(*args)
+    assert result == naive_check(*args)
+    assert result.schedules_checked == 246
+    assert result.counterexample == Schedule.of((0, 0, 1, 0), (0, 0, 0, 2), suspend_latency_ticks=1)
+    assert first_negative_tick(result.counterexample, threshold=1) == 4
+    later = Schedule.of((1, 0, 0, 0), (0, 2, 0, 0), suspend_latency_ticks=1)
+    assert first_negative_tick(later, threshold=1) == 2
 
 
-@settings(max_examples=60, deadline=None)
+def test_merged_prefixes_keep_the_least():
+    # After tick 2 head 0,1 and head 1,0, each under trail 0,0, reach the
+    # same state: staggering 1 with the trail just resumed. The least prefix
+    # gives schedule 68; the other one would give 132.
+    args = ((0, 1), 4, 2, 0, 1)
+    result = exhaustive_check(*args)
+    assert result == naive_check(*args)
+    assert result.schedules_checked == 68
+    assert result.counterexample == Schedule.of((0, 1, 0, 0), (0, 0, 1, 1), period_ticks=2)
+    for head in ((0, 1, 0, 0), (1, 0, 0, 0)):
+        trace = simulate(Schedule.of(head, (0, 0, 1, 1), period_ticks=2), threshold=1)
+        assert trace.instants[1] == (2, 1) and actions(trace)[0] is Action.RESUME
+        assert min_staggering(trace) < 0
+
+
+@settings(max_examples=80, deadline=None)
 @given(
-    alphabet=st.sets(st.integers(min_value=0, max_value=6), min_size=1, max_size=3),
+    alphabet=st.one_of(
+        st.sets(st.integers(min_value=0, max_value=6), min_size=1, max_size=3),
+        st.sets(st.integers(min_value=0, max_value=40), min_size=1, max_size=3),
+    ),
     ticks=st.integers(min_value=1, max_value=3),
     period=st.integers(min_value=1, max_value=4),
-    latency=st.integers(min_value=0, max_value=3),
-    threshold=st.integers(min_value=-1, max_value=12),
+    latency=st.one_of(st.integers(min_value=0, max_value=3), st.just(10**30)),
+    threshold=st.integers(min_value=-1, max_value=60),
 )
 def test_exhaustive_equals_the_naive_enumeration_on_random_inputs(
         alphabet, ticks, period, latency, threshold):
     expected = naive_check(alphabet, ticks, period, latency, threshold)
     assert exhaustive_check(alphabet, ticks, period, latency, threshold) == expected
+
+
+def test_the_costliest_accepted_checks_stay_fast(fails_after):
+    # The widest alphabets the work bound accepts for one, two, three, five
+    # and eleven ticks, with rates far apart so that few prefixes share a state.
+    spread = [3**k for k in range(15)]
+    with fails_after(2):
+        assert exhaustive_check(range(7000), 1, 1, 0, 0).schedules_checked == 7000**2
+        assert not exhaustive_check(range(60), 2, 1, 0, 0).safe
+        assert exhaustive_check(spread, 3, 1, 0, 3**14).schedules_checked == 15**6
+        assert not exhaustive_check(spread, 3, 1, 0, 3**13).safe
+        assert exhaustive_check([0, 3], 11, 1, 0, 3).schedules_checked == 2**22
+        assert exhaustive_check(spread[:5], 5, 2, 1, 3**4 * 3).schedules_checked == 5**10
 
 
 def test_exhaustive_rejects_oversized_spaces():
@@ -406,41 +420,6 @@ def test_safety_theorem_on_random_schedules(schedule):
     trace = simulate(schedule, threshold=threshold)
     assert min_staggering(trace) >= 0
     assert not trace.diversity_lost
-
-
-@st.composite
-def head_runs(draw):
-    """An alphabet, a tick count and a run of consecutive heads over them."""
-    letters = sorted(draw(st.sets(st.integers(min_value=0, max_value=4), min_size=1, max_size=3)))
-    ticks = draw(st.integers(min_value=1, max_value=4))
-    heads = list(itertools.product(letters, repeat=ticks))
-    first = draw(st.integers(min_value=0, max_value=len(heads) - 1))
-    count = draw(st.integers(min_value=1, max_value=len(heads) - first))
-    return letters, ticks, heads[first:first + count]
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    run=head_runs(),
-    period=st.integers(min_value=1, max_value=3),
-    latency=st.integers(min_value=0, max_value=2),
-    threshold=st.integers(min_value=0, max_value=12),
-)
-def test_fast_min_matches_full_simulator(run, period, latency, threshold):
-    # the tree kernel and the trace-building simulator must agree on the
-    # minimum staggering of every (head, trail) row, in head-major order, or
-    # exhaustive_check verdicts and indices mean nothing; shared prefixes
-    # must not leak one trail's state into another.
-    letters, ticks, heads = run
-    fast = _min_staggering_tree(np.array(heads, dtype=np.int64), np.array(letters, dtype=np.int64),
-                                period, latency, threshold)
-    assert fast.shape == (len(heads), len(letters) ** ticks)
-    rows = itertools.product(heads, itertools.product(letters, repeat=ticks))
-    for (head, trail), row_minimum in zip(rows, fast.ravel(), strict=True):
-        schedule = Schedule.of(head, trail, period_ticks=period, suspend_latency_ticks=latency)
-        full = min_staggering(simulate(schedule, threshold=threshold))
-        # the kernel seeds its minimum with the tick-0 staggering of 0, nothing else differs
-        assert row_minimum == min(full, 0)
 
 
 def test_schedule_csv_round_trip():
