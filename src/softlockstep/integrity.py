@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .core import Role, Verdict
 
 # Bytes compared per step: small enough that the trail's chunk buffer and
@@ -45,15 +43,17 @@ def _reader(outputs) -> tuple[list[int], Callable]:
 
 
 def _first_difference(a, b) -> int:
-    """Offset of the first byte where two equal-length buffers that differ do."""
-    x = np.frombuffer(a, dtype=np.uint8)
-    y = np.frombuffer(b, dtype=np.uint8)
-    try:
-        return int((x != y).argmax())
-    finally:
-        # x and y export the buffers; one still held by a traceback would
-        # make closing the head copy raise BufferError.
-        del x, y
+    """Offset of the first byte where two equal-length byte buffers that differ do."""
+    # Bisection keeping x[:lo] == y[:lo] and x[:hi] != y[:hi]; bytearray == buffer runs memcmp.
+    with memoryview(a) as x, memoryview(b) as y:
+        lo, hi = 0, len(x)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if bytearray(x[lo:mid]) == y[lo:mid]:
+                lo = mid
+            else:
+                hi = mid
+    return lo
 
 
 def compare_outputs(

@@ -20,7 +20,6 @@ from __future__ import annotations
 import ctypes
 import errno
 import os
-import platform
 import struct
 import sys
 
@@ -113,10 +112,10 @@ def _open(pid: int, kind: str) -> int:
             "per-process progress counters require Linux perf_event_open; "
             f"this platform is {sys.platform}"
         )
-    nr = _SYSCALL_NR.get(platform.machine())
+    nr = _SYSCALL_NR.get(os.uname().machine)
     if nr is None:
         raise CounterUnavailable(
-            f"perf_event_open syscall number unknown for architecture {platform.machine()}"
+            f"perf_event_open syscall number unknown for architecture {os.uname().machine}"
         )
     attr = _PerfEventAttr()
     attr.size = ctypes.sizeof(_PerfEventAttr)

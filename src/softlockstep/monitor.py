@@ -352,8 +352,11 @@ def replay(trace: Trace, config: MonitorConfig) -> tuple[Verdict, Trace]:
     the recording ends instead, so a run recorded without both replicas
     finishing (timed out, or aborted and replayed under another policy)
     ends as TIMEOUT. A replayed run that completes is a MATCH: the recording
-    holds no outputs to compare. An empty trace raises ValueError.
+    holds no outputs to compare. An empty or invalid trace raises ValueError.
     """
+    problems = trace.validate()
+    if problems:
+        raise ValueError("; ".join(problems))
     source = ReplaySource(trace.samples)
     return enforcement_loop(
         source=source,
@@ -393,15 +396,20 @@ def read_trace(source) -> Trace:
     for row in reader:
         if not row:
             continue
+        where = f"row {reader.line_num}"  # the file line, blank lines counted
         if len(row) != 6:
-            raise ValueError(f"row {len(samples) + 2}: expected 6 fields, got {len(row)}")
-        interval, timestamp, head, trail, stag = (int(v) for v in row[:5])
+            raise ValueError(f"{where}: expected 6 fields, got {len(row)}")
+        try:
+            interval, timestamp, head, trail, stag = (int(v) for v in row[:5])
+            action = Action(row[5])
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         if head < 0 or trail < 0:
-            raise ValueError(f"row {len(samples) + 2}: progress counts must be non-negative, "
+            raise ValueError(f"{where}: progress counts must be non-negative, "
                              f"got head {head}, trail {trail}")
-        sample = StaggeringSample(interval, timestamp, head, trail, Action(row[5]))
+        sample = StaggeringSample(interval, timestamp, head, trail, action)
         # Checked, then dropped: a sample derives its staggering from its counts.
         if stag != sample.staggering:
-            raise ValueError(f"staggering {stag} != head {head} - trail {trail}")
+            raise ValueError(f"{where}: staggering {stag} != head {head} - trail {trail}")
         samples.append(sample)
     return Trace(samples=samples, backend="file")

@@ -34,8 +34,6 @@ import traceback
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import linuxperf
 from .core import MonitorConfig, PayloadSpec, Role, validate_config
 from .progress import ExitKind, ExitStatus, StaleHandle
@@ -111,6 +109,24 @@ def _address(buf) -> int:
     return ctypes.addressof(ctypes.c_char.from_buffer(buf))
 
 
+# A Py_buffer has eleven fields, none wider than a pointer; buf comes first.
+_PyBuffer = ctypes.c_void_p * 11
+_get_buffer = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.py_object, _PyBuffer, ctypes.c_int)(
+    ("PyObject_GetBuffer", ctypes.pythonapi)
+)
+_release_buffer = ctypes.PYFUNCTYPE(None, _PyBuffer)(("PyBuffer_Release", ctypes.pythonapi))
+
+
+def _buffer_address(view: memoryview) -> int:
+    """Start address of a C-contiguous buffer, read-only ones too (c_char.from_buffer refuses those)."""
+    info = _PyBuffer()
+    _get_buffer(view, info, 0)  # PyBUF_SIMPLE; a refusal raises BufferError
+    try:
+        return info[0]
+    finally:
+        _release_buffer(info)
+
+
 def huge_page_mapping(size: int) -> mmap.mmap:
     """A zero-filled private anonymous mapping advised onto transparent huge pages."""
     region = mmap.mmap(-1, max(size, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
@@ -136,7 +152,7 @@ def _whole_pages(buf) -> tuple[int, int]:
     with memoryview(buf) as view:
         if not view.c_contiguous or view.nbytes < mmap.PAGESIZE:
             return 0, 0
-        start = np.frombuffer(view.cast("B"), dtype=np.uint8).ctypes.data
+        start = _buffer_address(view)
         end = (start + view.nbytes) // mmap.PAGESIZE * mmap.PAGESIZE
     first = -(-start // mmap.PAGESIZE) * mmap.PAGESIZE
     return first, max(end - first, 0)

@@ -3,18 +3,18 @@
 Every workload is a pure function of its input bytes: integer matrix multiply
 (no floating point, so results are bit-exact by construction), a 16-byte
 BLAKE2b digest, and a plain spin loop for calibration and timing experiments.
-Inputs are generated from a seed so two invocations with the same id and seed
-are byte-identical end to end.
+Inputs are generated from a seed (random.Random for checksum, numpy for matmul)
+so two invocations with the same id and seed are byte-identical end to end.
+Only matmul needs numpy, and imports it only when it is built or run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import random
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import PayloadSpec
 
@@ -35,6 +35,7 @@ class Workload:
 
 
 def _matmul(inputs: Sequence[memoryview], outputs: Sequence[memoryview]) -> None:
+    import numpy as np
     a_flat = np.frombuffer(inputs[0], dtype=np.int64)
     b_flat = np.frombuffer(inputs[1], dtype=np.int64)
     n = math.isqrt(len(a_flat))
@@ -61,6 +62,7 @@ def matmul_workload(n: int = 128, seed: int = 0) -> Workload:
     """n x n int64 matrix product; exact in integers, heavy in memory traffic."""
     if n < 1:
         raise ValueError("matrix size must be >= 1")
+    import numpy as np
     rng = np.random.default_rng(seed)
     a = rng.integers(-_VALUE_BOUND, _VALUE_BOUND, size=(n, n), dtype=np.int64)
     b = rng.integers(-_VALUE_BOUND, _VALUE_BOUND, size=(n, n), dtype=np.int64)
@@ -73,8 +75,7 @@ def checksum_workload(nbytes: int = 65536, seed: int = 0) -> Workload:
     """BLAKE2b digest of seeded random bytes; small output, easy to bit-flip."""
     if nbytes < 1:
         raise ValueError("input size must be >= 1")
-    rng = np.random.default_rng(seed)
-    data = rng.integers(0, 256, size=nbytes, dtype=np.uint8).tobytes()
+    data = random.Random(seed).randbytes(nbytes)
     payload = PayloadSpec.of([data], [nbytes], [_DIGEST_SIZE])
     return Workload(name="checksum", param=nbytes, seed=seed, payload=payload, computation=_checksum)
 

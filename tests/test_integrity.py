@@ -1,6 +1,7 @@
 """Output comparison exactness and the fault grammar/driver."""
 
 import mmap
+import random
 from contextlib import ExitStack
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softlockstep.core import Role, VerdictKind
-from softlockstep.integrity import _COMPARE_CHUNK
+from softlockstep.integrity import _COMPARE_CHUNK, _first_difference
 from softlockstep.integrity import (
     FaultKind,
     FaultSpec,
@@ -71,6 +72,21 @@ def naive_first_difference(a, b):
         if a[j] != b[j]:
             return j
     return None
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 64, 4097, 100_003, _COMPARE_CHUNK - 1, _COMPARE_CHUNK])
+@pytest.mark.parametrize("where", ["first", "last", "several"])
+def test_first_difference_agrees_with_a_byte_loop(size, where):
+    rng = random.Random(size)
+    head = rng.randbytes(size)
+    trail = bytearray(head)
+    positions = {"first": [0], "last": [size - 1]}.get(where) or rng.sample(range(size), min(size, 5))
+    for position in positions:
+        trail[position] ^= 1 << rng.randrange(8)
+    # As compare_outputs calls it: a view of the head copy, the trail's bytearray.
+    with memoryview(bytearray(head)) as view:
+        assert _first_difference(view, trail) == naive_first_difference(head, trail) == min(positions)
+        assert _first_difference(trail, view) == min(positions)
 
 
 def as_buffer(kind, data, stack):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softlockstep import linuxperf, monitor
+from softlockstep import linuxperf, monitor, replication
 from softlockstep.core import (
     Action,
     DiversityLossPolicy,
@@ -344,6 +344,14 @@ def test_replay_rejects_an_empty_trace():
         replay(Trace(), cfg(1))
 
 
+def test_replay_refuses_a_trace_that_validate_rejects():
+    header = ",".join(TRACE_HEADER) + "\n"
+    trace = read_trace(io.StringIO(header + "0,-5,5,1,4,NONE\n3,-9,6,1,5,NONE\n"))
+    assert trace.validate() == ["timestamp -5 decreases", "timestamp -9 decreases"]
+    with pytest.raises(ValueError, match="^timestamp -5 decreases; timestamp -9 decreases$"):
+        replay(trace, cfg(1))
+
+
 # --------------------------------------------------------------- trace CSV
 
 def sample(interval, ts, head, trail, action):
@@ -411,6 +419,20 @@ def test_read_trace_refuses_negative_counts(row):
     header = ",".join(TRACE_HEADER) + "\n"
     with pytest.raises(ValueError, match="row 3: progress counts must be non-negative"):
         read_trace(io.StringIO(header + "0,0,5,1,4,NONE\n" + row + "\n"))
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0,0,-5,1,-6,NONE", "progress counts must be non-negative"),
+    ("0,0,5,1,3,NONE", "staggering 3 != head 5 - trail 1"),
+    ("0,0,5,x,4,NONE", "invalid literal for int"),
+    ("0,0,5,1,4,FROB", "'FROB' is not a valid Action"),
+    ("0,0,1,1,0", "expected 6 fields, got 5"),
+], ids=["negative-count", "staggering", "not-an-integer", "unknown-action", "field-count"])
+def test_read_trace_errors_name_the_file_line(row, message):
+    # Blank lines are skipped, yet still count towards the line number.
+    text = ",".join(TRACE_HEADER) + "\n\n\n" + row + "\n"
+    with pytest.raises(ValueError, match=f"^row 4: {message}"):
+        read_trace(io.StringIO(text))
 
 
 def test_trace_validate_flags_illegal_structures():
@@ -752,6 +774,25 @@ def test_protect_validates_caller_buffers():
 # ------------------------------------------- caller buffers and the forks
 
 PAGE = mmap.PAGESIZE
+
+
+@pytest.mark.parametrize("make", [
+    lambda: bytes(3 * PAGE),
+    lambda: bytearray(3 * PAGE),
+    lambda: np.arange(3 * PAGE, dtype=np.int32),
+    lambda: np.zeros(3 * PAGE, dtype=np.uint8)[5:],
+    lambda: mmap.mmap(-1, 3 * PAGE),
+], ids=["bytes", "bytearray", "int32-array", "offset-uint8-slice", "mmap"])
+def test_the_pages_kept_from_forks_start_where_numpy_sees_the_data(make):
+    buf = make()
+    with memoryview(buf) as view:
+        start = np.frombuffer(view.cast("B"), dtype=np.uint8).ctypes.data
+        assert replication._buffer_address(view) == start
+        end = (start + view.nbytes) // PAGE * PAGE
+    first = -(-start // PAGE) * PAGE
+    assert replication._whole_pages(buf) == (first, end - first)
+    if isinstance(buf, mmap.mmap):
+        buf.close()  # raises BufferError if the lookup left the mapping exported
 
 
 def _pattern(size):
