@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from typing import NamedTuple
 
 from . import linuxperf
 from .core import MonitorConfig, Role
@@ -52,8 +51,8 @@ def recommend_threshold(
     """ceil(peak_rate * (period + latency) * margin), computed exactly.
 
     peak_rate is in progress units per second, the durations in integer
-    microseconds. Fractions avoid binary-float rounding: the result is the
-    true ceiling, not the ceiling of an approximation.
+    microseconds. The product is taken over the floats' exact integer ratios,
+    so the result is the true ceiling, not the ceiling of an approximation.
     """
     if not math.isfinite(peak_rate):
         raise ValueError("peak_rate must be finite")
@@ -62,9 +61,10 @@ def recommend_threshold(
     if monitor_latency_us < 0:
         raise ValueError("monitor_latency_us must be non-negative")
     _check_period_and_margin(check_period_us, safety_margin)
-    exposure_s = Fraction(check_period_us + monitor_latency_us, 1_000_000)
-    exact = Fraction(peak_rate) * exposure_s * Fraction(safety_margin)
-    return math.ceil(exact)
+    rate_num, rate_den = peak_rate.as_integer_ratio()
+    margin_num, margin_den = safety_margin.as_integer_ratio()
+    numerator = rate_num * (check_period_us + monitor_latency_us) * margin_num
+    return -(-numerator // (rate_den * 1_000_000 * margin_den))
 
 
 def _check_period_and_margin(check_period_us: int, safety_margin: float) -> None:
@@ -76,8 +76,7 @@ def _check_period_and_margin(check_period_us: int, safety_margin: float) -> None
         raise ValueError("safety_margin must be >= 1")
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
+class CalibrationReport(NamedTuple):
     """Everything needed to re-derive (and therefore audit) a threshold."""
 
     counter: str
@@ -248,7 +247,7 @@ def calibrate_scripted(
             f"latency probe of {latency_ticks} + 2 ticks), got {len(schedule.head_deltas)}"
         )
 
-    per_tick = replace(schedule, period_ticks=1)
+    per_tick = schedule._replace(period_ticks=1)
     source = ScriptedSource(per_tick)
     rate = peak_rate_over_windows(source, source, windows=len(schedule.head_deltas))
     source = ScriptedSource(per_tick)

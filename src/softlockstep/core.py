@@ -9,7 +9,7 @@ once the margin is restored. Everything here is pure data and pure functions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class DiversityLossPolicy(enum.Enum):
@@ -42,8 +42,7 @@ class Role(enum.Enum):
     TRAIL = "trail"
 
 
-@dataclass(frozen=True)
-class MonitorConfig:
+class MonitorConfig(NamedTuple):
     """Parameters of one protected run.
 
     threshold_instructions is the minimum staggering the monitor enforces,
@@ -84,8 +83,7 @@ def validate_config(config: MonitorConfig) -> list[str]:
     return errors
 
 
-@dataclass(frozen=True)
-class PayloadSpec:
+class PayloadSpec(NamedTuple):
     """The unit of replication: ordered input buffers and output sizes.
 
     Inputs are read-only flat byte views of the caller's buffers (anything
@@ -155,8 +153,7 @@ def _byte_view(buf) -> memoryview:
     return flat.toreadonly()
 
 
-@dataclass(frozen=True)
-class StaggeringSample:
+class StaggeringSample(NamedTuple):
     """One monitor observation: both counts and the action taken on them.
 
     Only what was observed is stored; the signed staggering is derived.
@@ -186,10 +183,7 @@ class VerdictKind(enum.Enum):
 FAILURE_CAUSES = ("crash", "nonzero-exit", "counter-failure")
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a protected run (tagged union over VerdictKind)."""
-
+class _VerdictFields(NamedTuple):
     kind: VerdictKind
     mismatches: tuple[tuple[int, int], ...] = ()
     failed_role: Role | None = None
@@ -198,7 +192,17 @@ class Verdict:
     # The failed replica's traceback, or what went wrong reaching it.
     detail: str = ""
 
-    def __post_init__(self):
+
+class Verdict(_VerdictFields):
+    """Outcome of a protected run (tagged union over VerdictKind).
+
+    Every construction is checked, _replace's included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind is VerdictKind.MISMATCH and not self.mismatches:
             raise ValueError("a mismatch verdict must carry at least one differing location")
         if self.kind is VerdictKind.REPLICA_FAILURE:
@@ -207,6 +211,11 @@ class Verdict:
         if self.kind is VerdictKind.DIVERSITY_LOSS:
             if self.loss_sample is None or self.loss_sample.staggering >= 0:
                 raise ValueError("diversity-loss verdict must carry the negative-staggering sample")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "Verdict":
+        return cls(*iterable)
 
     @classmethod
     def match(cls) -> "Verdict":

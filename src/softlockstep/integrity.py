@@ -10,9 +10,8 @@ verdict change accordingly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import Role, Verdict
 
@@ -123,8 +122,7 @@ class FaultKind(Enum):
     CRASH = "crash"
 
 
-@dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(NamedTuple):
     """One injectable fault, parseable from 'kind:target[:params]' text."""
 
     kind: FaultKind

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from . import integrity
@@ -59,17 +58,18 @@ from .sim import Schedule
 TRACE_HEADER = ("interval", "timestamp_ns", "head_instr", "trail_instr", "staggering", "action")
 
 
-@dataclass
 class Trace:
     """A recorded run: the sample sequence plus how it was produced.
 
     A protected run's backend, "process/<counter kind>", names its counter.
     """
 
-    samples: list[StaggeringSample] = field(default_factory=list)
-    backend: str = "unknown"
-    threshold: int | None = None
-    check_period_us: int | None = None
+    def __init__(self, samples: list[StaggeringSample] | None = None, backend: str = "unknown",
+                 threshold: int | None = None, check_period_us: int | None = None):
+        self.samples = [] if samples is None else samples
+        self.backend = backend
+        self.threshold = threshold
+        self.check_period_us = check_period_us
 
     def validate(self) -> list[str]:
         """Structural legality: alternation, single terminations, ordering."""
@@ -285,7 +285,7 @@ def protect(
                 head_copy = huge_page_mapping(payload.total_output_bytes)
                 verdict = _compare(session, head_copy)
             elif verdict.kind is VerdictKind.REPLICA_FAILURE:
-                verdict = replace(verdict, detail=session.failure_detail(verdict.failed_role))
+                verdict = verdict._replace(detail=session.failure_detail(verdict.failed_role))
             # Copy back only once both replicas are reaped: a partly covered
             # first or last page of a caller's buffer is still shared
             # copy-on-write with a live replica.
@@ -361,7 +361,7 @@ def replay(trace: Trace, config: MonitorConfig) -> tuple[Verdict, Trace]:
     return enforcement_loop(
         source=source,
         clock=source,
-        config=replace(config, run_timeout_us=source.duration_us),
+        config=config._replace(run_timeout_us=source.duration_us),
         backend="replay",
     )
 

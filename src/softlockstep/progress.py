@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import NamedTuple, Protocol, runtime_checkable
 
 from .core import Action, Role, StaggeringSample
 
@@ -45,8 +44,7 @@ class ExitKind(enum.Enum):
     CRASH = "crash"
 
 
-@dataclass(frozen=True)
-class ExitStatus:
+class ExitStatus(NamedTuple):
     kind: ExitKind
     code: int = 0
 

@@ -30,9 +30,7 @@ import itertools
 import mmap
 import os
 import signal
-import traceback
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 
 from . import linuxperf
 from .core import MonitorConfig, PayloadSpec, Role, validate_config
@@ -180,16 +178,18 @@ def kept_from_forks(buffers):
             _madvise(start, length, mmap.MADV_DOFORK)
 
 
-@dataclass
 class _Replica:
-    pid: int
-    output_address: int  # where the child holds its outputs, back to back
-    err_read_fd: int
-    counter_fd: int = -1
-    done: bool = False
-    exit_status: ExitStatus | None = None
-    err: bytes = b""
-    pending_bitflips: list[tuple[int, int, int]] = field(default_factory=list)
+    def __init__(self, pid: int, output_address: int, err_read_fd: int, counter_fd: int = -1,
+                 done: bool = False, exit_status: ExitStatus | None = None, err: bytes = b"",
+                 pending_bitflips: list[tuple[int, int, int]] | None = None):
+        self.pid = pid
+        self.output_address = output_address  # where the child holds its outputs, back to back
+        self.err_read_fd = err_read_fd
+        self.counter_fd = counter_fd
+        self.done = done
+        self.exit_status = exit_status
+        self.err = err
+        self.pending_bitflips = [] if pending_bitflips is None else pending_bitflips
 
     def poll_exit(self) -> ExitStatus | None:
         """SUCCESS once the done report came and the process lives, its exit status once gone."""
@@ -217,13 +217,17 @@ class _Replica:
             else:
                 self.err += chunk
 
-    def close(self) -> None:
-        """Kill and reap the process, close its counter and pipe."""
+    def kill(self) -> None:
+        """SIGKILL the process unless it has been reaped."""
         if self.exit_status is None:
             try:
                 os.kill(self.pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
+
+    def close(self) -> None:
+        """Reap the killed or exited process, close its counter and pipe."""
+        if self.exit_status is None:
             try:
                 _, status = os.waitpid(self.pid, 0)
                 self.exit_status = _decode_status(status)
@@ -235,6 +239,14 @@ class _Replica:
         if self.err_read_fd >= 0:
             os.close(self.err_read_fd)
             self.err_read_fd = -1
+
+
+def _kill_then_reap(replicas) -> None:
+    """Kill every replica before reaping any, so that their teardowns overlap."""
+    for rep in replicas:
+        rep.kill()
+    for rep in replicas:
+        rep.close()
 
 
 def _decode_status(status: int) -> ExitStatus:
@@ -276,11 +288,13 @@ def _child_main(
         while True:
             signal.pause()
     except BaseException:
+        # Imported only on failure; whatever the import or the write raises,
+        # the child still exits here.
         try:
+            import traceback
             os.write(err_write_fd, traceback.format_exc().encode()[:_ERR_PIPE_LIMIT])
-        except OSError:
-            pass
-        os._exit(1)
+        finally:
+            os._exit(1)
 
 
 class ReplicaOutputs:
@@ -320,7 +334,6 @@ class ReplicaOutputs:
             ) from exc
 
 
-@dataclass
 class ReplicaSession:
     """Both replicas of one protected run, plus their counters.
 
@@ -331,10 +344,12 @@ class ReplicaSession:
     exits (the counter fd outlives the process).
     """
 
-    payload: PayloadSpec
-    counter_kind: str
-    _replicas: dict[Role, _Replica]
-    released: bool = False
+    def __init__(self, payload: PayloadSpec, counter_kind: str, _replicas: dict[Role, _Replica],
+                 released: bool = False):
+        self.payload = payload
+        self.counter_kind = counter_kind
+        self._replicas = _replicas
+        self.released = released
 
     def _replica(self, role: Role) -> _Replica:
         try:
@@ -373,12 +388,7 @@ class ReplicaSession:
 
     def kill_replica(self, role: Role) -> None:
         """Forcibly crash one replica (fault injection support)."""
-        rep = self._replica(role)
-        if rep.exit_status is None:
-            try:
-                os.kill(rep.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
+        self._replica(role).kill()
 
     def register_bitflip(self, role: Role, output_index: int, byte_offset: int, bit_index: int) -> None:
         """Corrupt one output bit after the replica finishes, before its outputs are read."""
@@ -425,12 +435,11 @@ class ReplicaSession:
         return copies
 
     def release(self) -> None:
-        """Kill, reap and detach both replicas; safe to call twice."""
+        """Kill both replicas, then reap and detach them; safe to call twice."""
         if self.released:
             return
         self.released = True
-        for rep in self._replicas.values():
-            rep.close()
+        _kill_then_reap(self._replicas.values())
         self._replicas.clear()
 
     def __enter__(self) -> "ReplicaSession":
@@ -513,7 +522,7 @@ def _spawn_one(
     try:
         _vm_read(pid, _address(probe), input_address, 1)
     except OSError as exc:
-        rep.close()
+        _kill_then_reap([rep])
         name = errno.errorcode.get(exc.errno, str(exc.errno))
         raise SpawnFailure(
             f"process_vm_readv of the stopped {role.value} replica failed with {name} "
@@ -546,8 +555,7 @@ def spawn_replicas(
         session.resume(Role.HEAD)
         return session
     except BaseException:
-        for rep in replicas.values():
-            rep.close()
+        _kill_then_reap(replicas.values())
         raise
 
 

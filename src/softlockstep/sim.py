@@ -22,7 +22,7 @@ that walk to.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (
     Action,
@@ -52,8 +52,7 @@ class SearchSpaceTooLarge(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """Deterministic per-tick instruction-rate streams plus monitor timing.
 
     head_length / trail_length are the total instructions each replica needs
@@ -100,7 +99,6 @@ class Schedule:
         return errors
 
 
-@dataclass
 class SimTrace:
     """Simulation result: the sampled trace plus every tick-boundary staggering.
 
@@ -109,8 +107,10 @@ class SimTrace:
     check instants. Whether diversity was lost is read off the samples.
     """
 
-    samples: list[StaggeringSample] = field(default_factory=list)
-    instants: list[tuple[int, int]] = field(default_factory=list)
+    def __init__(self, samples: list[StaggeringSample] | None = None,
+                 instants: list[tuple[int, int]] | None = None):
+        self.samples = [] if samples is None else samples
+        self.instants = [] if instants is None else instants
 
     @property
     def diversity_lost(self) -> bool:
@@ -263,8 +263,7 @@ def _search_space(size: int, ticks: int) -> int | None:
     return space
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     safe: bool
     counterexample: Schedule | None = None
     schedules_checked: int = 0

@@ -5,16 +5,16 @@ Every workload is a pure function of its input bytes: integer matrix multiply
 BLAKE2b digest, and a plain spin loop for calibration and timing experiments.
 Inputs are generated from a seed (random.Random for checksum, numpy for matmul)
 so two invocations with the same id and seed are byte-identical end to end.
-Only matmul needs numpy, and imports it only when it is built or run.
+Only matmul needs numpy, and imports it only when it is built or run; hashlib
+likewise loads only when checksum is built.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import PayloadSpec
 
@@ -23,8 +23,7 @@ _VALUE_BOUND = 1 << 20  # |a|,|b| < 2^20 keeps n<=4096 matmuls inside int64
 _DIGEST_SIZE = 16
 
 
-@dataclass(frozen=True)
-class Workload:
+class Workload(NamedTuple):
     """A named computation plus the payload it runs on."""
 
     name: str
@@ -44,6 +43,7 @@ def _matmul(inputs: Sequence[memoryview], outputs: Sequence[memoryview]) -> None
 
 
 def _checksum(inputs: Sequence[memoryview], outputs: Sequence[memoryview]) -> None:
+    import hashlib
     digest = hashlib.blake2b(inputs[0], digest_size=len(outputs[0])).digest()
     outputs[0][:] = digest
 
@@ -75,6 +75,7 @@ def checksum_workload(nbytes: int = 65536, seed: int = 0) -> Workload:
     """BLAKE2b digest of seeded random bytes; small output, easy to bit-flip."""
     if nbytes < 1:
         raise ValueError("input size must be >= 1")
+    import hashlib  # noqa: F401  (loaded before the fork, so no replica imports it)
     data = random.Random(seed).randbytes(nbytes)
     payload = PayloadSpec.of([data], [nbytes], [_DIGEST_SIZE])
     return Workload(name="checksum", param=nbytes, seed=seed, payload=payload, computation=_checksum)

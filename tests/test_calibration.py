@@ -2,9 +2,10 @@
 
 import io
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softlockstep import linuxperf, replication
@@ -46,6 +47,25 @@ def test_threshold_is_the_true_ceiling_not_a_float_approximation():
     # exact product of those binary values is a hair above it.
     assert math.ceil(1e9 * (1091 + 90) / 1_000_000 * 1.1) == 1_299_100
     assert recommend_threshold(1e9, 1091, 90, 1.1) == 1_299_101
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.floats(min_value=0, exclude_min=True, allow_infinity=False, allow_nan=False),
+    st.integers(1, 10**9),
+    st.integers(0, 10**9),
+    st.floats(min_value=1, allow_infinity=False, allow_nan=False),
+)
+@example(1e9, 1091, 90, 1.1)
+@example(1e9, 100, 50, 2.0)
+@example(2.6e9, 1000, 0, 1.0)
+@example(5e-324, 1, 0, 1.0)
+@example(1.7976931348623157e308, 10**6, 10**6, 1.7976931348623157e308)
+@example(3, 7, 0, 1)
+@example(0.1, 3, 0, 1.0000000000000002)
+def test_threshold_agrees_with_exact_fractions(rate, period, latency, margin):
+    exact = Fraction(rate) * Fraction(period + latency, 10**6) * Fraction(margin)
+    assert recommend_threshold(rate, period, latency, margin) == math.ceil(exact)
 
 
 def test_threshold_input_validation():

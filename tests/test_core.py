@@ -172,6 +172,8 @@ def test_verdict_constructors_enforce_their_payloads():
     with pytest.raises(ValueError):
         Verdict(kind=VerdictKind.MISMATCH)  # no locations
     with pytest.raises(ValueError):
+        Verdict.match()._replace(kind=VerdictKind.MISMATCH)  # a copy is checked too
+    with pytest.raises(ValueError):
         Verdict(kind=VerdictKind.REPLICA_FAILURE, failed_role=Role.HEAD, failure_cause="sulked")
     loss = StaggeringSample(3, 99, 5, 9, Action.DIVERSITY_LOSS)
     assert Verdict.diversity_loss(loss).loss_sample.staggering == -4

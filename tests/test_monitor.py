@@ -9,7 +9,6 @@ import os
 import resource
 import signal
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -310,7 +309,7 @@ def test_replay_finds_the_terminations_of_a_trace_not_indexed_from_zero():
     # at their interval indices, which a valid trace may start anywhere.
     verdict, trace = run_scripted(Schedule.of([5] * 6, [5] * 6), cfg(3))
     assert verdict.kind is VerdictKind.MATCH
-    shifted = Trace([replace(s, interval_index=s.interval_index + 10) for s in trace.samples])
+    shifted = Trace([s._replace(interval_index=s.interval_index + 10) for s in trace.samples])
     assert shifted.validate() == []
     verdict, replayed = replay(shifted, cfg(3))
     assert verdict.kind is VerdictKind.MATCH

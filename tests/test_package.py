@@ -1,5 +1,6 @@
 """The package root: what `from softlockstep import *` gives a caller."""
 
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +8,12 @@ import sys
 import pytest
 
 import softlockstep
+from softlockstep.calibration import CalibrationReport
+from softlockstep.core import Action, MonitorConfig, PayloadSpec, Role, StaggeringSample, Verdict
+from softlockstep.integrity import FaultSpec
+from softlockstep.progress import ExitKind, ExitStatus
+from softlockstep.sim import CheckResult, Schedule
+from softlockstep.workloads import Workload
 
 
 def test_star_import_binds_exactly_all():
@@ -30,16 +37,64 @@ def test_internals_leave_the_root_but_stay_importable(name):
 
 
 def test_the_library_loads_without_numpy():
-    # A fresh interpreter, since this one has numpy loaded for other tests.
-    # Only the matmul workload needs numpy, and it imports it when built.
+    # A fresh interpreter, since this one has numpy loaded for other tests;
+    # measured against its own startup set, which a site hook may enlarge.
+    # Only matmul needs numpy and only checksum hashlib, each loaded when built.
     script = (
-        "import sys, softlockstep, softlockstep.cli\n"
+        "import json, sys\n"
+        "startup = set(sys.modules)\n"
+        "def added():\n"
+        "    return sorted({name.partition('.')[0] for name in set(sys.modules) - startup})\n"
+        "import softlockstep, softlockstep.cli\n"
         "from softlockstep.workloads import parse_workload_id\n"
-        "parse_workload_id('spin:10'), parse_workload_id('checksum:64')\n"
-        "print(sorted(name for name in sys.modules if name.partition('.')[0] == 'numpy'))\n"
+        "imported = added()\n"
+        "parse_workload_id('spin:10')\n"
+        "spin = added()\n"
+        "parse_workload_id('checksum:64')\n"
+        "print(json.dumps([imported, spin, added()]))\n"
     )
     src = os.path.dirname(os.path.dirname(softlockstep.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout == "[]\n"
+    imported, spin, checksum = json.loads(result.stdout)
+    heavy = {"numpy", "dataclasses", "inspect", "hashlib", "fractions", "decimal", "traceback"}
+    assert heavy.isdisjoint(imported)
+    assert heavy.isdisjoint(spin)
+    assert "numpy" not in checksum and "hashlib" in checksum
+
+
+def _records():
+    """One value of each record type, and a field to change in it."""
+    payload = PayloadSpec.of([b"ab"], [2], [1])
+    sample = StaggeringSample(1, 1000, 3, 5, Action.DIVERSITY_LOSS)
+    schedule = Schedule.of([1, 2], [2, 1], suspend_latency_ticks=1)
+    return [
+        (MonitorConfig(threshold_instructions=5, head_core=0), "check_period_us", 7),
+        (payload, "output_sizes", (2,)),
+        (sample, "timestamp_ns", 2000),
+        (Verdict.diversity_loss(sample), "detail", "why"),
+        (ExitStatus(ExitKind.NONZERO_EXIT, 3), "code", 4),
+        (FaultSpec.bit_flip(Role.TRAIL, 0, 1, 2), "bit_index", 3),
+        (CalibrationReport("task-clock", 1e9, 100, 50, 2.0, 300_000), "safety_margin", 3.0),
+        (schedule, "period_ticks", 2),
+        (CheckResult(False, schedule, 9), "schedules_checked", 10),
+        (Workload("bulk", 2, 0, payload, bytes), "seed", 1),
+    ]
+
+
+@pytest.mark.parametrize("index", range(len(_records())),
+                         ids=[type(record).__name__ for record, _, _ in _records()])
+def test_records_keep_their_value_semantics(index):
+    record, name, other = _records()[index]
+    twin = _records()[index][0]  # built apart from record, from equal values
+    for attribute in (name, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attribute, other)
+    assert twin == record and twin is not record
+    assert hash(twin) == hash(record)
+    assert record._replace() == record
+    changed = record._replace(**{name: other})
+    assert type(changed) is type(record) and changed != record
+    assert getattr(changed, name) == other
+    assert changed._replace(**{name: getattr(record, name)}) == record

@@ -7,6 +7,7 @@ only if the host offers no usable counter at all.
 import errno
 import os
 import signal
+import sys
 import time
 
 import pytest
@@ -45,6 +46,11 @@ def fill_pattern(inputs, outputs):
 
 
 def boom(inputs, outputs):
+    raise RuntimeError("wrapper exploded")
+
+
+def boom_without_traceback(inputs, outputs):
+    sys.modules["traceback"] = None  # in the replica only: the failure report's import fails
     raise RuntimeError("wrapper exploded")
 
 
@@ -305,6 +311,38 @@ def test_release_reaps_live_replicas():
     for pid in (head_pid, trail_pid):
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+
+
+def test_release_kills_both_replicas_before_reaping_either(monkeypatch):
+    payload = PayloadSpec.of([], [], [4])
+    session = spawn_replicas(busy, payload, CONFIG)
+    head_pid = session.pid(Role.HEAD)
+    trail_pid = session.pid(Role.TRAIL)
+    calls = []
+    real_kill, real_waitpid = os.kill, os.waitpid
+
+    def kill(pid, signum):
+        calls.append(("kill", pid))
+        real_kill(pid, signum)
+
+    def waitpid(pid, options):
+        calls.append(("wait", pid))
+        return real_waitpid(pid, options)
+
+    monkeypatch.setattr(os, "kill", kill)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    session.release()
+    monkeypatch.undo()
+    assert calls == [("kill", head_pid), ("kill", trail_pid),
+                     ("wait", head_pid), ("wait", trail_pid)]
+
+
+def test_a_failure_report_that_cannot_import_traceback_still_exits_1():
+    payload = small_payload()
+    with start_both(boom_without_traceback, payload) as session:
+        status = wait_done(session, Role.HEAD)
+        assert status.kind is ExitKind.NONZERO_EXIT and status.code == 1
+        assert session.failure_detail(Role.HEAD) == ""
 
 
 def test_register_bitflip_validates_coordinates():
