@@ -475,6 +475,7 @@ def _spawn_one(
     computation: WrappedComputation,
     payload: PayloadSpec,
     role: Role,
+    earlier: Sequence[_Replica],
 ) -> _Replica:
     input_region, input_views = _copy_inputs(payload)
     output_region = huge_page_mapping(payload.total_output_bytes)
@@ -490,7 +491,10 @@ def _spawn_one(
             os.close(err_write)
             raise
         if pid == 0:
-            os.close(err_read)
+            # Neither this pipe's read end nor an earlier replica's: reading
+            # one would take that replica's done report or traceback.
+            for fd in [err_read] + [rep.err_read_fd for rep in earlier]:
+                os.close(fd)
             _child_main(computation, input_views, output_views, err_write)
             os._exit(1)  # unreachable
         os.close(err_write)
@@ -546,7 +550,7 @@ def spawn_replicas(
     replicas: dict[Role, _Replica] = {}
     try:
         for role in (Role.HEAD, Role.TRAIL):
-            replicas[role] = _spawn_one(computation, payload, role)
+            replicas[role] = _spawn_one(computation, payload, role, list(replicas.values()))
         for role, rep in replicas.items():
             rep.counter_fd, _ = linuxperf.open_counter(rep.pid, counter_kind)
         _apply_pinning(replicas, config)

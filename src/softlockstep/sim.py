@@ -197,6 +197,19 @@ def simulate(
             return trace
 
 
+def _steps(alphabet, running):
+    """(head_rate - trail_rate, head digit, trail digit) for each distinct step of one tick."""
+    if not running:  # a frozen trail's rate does not count: its lowest letter stands for all
+        return [(rate, digit, 0) for digit, rate in enumerate(alphabet)]
+    # Largest first, so that the walk stops at the first step that goes
+    # negative; each step keeps its least digit pair, head digit first.
+    least = {}
+    for head_digit, head_rate in enumerate(alphabet):
+        for trail_digit, trail_rate in enumerate(alphabet):
+            least.setdefault(head_rate - trail_rate, (head_digit, trail_digit))
+    return sorted(((step, *digits) for step, digits in least.items()), reverse=True)
+
+
 def _first_counterexample(alphabet, ticks, period_ticks, latency, threshold):
     """(head index, trail index) of the first schedule that goes negative, or None.
 
@@ -206,20 +219,27 @@ def _first_counterexample(alphabet, ticks, period_ticks, latency, threshold):
     the end, else a pending suspend's check tick + latency + 1. Each state
     keeps the least (head, trail) prefix reaching it: prefixes in one state
     go negative under the same extensions, and a common extension keeps
-    their head-major order. A state goes negative soonest under the lowest
-    head rate and the least trail rate above its staggering plus that;
-    padded with the lowest rate, that is a candidate, and a state whose
+    their head-major order. A pair of rates moves a state only by its step
+    head_rate - trail_rate, so each state follows each step of _steps once,
+    with the least digit pair giving it. A state goes negative soonest under
+    the lowest head rate and the least trail rate above its staggering plus
+    that; padded with the lowest rate, that is a candidate, and a state whose
     least extension cannot precede the least candidate is dropped. The rules
     are simulate()'s restricted to replicas without lengths.
     """
     size, lowest = len(alphabet), alphabet[0]
+    # A frozen and a running trail's steps, built when first needed: a wide
+    # alphabet has |alphabet|^2 pairs, and a one-tick check expands no state.
+    tables = [None, None]
     states = {(0, 0): (0, 0)}
     # Past every schedule while no candidate is known.
     first = past = (size**ticks, 0)
     for tick in range(1, ticks + 1):
         # Extensions of one replica's prefix of this tick to the full length.
         rest = size ** (ticks - tick)
+        check, suspend = tick % period_ticks == 0, tick + latency + 1
         reached = {}
+        get = reached.get
         for (staggering, frozen_from), (head, trail) in states.items():
             head, trail = head * size, trail * size
             if (head * rest, trail * rest) >= first:
@@ -229,20 +249,23 @@ def _first_counterexample(alphabet, ticks, period_ticks, latency, threshold):
                 first = min(first, (head * rest, (trail + over) * rest))
             if tick == ticks:
                 continue
-            # A frozen trail's rate does not count: its lowest stands for all.
-            for head_digit, head_rate in enumerate(alphabet):
-                for trail_digit, trail_rate in enumerate(alphabet if running else (0,)):
-                    now = staggering + head_rate - trail_rate
-                    if now < 0:
-                        break
-                    freeze = frozen_from
-                    if tick % period_ticks == 0:
-                        # A suspend keeps an earlier freeze tick; a resume runs the trail.
-                        freeze = min(freeze, tick + latency + 1) if now < threshold else ticks + 1
-                    state = (now, 0 if freeze <= tick + 1 else min(freeze, ticks + 1))
-                    prefix = (head + head_digit, trail + trail_digit)
-                    if state not in reached or prefix < reached[state]:
-                        reached[state] = prefix
+            # The freeze tick after a step to below the threshold and to at
+            # least it: a check suspends, keeping an earlier tick, or resumes.
+            held = min(frozen_from, suspend) if check else frozen_from
+            below = held if held > tick + 1 else 0
+            above = ticks + 1 if check else below
+            steps = tables[running]
+            if steps is None:
+                steps = tables[running] = _steps(alphabet, running)
+            for step, head_digit, trail_digit in steps:
+                now = staggering + step
+                if now < 0:
+                    break
+                state = (now, below if now < threshold else above)
+                prefix = (head + head_digit, trail + trail_digit)
+                known = get(state)
+                if known is None or prefix < known:
+                    reached[state] = prefix
         states = reached
     return None if first == past else first
 
@@ -284,8 +307,9 @@ def exhaustive_check(
     the 1-based index of that counterexample, or the whole space when safe.
     The schedules are not stepped one by one: the walk advances the monitor
     states reachable after each tick, each with the least prefix reaching
-    it, which finds exactly the counterexample a schedule-by-schedule
-    enumeration would find first.
+    it, along each distinct step head_rate - trail_rate once rather than
+    each rate pair, which finds exactly the counterexample a
+    schedule-by-schedule enumeration would find first.
     """
     alphabet = tuple(sorted({int(r) for r in rate_alphabet}))
     if not alphabet or any(r < 0 for r in alphabet):

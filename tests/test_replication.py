@@ -175,6 +175,29 @@ def test_output_regions_do_not_alias_across_replicas():
     assert trail[0] == b"\xab" * 8
 
 
+def _pipes(pid):
+    """The pipe inodes among a process's open fds, as their /proc link targets."""
+    links = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            links.add(os.readlink(f"/proc/{pid}/fd/{fd}"))
+        except FileNotFoundError:  # the fd listdir itself used, closed since
+            pass
+    return {link for link in links if link.startswith("pipe:")}
+
+
+def test_the_trail_holds_no_end_of_the_heads_report_pipe():
+    # The trail, forked after the head, must not inherit the monitor's read
+    # end of the head's pipe: reading it would take the head's done report
+    # or traceback, a channel between the replicas.
+    before = _pipes("self")
+    with spawn_replicas(idle, small_payload(), CONFIG) as session:
+        reports = _pipes("self") - before  # the read end of each replica's pipe
+        head_report = reports & _pipes(session.pid(Role.HEAD))
+        assert len(reports) == 2 and len(head_report) == 1
+        assert not head_report & _pipes(session.pid(Role.TRAIL))
+
+
 def _state(pid):
     with open(f"/proc/{pid}/stat") as f:
         return f.read().rsplit(")", 1)[1].split()[0]

@@ -265,6 +265,27 @@ def test_exhaustive_equals_the_naive_enumeration(alphabet):
         assert exhaustive_check(alphabet, ticks, period, latency, threshold) == expected
 
 
+@pytest.mark.parametrize("alphabet", [(0, 1, 2, 3), (0, 2, 4, 6)],
+                         ids=lambda alphabet: ",".join(map(str, alphabet)))
+def test_exhaustive_equals_the_naive_enumeration_where_pairs_share_a_step(alphabet):
+    # Four letters in arithmetic progression give 16 rate pairs but only 7
+    # steps, so most steps are reached by several digit pairs and the least
+    # must win. At three ticks and period 1 a running trail is expanded at
+    # tick 2; at two ticks none is. Thresholds from 1 up to r * (P + L).
+    rate = max(alphabet)
+    for period, latency in ((1, 0), (1, 1), (2, 0), (2, 1)):
+        bound = rate * (period + latency)
+        for threshold in sorted({1, bound // 2, bound - 1, bound}):
+            expected = naive_check(alphabet, 3, period, latency, threshold)
+            assert exhaustive_check(alphabet, 3, period, latency, threshold) == expected
+
+
+def test_an_unsorted_alphabet_with_duplicates_checks_its_set():
+    for period, latency, threshold in ((1, 0, 1), (1, 1, 2), (1, 1, 3), (2, 1, 4), (1, 1, 4)):
+        expected = naive_check((0, 1, 2), 3, period, latency, threshold)
+        assert exhaustive_check([2, 0, 1, 1], 3, period, latency, threshold) == expected
+
+
 def first_negative_tick(schedule, threshold):
     return next(tick for tick, stag in simulate(schedule, threshold).instants if stag < 0)
 
@@ -313,6 +334,21 @@ def test_exhaustive_equals_the_naive_enumeration_on_random_inputs(
         alphabet, ticks, period, latency, threshold):
     expected = naive_check(alphabet, ticks, period, latency, threshold)
     assert exhaustive_check(alphabet, ticks, period, latency, threshold) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    alphabet=st.sets(st.integers(min_value=0, max_value=6), min_size=1, max_size=3),
+    ticks=st.integers(min_value=1, max_value=5),
+    period=st.integers(min_value=1, max_value=4),
+    latency=st.one_of(st.integers(min_value=0, max_value=3), st.just(10**30)),
+)
+def test_safety_is_monotone_in_the_threshold(alphabet, ticks, period, latency):
+    # A safe threshold stays safe when raised by one, so a search for the
+    # least safe threshold may bisect.
+    safe = [exhaustive_check(alphabet, ticks, period, latency, threshold).safe
+            for threshold in range(-1, 20)]
+    assert safe == sorted(safe)
 
 
 def test_the_costliest_accepted_checks_stay_fast(fails_after):
