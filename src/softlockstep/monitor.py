@@ -3,11 +3,13 @@
 The loop is generic over a progress source and a clock, which is what makes
 the rest of the system testable: the same code polls real processes through
 perf counters (a ReplicaSession with a RealClock), replays a script tick by
-tick (a ScriptedSource, its own clock), or re-executes a recorded trace (a
-ReplaySource, its own clock). Every check reads the head count first, then
-the trail, computes the signed staggering, and applies exactly one action,
-which becomes one trace sample. The loop ends in a verdict: MATCH once both
-replicas finished, otherwise TIMEOUT, DIVERSITY_LOSS or REPLICA_FAILURE.
+tick (a ScriptedSource, its own clock; sim.simulate is this loop on one whose
+clock records every tick), or re-executes a recorded trace (a ReplaySource,
+its own clock). It is the one place the staggering rule is applied. Every
+check reads the head count first, then the trail, computes the signed
+staggering, and applies exactly one action, which becomes one trace sample.
+The loop ends in a verdict: MATCH once both replicas finished, otherwise
+TIMEOUT, DIVERSITY_LOSS or REPLICA_FAILURE.
 
 protect() owns the whole lifecycle of a real run: spawn both replicas on
 private data copies, enforce staggering until both finish, compare outputs
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import os
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import integrity
 from .core import (
@@ -53,7 +55,9 @@ from .replication import (
     kept_from_forks,
     spawn_replicas,
 )
-from .sim import Schedule
+
+if TYPE_CHECKING:
+    from .sim import Schedule
 
 TRACE_HEADER = ("interval", "timestamp_ns", "head_instr", "trail_instr", "staggering", "action")
 
@@ -239,6 +243,11 @@ def protect(
     and output buffers, so the computation must reach its data through its
     views alone: one that writes a caller's buffer directly (through a
     closure, say) crashes its replica, a REPLICA_FAILURE with cause "crash".
+
+    Replicas keep stdout and stderr, get no stdin (it reads /dev/null), and
+    inherit no other descriptor of the caller's: a file or socket the caller
+    holds open is closed in both, so neither replica can move an offset the
+    other or the caller reads from.
 
     Both replicas are forked from the calling process, and only the calling
     thread exists in a child: a lock another thread held at the fork stays

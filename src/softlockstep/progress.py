@@ -13,8 +13,10 @@ accrues its i-th delta; a suspend issued at tick k with latency L lets it
 accrue through tick k+L and freezes it from tick k+L+1; a resume at tick k
 takes effect from tick k+1. ScriptedSource holds these rules, and
 run_scripted, the simulator and the scripted calibration all build one from
-their schedule, so a scripted run and a simulation accrue identically; what
-the two cross-check is the monitor rule, which each writes on its own.
+their schedule. run_scripted and the simulator both run the one enforcement
+loop on it: the simulator is that loop on a clock that steps one tick at a
+time and records the staggering after each, so the two differ only in when
+they look, never in the rule.
 """
 
 from __future__ import annotations
@@ -152,7 +154,9 @@ class ScriptedSource:
     either lands after the schedule's suspend_latency_ticks. Time only moves
     when advance() is called. The source is its own loop clock:
     wait_one_period advances the schedule's period_ticks ticks of TICK_NS
-    each, so scripted runs are exactly reproducible.
+    each, so scripted runs are exactly reproducible. sim.simulate runs the
+    same enforcement loop on a subclass whose clock steps one tick at a time
+    and records the staggering after each.
     """
 
     def __init__(self, schedule):

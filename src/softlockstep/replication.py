@@ -12,12 +12,15 @@ pages lying wholly inside its buffers out of both forks (kept_from_forks), so
 a replica reaches the caller's data only through its own copies, and writing
 those pages later takes no copy-on-write fault.
 
-The child stops itself immediately after birth; the parent attaches a
-progress counter to the stopped child, so no wrapper instruction retires
-uncounted, and the trail stays stopped until the enforcement loop releases
-it. When the computation returns, the child writes a one-byte done report to
-its pipe and sleeps, outputs in place, until the session kills it. The
-monitor reads a finished replica's outputs with process_vm_readv.
+The child first closes every descriptor it inherited but its report pipe,
+stdout and stderr, and reads stdin from /dev/null: the replicas share no
+open file but stdout and stderr, with each other or the caller. It then
+stops itself; the parent attaches a progress counter to the stopped child,
+so no wrapper instruction retires uncounted, and the trail stays stopped
+until the enforcement loop releases it. When the computation returns, the
+child writes a one-byte done report to its pipe and sleeps, outputs in
+place, until the session kills it. The monitor reads a finished replica's
+outputs with process_vm_readv.
 """
 
 from __future__ import annotations
@@ -268,6 +271,24 @@ def _set_pdeathsig() -> None:
         pass
 
 
+def _contain_descriptors(keep: int) -> None:
+    """Close every inherited fd but stdout, stderr and keep; stdin reads /dev/null.
+
+    An inherited descriptor is a channel between the replicas: both would
+    share one open file's offset, and a replica reading this or an earlier
+    replica's report pipe would take its done report or traceback.
+    closerange uses close_range(2) where the kernel has it; bounding it by
+    the open-file limit, below which every fd lies unless the limit was
+    lowered after it was opened, keeps its close-by-close fallback short.
+    """
+    os.closerange(3, keep)
+    os.closerange(max(keep + 1, 3), os.sysconf("SC_OPEN_MAX"))
+    null = os.open(os.devnull, os.O_RDONLY)
+    if null != 0:
+        os.dup2(null, 0)
+        os.close(null)
+
+
 def _child_main(
     computation: WrappedComputation,
     input_views: Sequence[memoryview],
@@ -276,6 +297,7 @@ def _child_main(
 ) -> None:
     # Runs only in the forked child; must never return to the caller's frame.
     try:
+        _contain_descriptors(err_write_fd)
         _set_pdeathsig()
         # Stop before retiring any wrapper instruction; the parent attaches
         # the counter and decides when this replica starts.
@@ -475,7 +497,6 @@ def _spawn_one(
     computation: WrappedComputation,
     payload: PayloadSpec,
     role: Role,
-    earlier: Sequence[_Replica],
 ) -> _Replica:
     input_region, input_views = _copy_inputs(payload)
     output_region = huge_page_mapping(payload.total_output_bytes)
@@ -491,10 +512,6 @@ def _spawn_one(
             os.close(err_write)
             raise
         if pid == 0:
-            # Neither this pipe's read end nor an earlier replica's: reading
-            # one would take that replica's done report or traceback.
-            for fd in [err_read] + [rep.err_read_fd for rep in earlier]:
-                os.close(fd)
             _child_main(computation, input_views, output_views, err_write)
             os._exit(1)  # unreachable
         os.close(err_write)
@@ -550,7 +567,7 @@ def spawn_replicas(
     replicas: dict[Role, _Replica] = {}
     try:
         for role in (Role.HEAD, Role.TRAIL):
-            replicas[role] = _spawn_one(computation, payload, role, list(replicas.values()))
+            replicas[role] = _spawn_one(computation, payload, role)
         for role, rep in replicas.items():
             rep.counter_fd, _ = linuxperf.open_counter(rep.pid, counter_kind)
         _apply_pinning(replicas, config)

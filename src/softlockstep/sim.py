@@ -3,10 +3,10 @@
 Time advances in ticks. During tick i a running replica retires its scheduled
 per-tick delta; every period_ticks the monitor samples both counts and applies
 the enforcement rule; a suspend decision takes effect suspend_latency_ticks
-later. The replicas are a progress.ScriptedSource built from the schedule,
-the model run_scripted plays too; this module writes only the monitor's
-side. Because the
-model also tracks staggering at every tick boundary (not just at checks), it
+later. simulate() is monitor.enforcement_loop itself, run on a
+progress.ScriptedSource built from the schedule with a clock that steps one
+tick at a time: this module holds no copy of the rule. Because that clock
+also records the staggering at every tick boundary (not just at checks), it
 captures the true minimum staggering, which is exactly the hazard the
 threshold guards against: the trail catching up between checks.
 
@@ -15,8 +15,8 @@ every per-tick rate assignment over a small alphabet and either certifies
 that no schedule drives the staggering negative or returns the first one, in
 head-major order, that does. It walks the monitor states reachable after each
 tick, keeping for each state the least prefix that reaches it, rather than
-the schedules; simulate() stays the tick-by-tick reference the tests hold
-that walk to.
+the schedules: an independent statement of the rule, which the tests hold to
+simulate(), and so to the production loop, schedule by schedule.
 """
 
 from __future__ import annotations
@@ -24,14 +24,8 @@ from __future__ import annotations
 import bisect
 from typing import NamedTuple
 
-from .core import (
-    Action,
-    DiversityLossPolicy,
-    Role,
-    StaggeringSample,
-    TrailState,
-    decide,
-)
+from .core import Action, DiversityLossPolicy, MonitorConfig, Role, StaggeringSample
+from .monitor import enforcement_loop
 from .progress import ScriptedSource
 
 # Bound on exhaustive_check's input: units of _WORK_UNIT schedules times ticks.
@@ -129,72 +123,42 @@ def simulate(
     threshold: int,
     diversity_loss_policy: DiversityLossPolicy = DiversityLossPolicy.RECORD_AND_CONTINUE,
 ) -> SimTrace:
-    """Run the enforcement protocol over a schedule, tick by tick.
+    """Run the enforcement loop over a schedule, tick by tick.
 
+    This is monitor.enforcement_loop itself, on a ScriptedSource whose clock
+    also records the staggering at every tick boundary while the head lives.
     The trail starts suspended. Checks happen at the end of every
     period_ticks-th tick: the monitor reads both counts, emits one sample,
     and applies the decision; a suspend freezes the trail starting
     suspend_latency_ticks + 1 ticks later. Once the head terminates the trail
     is released for good. The run ends when both replicas have terminated
-    (or immediately on diversity loss under ABORT_RUN).
+    (or immediately on diversity loss under ABORT_RUN). Unlike run_scripted,
+    any threshold is taken, zero and negative ones too.
     """
-    source = ScriptedSource(schedule)
-    # Kept here rather than asked of the head: a head with no work is
-    # terminated at tick 0 already, yet its first tick is a modeled instant.
-    head_alive = True
-    trail_view = TrailState.SUSPENDED
-    head_done_emitted = False
-    trail_done_emitted = False
-    trace = SimTrace()
-    interval = 0
+    source = _TickedSource(schedule)
+    config = MonitorConfig(threshold_instructions=threshold,
+                           diversity_loss_policy=diversity_loss_policy)
+    _, trace = enforcement_loop(source, source, config)
+    return SimTrace(trace.samples, source.instants)
 
-    while True:
-        # One monitor period: the replicas run period_ticks ticks, then a check.
-        for _ in range(schedule.period_ticks):
-            source.advance(1)
-            if head_alive:
-                stag = source.read_count(Role.HEAD) - source.read_count(Role.TRAIL)
-                trace.instants.append((source.tick, stag))
-                head_alive = source.exit_status(Role.HEAD) is None
 
-        head_count, trail_count = source.read_count(Role.HEAD), source.read_count(Role.TRAIL)
-        head_done = source.exit_status(Role.HEAD) is not None
-        trail_done = source.exit_status(Role.TRAIL) is not None
-        stag = head_count - trail_count
+class _TickedSource(ScriptedSource):
+    """A ScriptedSource whose clock records (tick, staggering) after each tick the head lives."""
 
-        if head_done and not head_done_emitted:
-            action = Action.HEAD_DONE
-            head_done_emitted = True
-            if trail_view is TrailState.SUSPENDED:
-                source.resume(Role.TRAIL)
-                trail_view = TrailState.RUNNING
-        elif not head_done_emitted and stag < 0:
-            action = Action.DIVERSITY_LOSS
-            if trail_view is TrailState.RUNNING:
-                source.suspend(Role.TRAIL)
-                trail_view = TrailState.SUSPENDED
-        elif trail_done and not trail_done_emitted:
-            action = Action.TRAIL_DONE
-            trail_done_emitted = True
-        elif head_done_emitted or trail_done_emitted:
-            action = Action.NONE
-        else:
-            action = decide(stag, threshold, trail_view)
-            if action is Action.SUSPEND:
-                source.suspend(Role.TRAIL)
-                trail_view = TrailState.SUSPENDED
-            elif action is Action.RESUME:
-                source.resume(Role.TRAIL)
-                trail_view = TrailState.RUNNING
+    def __init__(self, schedule: Schedule):
+        super().__init__(schedule)
+        self.instants: list[tuple[int, int]] = []
+        # Kept here rather than asked of the head: a head with no work is
+        # terminated at tick 0 already, yet its first tick is a modeled instant.
+        self._head_alive = True
 
-        trace.samples.append(
-            StaggeringSample(interval, source.now_ns(), head_count, trail_count, action)
-        )
-        interval += 1
-        if action is Action.DIVERSITY_LOSS and diversity_loss_policy is DiversityLossPolicy.ABORT_RUN:
-            return trace
-        if head_done_emitted and trail_done_emitted:
-            return trace
+    def wait_one_period(self) -> None:
+        for _ in range(self.period_ticks):
+            self.advance(1)
+            if self._head_alive:
+                self.instants.append(
+                    (self.tick, self.read_count(Role.HEAD) - self.read_count(Role.TRAIL)))
+                self._head_alive = self.exit_status(Role.HEAD) is None
 
 
 def _steps(alphabet, running):
@@ -225,7 +189,8 @@ def _first_counterexample(alphabet, ticks, period_ticks, latency, threshold):
     the lowest head rate and the least trail rate above its staggering plus
     that; padded with the lowest rate, that is a candidate, and a state whose
     least extension cannot precede the least candidate is dropped. The rules
-    are simulate()'s restricted to replicas without lengths.
+    are the enforcement loop's, as simulate() runs it on a one-tick clock,
+    restricted to replicas without lengths.
     """
     size, lowest = len(alphabet), alphabet[0]
     # A frozen and a running trail's steps, built when first needed: a wide

@@ -1,7 +1,9 @@
 """CLI surface: exit codes, file round trips, scripted determinism."""
 
 import errno
+import importlib
 import io
+import os
 import shutil
 import subprocess
 import sys
@@ -426,8 +428,19 @@ def test_calibrate_with_hardware_counter_reports_unavailable_if_missing(capsys):
 
 def test_console_script_is_installed_and_prints_help():
     exe = shutil.which("softlockstep")
+    command, env = [exe, "--help"], None
     if exe is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
+        # Not installed: check the entry point pyproject.toml declares, and
+        # run its module from this checkout's src.
+        tomllib = pytest.importorskip("tomllib")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        with open(os.path.join(os.path.dirname(src), "pyproject.toml"), "rb") as f:
+            entry = tomllib.load(f)["project"]["scripts"]["softlockstep"]
+        assert entry == "softlockstep.cli:main"
+        module, _, name = entry.partition(":")
+        assert callable(getattr(importlib.import_module(module), name))
+        command = [sys.executable, "-m", "softlockstep.cli", "--help"]
+        env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(command, capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "run" in proc.stdout and "calibrate" in proc.stdout and "simulate" in proc.stdout

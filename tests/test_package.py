@@ -1,9 +1,11 @@
 """The package root: what `from softlockstep import *` gives a caller."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,3 +100,44 @@ def test_records_keep_their_value_semantics(index):
     assert type(changed) is type(record) and changed != record
     assert getattr(changed, name) == other
     assert changed._replace(**{name: getattr(record, name)}) == record
+
+
+_PACKAGE = Path(softlockstep.__file__).parent
+
+
+def _names(node):
+    """The names a node binds or refers to: a name, an attribute, an import."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.alias):
+        return {node.name, node.asname} - {None}
+    return set()
+
+
+def _uses_of(name):
+    """(module, innermost enclosing function) of each call to and import of name."""
+    calls, imports = [], []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias) and name in _names(node):
+                imports.append(path.stem)
+            if not (isinstance(node, ast.Call) and name in _names(node.func)):
+                continue
+            scope = node
+            while scope in parents and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = parents[scope]
+            calls.append((path.stem, getattr(scope, "name", None)))
+    return calls, imports
+
+
+def test_the_staggering_rule_runs_in_one_production_loop():
+    # The simulator runs the enforcement loop rather than a copy of its rule,
+    # so the model checker's oracle is the production loop itself.
+    assert _uses_of("decide") == ([("monitor", "enforcement_loop")], ["monitor"])
+    sim = ast.parse((_PACKAGE / "sim.py").read_text())
+    named = set().union(*(_names(node) for node in ast.walk(sim)))
+    assert not named & {"decide", "TrailState"}

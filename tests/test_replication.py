@@ -5,6 +5,7 @@ only if the host offers no usable counter at all.
 """
 
 import errno
+import functools
 import os
 import signal
 import sys
@@ -196,6 +197,35 @@ def test_the_trail_holds_no_end_of_the_heads_report_pipe():
         head_report = reports & _pipes(session.pid(Role.HEAD))
         assert len(reports) == 2 and len(head_report) == 1
         assert not head_report & _pipes(session.pid(Role.TRAIL))
+
+
+def read_fd(fd, inputs, outputs):
+    try:
+        outputs[0][:] = os.read(fd, 1)
+    except OSError:  # not inherited: the fd is closed in the replica
+        outputs[0][:] = b"-"
+
+
+def test_a_replica_inherits_no_descriptor_of_the_callers(tmp_path):
+    # An inherited fd shares one open file, offset included, with the caller
+    # and the other replica: a read in one moves where the others read next.
+    path = tmp_path / "shared"
+    path.write_bytes(b"ab")
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        with start_both(functools.partial(read_fd, fd), PayloadSpec.of([], [], [1])) as session:
+            assert wait_done(session, Role.HEAD).success
+            assert wait_done(session, Role.TRAIL).success
+            assert session.collect_outputs(Role.HEAD) == [b"-"]
+            assert session.collect_outputs(Role.TRAIL) == [b"-"]
+            for role in Role:
+                fds = f"/proc/{session.pid(role)}/fd"
+                links = {os.readlink(f"{fds}/{name}") for name in os.listdir(fds)}
+                assert str(path) not in links
+                assert os.readlink(f"{fds}/0") == os.devnull  # no stdin either
+        assert os.lseek(fd, 0, os.SEEK_CUR) == 0
+    finally:
+        os.close(fd)
 
 
 def _state(pid):
