@@ -136,7 +136,7 @@ def read_report(source) -> CalibrationReport:
     if isinstance(source, (str, os.PathLike)):
         with open(source) as f:
             return read_report(f)
-    values: dict[str, str] = {}
+    values: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(source, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -144,18 +144,18 @@ def read_report(source) -> CalibrationReport:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        values[key.strip()] = (lineno, value.strip())
     missing = [k for k in _REPORT_KEYS if k not in values]
     if missing:
         raise ValueError(f"calibration file is missing {', '.join(missing)}")
-    report = CalibrationReport(
-        counter=values["counter"],
-        peak_rate=float(values["peak_rate"]),
-        check_period_us=int(values["check_period_us"]),
-        monitor_latency_us=int(values["monitor_latency_us"]),
-        safety_margin=float(values["safety_margin"]),
-        recommended_threshold=int(values["recommended_threshold"]),
-    )
+    fields = []
+    for key, parse in zip(_REPORT_KEYS, (str, float, int, int, float, int)):
+        lineno, value = values[key]
+        try:
+            fields.append(parse(value))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from None
+    report = CalibrationReport(*fields)
     problems = report.validate()
     if problems:
         raise ValueError("; ".join(problems))

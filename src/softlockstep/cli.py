@@ -3,7 +3,7 @@
 Exit codes are part of the interface (scripts branch on them):
 0 match / safe, 2 output mismatch, 3 replica failure, 4 timeout,
 5 diversity loss, 1 model counterexample found, 64 usage error,
-65 search space too large, 69 progress counter unavailable,
+65 model check too large, 69 progress counter unavailable,
 70 other setup failure.
 """
 

@@ -182,17 +182,15 @@ def kept_from_forks(buffers):
 
 
 class _Replica:
-    def __init__(self, pid: int, output_address: int, err_read_fd: int, counter_fd: int = -1,
-                 done: bool = False, exit_status: ExitStatus | None = None, err: bytes = b"",
-                 pending_bitflips: list[tuple[int, int, int]] | None = None):
+    def __init__(self, pid: int, output_address: int, err_read_fd: int):
         self.pid = pid
         self.output_address = output_address  # where the child holds its outputs, back to back
         self.err_read_fd = err_read_fd
-        self.counter_fd = counter_fd
-        self.done = done
-        self.exit_status = exit_status
-        self.err = err
-        self.pending_bitflips = [] if pending_bitflips is None else pending_bitflips
+        self.counter_fd = -1
+        self.done = False
+        self.exit_status: ExitStatus | None = None
+        self.err = b""
+        self.pending_bitflips: list[tuple[int, int, int]] = []
 
     def poll_exit(self) -> ExitStatus | None:
         """SUCCESS once the done report came and the process lives, its exit status once gone."""
@@ -366,12 +364,11 @@ class ReplicaSession:
     exits (the counter fd outlives the process).
     """
 
-    def __init__(self, payload: PayloadSpec, counter_kind: str, _replicas: dict[Role, _Replica],
-                 released: bool = False):
+    def __init__(self, payload: PayloadSpec, counter_kind: str, _replicas: dict[Role, _Replica]):
         self.payload = payload
         self.counter_kind = counter_kind
         self._replicas = _replicas
-        self.released = released
+        self.released = False
 
     def _replica(self, role: Role) -> _Replica:
         try:

@@ -16,24 +16,28 @@ that no schedule drives the staggering negative or returns the first one, in
 head-major order, that does. It walks the monitor states reachable after each
 tick, keeping for each state the least prefix that reaches it, rather than
 the schedules: an independent statement of the rule, which the tests hold to
-simulate(), and so to the production loop, schedule by schedule.
+simulate(), and so to the production loop, schedule by schedule. The walk
+counts its own work and gives up past MAX_WALK_WORK.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from typing import NamedTuple
 
 from .core import Action, DiversityLossPolicy, MonitorConfig, Role, StaggeringSample
 from .monitor import enforcement_loop
 from .progress import ScriptedSource
 
-# Bound on exhaustive_check's input: units of _WORK_UNIT schedules times ticks.
-# It was set for a kernel that stepped every schedule; the state walk costs
-# far less, but the bound stays so that the same checks are accepted. Every
-# space of up to 10M schedules fits, and a single letter may run 12,000 ticks.
-_WORK_UNIT = 4096
-MAX_KERNEL_WORK = 12_000
+# Bounds on exhaustive_check. Each state the walk expands costs the length of
+# its step table, or the table's rate pairs if it builds it; past MAX_WALK_WORK
+# the walk raises (2-vCPU Xeon: at most 0.5 s of CPU accepted, 0.6 s refused).
+# Refused up front: more ticks than that, as the walk loops over ticks whatever
+# its states, and a space |alphabet|^(2*ticks) of MAX_SPACE_DIGITS digits or
+# more, whose exact counts str() could not print (it stops at 4,300 digits).
+MAX_WALK_WORK = 500_000
+MAX_SPACE_DIGITS = 4_000
 # Rates and thresholds must keep counts within int64, the counters' width.
 INT64_MAX = 2**63 - 1
 
@@ -196,6 +200,7 @@ def _first_counterexample(alphabet, ticks, period_ticks, latency, threshold):
     # A frozen and a running trail's steps, built when first needed: a wide
     # alphabet has |alphabet|^2 pairs, and a one-tick check expands no state.
     tables = [None, None]
+    work = 0
     states = {(0, 0): (0, 0)}
     # Past every schedule while no candidate is known.
     first = past = (size**ticks, 0)
@@ -220,6 +225,11 @@ def _first_counterexample(alphabet, ticks, period_ticks, latency, threshold):
             below = held if held > tick + 1 else 0
             above = ticks + 1 if check else below
             steps = tables[running]
+            work += len(steps) if steps is not None else size * size if running else size
+            if work > MAX_WALK_WORK:
+                raise SearchSpaceTooLarge(
+                    f"the walk over {size}^(2*{ticks}) schedules exceeds the bound of "
+                    f"{MAX_WALK_WORK} state steps by tick {tick}")
             if steps is None:
                 steps = tables[running] = _steps(alphabet, running)
             for step, head_digit, trail_digit in steps:
@@ -233,22 +243,6 @@ def _first_counterexample(alphabet, ticks, period_ticks, latency, threshold):
                     reached[state] = prefix
         states = reached
     return None if first == past else first
-
-
-def _search_space(size: int, ticks: int) -> int | None:
-    """size^(2*ticks), or None once its work units times ticks exceed MAX_KERNEL_WORK.
-
-    Multiplies up to the bound rather than building the full power, which
-    for a large tick count takes seconds to minutes on its own.
-    """
-    if ticks > MAX_KERNEL_WORK:
-        return None
-    space = 1
-    for _ in range(2 * ticks):
-        space *= size
-        if -(-space // _WORK_UNIT) * ticks > MAX_KERNEL_WORK:
-            return None
-    return space
 
 
 class CheckResult(NamedTuple):
@@ -274,7 +268,9 @@ def exhaustive_check(
     states reachable after each tick, each with the least prefix reaching
     it, along each distinct step head_rate - trail_rate once rather than
     each rate pair, which finds exactly the counterexample a
-    schedule-by-schedule enumeration would find first.
+    schedule-by-schedule enumeration would find first. SearchSpaceTooLarge
+    is raised for more than MAX_WALK_WORK ticks, a space of MAX_SPACE_DIGITS
+    digits or more, or a walk whose work passes MAX_WALK_WORK.
     """
     alphabet = tuple(sorted({int(r) for r in rate_alphabet}))
     if not alphabet or any(r < 0 for r in alphabet):
@@ -288,17 +284,17 @@ def exhaustive_check(
         )
     if abs(threshold) > INT64_MAX:
         raise ValueError(f"threshold {threshold} is past the int64 limit of {INT64_MAX}")
-    space = _search_space(len(alphabet), ticks)
-    if space is None:
+    size = len(alphabet)
+    if ticks > MAX_WALK_WORK:
+        raise SearchSpaceTooLarge(f"{ticks} ticks exceeds the bound of {MAX_WALK_WORK} ticks")
+    if 2 * ticks * math.log10(size) >= MAX_SPACE_DIGITS:
         raise SearchSpaceTooLarge(
-            f"{len(alphabet)}^(2*{ticks}) schedules over {ticks} ticks exceeds the "
-            f"bound of {MAX_KERNEL_WORK} units of {_WORK_UNIT} schedules times ticks"
-        )
+            f"the count of {size}^(2*{ticks}) schedules exceeds the bound of "
+            f"{MAX_SPACE_DIGITS} digits")
 
     first = _first_counterexample(alphabet, ticks, period_ticks, suspend_latency_ticks, threshold)
     if first is None:
-        return CheckResult(safe=True, schedules_checked=space)
-    size = len(alphabet)
+        return CheckResult(safe=True, schedules_checked=size ** (2 * ticks))
     # Each index read as base-|alphabet| digits, most significant first.
     head, trail = ([alphabet[index // size**k % size] for k in reversed(range(ticks))]
                    for index in first)
@@ -320,19 +316,21 @@ def write_schedule_csv(schedule: Schedule, sink) -> None:
 
 
 def read_schedule_csv(source, period_ticks=1, suspend_latency_ticks=0) -> Schedule:
-    """Parse `tick,head_delta,trail_delta` rows back into a Schedule."""
-    lines = [line.strip() for line in source if line.strip()]
-    if not lines or lines[0] != "tick,head_delta,trail_delta":
+    """Parse `tick,head_delta,trail_delta` rows into a Schedule; errors name the file line."""
+    rows = [(lineno, line.strip()) for lineno, line in enumerate(source, start=1) if line.strip()]
+    if not rows or rows[0][1] != "tick,head_delta,trail_delta":
         raise ValueError("expected header 'tick,head_delta,trail_delta'")
-    head_deltas = []
-    trail_deltas = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    head_deltas, trail_deltas = [], []
+    for lineno, line in rows[1:]:
         parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 3 fields, got {len(parts)}")
-        tick, head, trail = (int(p) for p in parts)
-        if tick != len(head_deltas) + 1:
-            raise ValueError(f"line {lineno}: ticks must be consecutive from 1")
+        try:
+            if len(parts) != 3:
+                raise ValueError(f"expected 3 fields, got {len(parts)}")
+            tick, head, trail = (int(p) for p in parts)
+            if tick != len(head_deltas) + 1:
+                raise ValueError("ticks must be consecutive from 1")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         head_deltas.append(head)
         trail_deltas.append(trail)
     return Schedule.of(

@@ -199,6 +199,19 @@ def test_report_reader_rejects_tampering_and_gaps():
         read_report(io.StringIO("what even is this\n"))
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("peak_rate", "abc", "line 3: peak_rate: could not convert"),
+    ("check_period_us", "1.5", "line 4: check_period_us: invalid literal"),
+])
+def test_report_reader_names_the_key_it_cannot_parse(key, value, message):
+    buf = io.StringIO()
+    write_report(report_for(), buf)
+    lines = ["# calibration"] + buf.getvalue().splitlines()
+    text = "\n".join(f"{key}={value}" if line.startswith(f"{key}=") else line for line in lines)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        read_report(io.StringIO(text))
+
+
 def test_report_validate_flags_bad_fields():
     report = CalibrationReport(
         counter="scripted", peak_rate=-1.0, check_period_us=0,

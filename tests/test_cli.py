@@ -290,12 +290,30 @@ def test_simulate_trivial_alphabet_is_safe_at_zero_threshold(capsys):
 
 def test_simulate_oversized_space_exits_sixty_five(capsys):
     code = main(["simulate", "--alphabet", ",".join(map(str, range(10))),
-                 "--ticks", "8", "--threshold", "1"])
+                 "--ticks", "2000", "--threshold", "1"])
     assert code == 65
     assert capsys.readouterr().err == (
-        "error: 10^(2*8) schedules over 8 ticks exceeds the bound of "
-        "12000 units of 4096 schedules times ticks\n"
+        "error: the count of 10^(2*2000) schedules exceeds the bound of 4000 digits\n"
     )
+
+
+def test_simulate_prints_an_index_just_under_the_digit_bound(capsys, fails_after):
+    # 3^(2*4191) has 4,000 digits; the first counterexample's index has 2,002.
+    with fails_after(2):
+        code = main(["simulate", "--alphabet", "0,1,2", "--ticks", "4191",
+                     "--latency", "1", "--threshold", "3"])
+    assert code == 1
+    out = capsys.readouterr().out
+    index = out.split()[2]
+    assert out.startswith("unsafe: schedule ") and len(index) == 2002
+    assert "staggering -1 (threshold 3)" in out
+
+
+def test_simulate_walk_past_its_work_bound_exits_sixty_five(capsys):
+    code = main(["simulate", "--alphabet", "0,1,2", "--ticks", "4191",
+                 "--latency", "1", "--threshold", "4"])
+    assert code == 65
+    assert "500000 state steps" in capsys.readouterr().err
 
 
 def test_simulate_huge_tick_count_exits_sixty_five_promptly(capsys, fails_after):

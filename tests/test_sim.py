@@ -352,8 +352,10 @@ def test_safety_is_monotone_in_the_threshold(alphabet, ticks, period, latency):
 
 
 def test_the_costliest_accepted_checks_stay_fast(fails_after):
-    # The widest alphabets the work bound accepts for one, two, three, five
-    # and eleven ticks, with rates far apart so that few prefixes share a state.
+    # The widest alphabets the earlier schedule-count bound accepted for one,
+    # two, three, five and eleven ticks, with rates far apart so that few
+    # prefixes share a state; one letter over the most ticks taken; and a
+    # walk whose work is just under the budget (one letter more passes it).
     spread = [3**k for k in range(15)]
     with fails_after(2):
         assert exhaustive_check(range(7000), 1, 1, 0, 0).schedules_checked == 7000**2
@@ -362,11 +364,40 @@ def test_the_costliest_accepted_checks_stay_fast(fails_after):
         assert not exhaustive_check(spread, 3, 1, 0, 3**13).safe
         assert exhaustive_check([0, 3], 11, 1, 0, 3).schedules_checked == 2**22
         assert exhaustive_check(spread[:5], 5, 2, 1, 3**4 * 3).schedules_checked == 5**10
+        assert exhaustive_check([1], sim.MAX_WALK_WORK, 1, 1, 1).safe
+        assert exhaustive_check(range(353), 4, 1, 1, 352 * 2).safe
+
+
+def test_every_check_the_schedule_count_bound_accepted_is_still_accepted():
+    # The bound before the walk counted its own work accepted these widest
+    # alphabets at each tick count (at most 10M schedules), and one letter
+    # over 12,000 ticks. Rates are spread as powers where that fits int64; a
+    # check of two ticks or fewer never follows a running trail's table.
+    widest = {1: 7010, 2: 70, 3: 15, 4: 7, 5: 5, 6: 3, 7: 3, 8: 2, 9: 2, 10: 2, 11: 2}
+    for ticks, size in widest.items():
+        alphabet = [3**k for k in range(size)] if size <= 15 else range(size)
+        top = max(alphabet)
+        for period, latency in ((1, 0), (1, 1), (2, 1)):
+            for threshold in (0, top * (period + latency) - 1, top * (period + latency)):
+                exhaustive_check(alphabet, ticks, period, latency, threshold)
+    assert exhaustive_check([1], 12_000, 1, 1, 1).safe
+
+
+@pytest.mark.parametrize("alphabet, period, latency, ticks, safe", [
+    ([0, 1], 3, 2, 400, 5),
+    ([0, 1, 2], 1, 1, 200, 4),
+], ids=["0,1-over-400-ticks", "0,1,2-over-200-ticks"])
+def test_the_bound_is_tight_at_long_horizons(alphabet, period, latency, ticks, safe):
+    # threshold = r * (P + L) holds over every schedule, one less does not.
+    assert exhaustive_check(alphabet, ticks, period, latency, safe).safe
+    unsafe = exhaustive_check(alphabet, ticks, period, latency, safe - 1)
+    assert min_staggering(simulate(unsafe.counterexample, threshold=safe - 1)) < 0
 
 
 def test_exhaustive_rejects_oversized_spaces():
-    with pytest.raises(SearchSpaceTooLarge):
-        exhaustive_check(list(range(10)), ticks=4, period_ticks=1,
+    # 3^(2*4192) has 4,001 digits; 3^(2*4191) is walked (and refused for its work).
+    with pytest.raises(SearchSpaceTooLarge, match="4000 digits"):
+        exhaustive_check([0, 1, 2], ticks=4192, period_ticks=1,
                          suspend_latency_ticks=0, threshold=1)
 
 
@@ -378,22 +409,21 @@ def test_exhaustive_bounds_the_space_without_building_its_power(fails_after):
 
 
 def test_a_one_rate_check_is_refused_for_its_length(fails_after):
-    # One schedule, but the kernel still steps through every tick.
+    # One schedule, but the walk still steps through every tick.
     with fails_after(2), pytest.raises(SearchSpaceTooLarge, match="exceeds"):
         exhaustive_check([0], ticks=10**12, period_ticks=1,
                          suspend_latency_ticks=0, threshold=0)
 
 
-def test_every_space_of_up_to_ten_million_schedules_stays_within_the_work_bound():
-    # Ten million schedules was the bound on the space alone: each multi-letter
-    # check it let through is still accepted.
-    for size in range(2, 3163):
-        ticks = 1
-        while size ** (2 * ticks) <= 10_000_000:
-            assert sim._search_space(size, ticks) == size ** (2 * ticks), (size, ticks)
-            ticks += 1
-    assert sim._search_space(1, sim.MAX_KERNEL_WORK) == 1
-    assert sim._search_space(1, sim.MAX_KERNEL_WORK + 1) is None
+def test_a_walk_past_its_work_bound_is_refused(fails_after):
+    with fails_after(2), pytest.raises(SearchSpaceTooLarge, match="state steps"):
+        exhaustive_check(range(354), 4, 1, 1, 353 * 2)
+
+
+def test_a_step_table_past_the_work_bound_is_refused_before_it_is_built(fails_after):
+    # 5,000 letters have 25M rate pairs, which the states after tick 2 would follow.
+    with fails_after(2), pytest.raises(SearchSpaceTooLarge, match="by tick 2"):
+        exhaustive_check(range(5000), 3, 1, 0, 0)
 
 
 @pytest.mark.parametrize("alphabet, ticks, threshold, message", [
@@ -476,3 +506,13 @@ def test_schedule_csv_rejects_bad_input():
         read_schedule_csv(io.StringIO("tick,head_delta,trail_delta\n2,1,1\n"))
     with pytest.raises(ValueError):
         read_schedule_csv(io.StringIO("tick,head_delta,trail_delta\n1,1\n"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("tick,head_delta,trail_delta\n\n\n1,1\n", "line 4: expected 3 fields, got 2"),
+    ("tick,head_delta,trail_delta\n1,x,2\n", "line 2: invalid literal"),
+    ("\ntick,head_delta,trail_delta\n1,1,1\n\n3,1,1\n", "line 5: ticks must be consecutive"),
+], ids=["blank-lines", "not-a-number", "gap"])
+def test_schedule_csv_errors_name_the_file_line(text, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        read_schedule_csv(io.StringIO(text))
