@@ -51,7 +51,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--workload", help="computation to protect, e.g. matmul:128, checksum:65536, spin:5000000")
     run.add_argument("--threshold", type=int, help="minimum staggering to enforce, in progress units")
     run.add_argument("--calibration-file", help="take threshold (and counter) from a calibration report")
-    run.add_argument("--period-us", type=int, default=1000, help="check period in microseconds")
+    run.add_argument("--period-us", type=int, help="process backend: check period in microseconds (default 1000)")
     run.add_argument("--timeout-ms", type=int, help="abort the run after this long")
     run.add_argument("--trace-out", help="write the staggering trace CSV here")
     run.add_argument("--inject", help="fault to inject: bitflip:ROLE:OUT:BYTE:BIT, freeze:ROLE:DUR, crash:ROLE")
@@ -127,7 +127,8 @@ def _run_config(args, threshold: int) -> MonitorConfig:
     )
     return MonitorConfig(
         threshold_instructions=threshold,
-        check_period_us=args.period_us,
+        # Scripted runs refuse --period-us: their checks come every period_ticks.
+        check_period_us=1000 if args.period_us is None else args.period_us,
         diversity_loss_policy=policy,
         run_timeout_us=args.timeout_ms * 1000 if args.timeout_ms is not None else None,
         head_core=head_core,
@@ -172,7 +173,7 @@ def _cmd_run(args) -> int:
             inject=fault,
         )
     elif args.backend.startswith("scripted:"):
-        _refuse_flags(args, ("--seed", "--counter"), "process backend")
+        _refuse_flags(args, ("--seed", "--counter", "--period-us"), "process backend")
         if args.workload:
             raise ValueError("the scripted backend replays a schedule; it takes no --workload")
         if args.inject:

@@ -42,6 +42,11 @@ class Role(enum.Enum):
     TRAIL = "trail"
 
 
+# The longest check period a run takes: half the int64 nanosecond range, so
+# that a period's wait ends on a monotonic deadline the clock can still count.
+MAX_CHECK_PERIOD_US = 2**62 // 1000
+
+
 class MonitorConfig(NamedTuple):
     """Parameters of one protected run.
 
@@ -68,6 +73,8 @@ def validate_config(config: MonitorConfig) -> list[str]:
         errors.append("threshold must be positive")
     if config.check_period_us <= 0:
         errors.append("check period must be positive")
+    elif config.check_period_us > MAX_CHECK_PERIOD_US:
+        errors.append(f"check period must be at most {MAX_CHECK_PERIOD_US} us")
     if config.run_timeout_us is not None and config.run_timeout_us <= 0:
         errors.append("run timeout must be positive when set")
     cores = {

@@ -3,11 +3,12 @@
 The loop is generic over a progress source and a clock, which is what makes
 the rest of the system testable: the same code polls real processes through
 perf counters (a ReplicaSession with a RealClock), replays a script tick by
-tick (a ScriptedSource, its own clock; sim.simulate is this loop on one whose
-clock records every tick), or re-executes a recorded trace (a ReplaySource,
-its own clock). It is the one place the staggering rule is applied. Every
-check reads the head count first, then the trail, computes the signed
-staggering, and applies exactly one action, which becomes one trace sample.
+tick (a ScriptedSource, its own clock, which also records the staggering at
+every tick boundary; sim.simulate is this loop on one as it is), or
+re-executes a recorded trace (a ReplaySource, its own clock). It is the one
+place the staggering rule is applied. Every check reads the head count
+first, then the trail, then how each exited, computes the signed staggering,
+and applies exactly one action, which becomes one trace sample.
 The loop ends in a verdict: MATCH once both replicas finished, otherwise
 TIMEOUT, DIVERSITY_LOSS or REPLICA_FAILURE.
 
@@ -157,21 +158,22 @@ def enforcement_loop(
             head_count = source.read_count(Role.HEAD)
             polled = Role.TRAIL
             trail_count = source.read_count(Role.TRAIL)
-            exits = {}
-            for polled in Role:
-                exits[polled] = source.exit_status(polled)
+            polled = Role.HEAD
+            head_exit = source.exit_status(Role.HEAD)
+            polled = Role.TRAIL
+            trail_exit = source.exit_status(Role.TRAIL)
         except (CounterUnavailable, OSError):
             return Verdict.replica_failure(polled, "counter-failure"), trace
         if on_check is not None:
             on_check(now_ns, head_count, trail_count)
-        for role, status in exits.items():
-            if status is not None and not status.success:
-                return Verdict.replica_failure(role, status.failure_cause), trace
-        head_term = exits[Role.HEAD] is not None
-        trail_term = exits[Role.TRAIL] is not None
+        # A failed head is blamed before a failed trail.
+        if head_exit is not None and not head_exit.success:
+            return Verdict.replica_failure(Role.HEAD, head_exit.failure_cause), trace
+        if trail_exit is not None and not trail_exit.success:
+            return Verdict.replica_failure(Role.TRAIL, trail_exit.failure_cause), trace
 
         stag = staggering(head_count, trail_count)
-        if head_term and not head_done:
+        if head_exit is not None and not head_done:
             action = Action.HEAD_DONE
             head_done = True
             if trail_state is TrailState.SUSPENDED:
@@ -184,7 +186,7 @@ def enforcement_loop(
             if trail_state is TrailState.RUNNING:
                 source.suspend(Role.TRAIL)
                 trail_state = TrailState.SUSPENDED
-        elif trail_term and not trail_done:
+        elif trail_exit is not None and not trail_done:
             action = Action.TRAIL_DONE
             trail_done = True
         elif head_done or trail_done:
@@ -361,9 +363,10 @@ def replay(trace: Trace, config: MonitorConfig) -> tuple[Verdict, Trace]:
     the recording ends instead, so a run recorded without both replicas
     finishing (timed out, or aborted and replayed under another policy)
     ends as TIMEOUT. A replayed run that completes is a MATCH: the recording
-    holds no outputs to compare. An empty or invalid trace raises ValueError.
+    holds no outputs to compare. An empty or invalid trace, or a config that
+    run_scripted would refuse, raises ValueError.
     """
-    problems = trace.validate()
+    problems = validate_config(config) + trace.validate()
     if problems:
         raise ValueError("; ".join(problems))
     source = ReplaySource(trace.samples)

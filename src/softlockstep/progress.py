@@ -11,12 +11,11 @@ sources are their own loop clocks.
 Scripted time is measured in ticks. During tick i a running scripted replica
 accrues its i-th delta; a suspend issued at tick k with latency L lets it
 accrue through tick k+L and freezes it from tick k+L+1; a resume at tick k
-takes effect from tick k+1. ScriptedSource holds these rules, and
+takes effect from tick k+1. ScriptedSource holds these rules and records
+the staggering after every tick the head lives, between checks too.
 run_scripted, the simulator and the scripted calibration all build one from
-their schedule. run_scripted and the simulator both run the one enforcement
-loop on it: the simulator is that loop on a clock that steps one tick at a
-time and records the staggering after each, so the two differ only in when
-they look, never in the rule.
+their schedule; run_scripted and the simulator run the one enforcement loop
+on it as it is, the simulator also returning those tick-boundary instants.
 """
 
 from __future__ import annotations
@@ -154,9 +153,10 @@ class ScriptedSource:
     either lands after the schedule's suspend_latency_ticks. Time only moves
     when advance() is called. The source is its own loop clock:
     wait_one_period advances the schedule's period_ticks ticks of TICK_NS
-    each, so scripted runs are exactly reproducible. sim.simulate runs the
-    same enforcement loop on a subclass whose clock steps one tick at a time
-    and records the staggering after each.
+    each, so scripted runs are exactly reproducible. instants records
+    (tick, staggering) after every tick the head lives, between checks too;
+    sim.simulate runs the enforcement loop on this source as it is and
+    returns those instants with the samples.
     """
 
     def __init__(self, schedule):
@@ -166,20 +166,27 @@ class ScriptedSource:
         self.tick = 0
         self.period_ticks = schedule.period_ticks
         latency = schedule.suspend_latency_ticks
-        self._replicas = {
-            Role.HEAD: _ScriptedReplica(
-                schedule.head_deltas, schedule.head_length, latency, running=True
-            ),
-            Role.TRAIL: _ScriptedReplica(
-                schedule.trail_deltas, schedule.trail_length, latency, running=False
-            ),
-        }
+        self._head = _ScriptedReplica(
+            schedule.head_deltas, schedule.head_length, latency, running=True)
+        self._trail = _ScriptedReplica(
+            schedule.trail_deltas, schedule.trail_length, latency, running=False)
+        self.instants: list[tuple[int, int]] = []
+        # Kept rather than asked of the head: a head with no work is
+        # terminated at tick 0 already, yet its first tick is an instant.
+        self._head_alive = True
+
+    def _replica(self, role: Role) -> _ScriptedReplica:
+        return self._head if role is Role.HEAD else self._trail
 
     def advance(self, ticks: int) -> None:
+        head, trail = self._head, self._trail
         for _ in range(ticks):
             self.tick += 1
-            for replica in self._replicas.values():
-                replica.accrue(self.tick)
+            head.accrue(self.tick)
+            trail.accrue(self.tick)
+            if self._head_alive:
+                self.instants.append((self.tick, head.count - trail.count))
+                self._head_alive = not head.terminated_at(self.tick)
 
     def wait_one_period(self) -> None:
         self.advance(self.period_ticks)
@@ -188,16 +195,16 @@ class ScriptedSource:
         return self.tick * TICK_NS
 
     def read_count(self, role: Role) -> int:
-        return self._replicas[role].count
+        return self._replica(role).count
 
     def suspend(self, role: Role) -> None:
-        self._replicas[role].suspend(self.tick)
+        self._replica(role).suspend(self.tick)
 
     def resume(self, role: Role) -> None:
-        self._replicas[role].resume()
+        self._replica(role).resume()
 
     def exit_status(self, role: Role) -> ExitStatus | None:
-        return _SUCCESS if self._replicas[role].terminated_at(self.tick) else None
+        return _SUCCESS if self._replica(role).terminated_at(self.tick) else None
 
 
 class ReplaySource:

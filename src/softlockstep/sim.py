@@ -3,12 +3,12 @@
 Time advances in ticks. During tick i a running replica retires its scheduled
 per-tick delta; every period_ticks the monitor samples both counts and applies
 the enforcement rule; a suspend decision takes effect suspend_latency_ticks
-later. simulate() is monitor.enforcement_loop itself, run on a
-progress.ScriptedSource built from the schedule with a clock that steps one
-tick at a time: this module holds no copy of the rule. Because that clock
-also records the staggering at every tick boundary (not just at checks), it
-captures the true minimum staggering, which is exactly the hazard the
-threshold guards against: the trail catching up between checks.
+later. simulate() is monitor.enforcement_loop itself, run on a plain
+progress.ScriptedSource built from the schedule: this module holds no copy
+of the rule, nor of the source. Because that source also records the
+staggering at every tick boundary (not just at checks), simulate captures
+the true minimum staggering, which is exactly the hazard the threshold
+guards against: the trail catching up between checks.
 
 The model is small enough to check exhaustively. exhaustive_check covers
 every per-tick rate assignment over a small alphabet and either certifies
@@ -26,7 +26,7 @@ import bisect
 import math
 from typing import NamedTuple
 
-from .core import Action, DiversityLossPolicy, MonitorConfig, Role, StaggeringSample
+from .core import Action, DiversityLossPolicy, MonitorConfig, StaggeringSample
 from .monitor import enforcement_loop
 from .progress import ScriptedSource
 
@@ -129,8 +129,8 @@ def simulate(
 ) -> SimTrace:
     """Run the enforcement loop over a schedule, tick by tick.
 
-    This is monitor.enforcement_loop itself, on a ScriptedSource whose clock
-    also records the staggering at every tick boundary while the head lives.
+    This is monitor.enforcement_loop itself, on a ScriptedSource as it is,
+    which records the staggering at every tick boundary while the head lives.
     The trail starts suspended. Checks happen at the end of every
     period_ticks-th tick: the monitor reads both counts, emits one sample,
     and applies the decision; a suspend freezes the trail starting
@@ -139,30 +139,11 @@ def simulate(
     (or immediately on diversity loss under ABORT_RUN). Unlike run_scripted,
     any threshold is taken, zero and negative ones too.
     """
-    source = _TickedSource(schedule)
+    source = ScriptedSource(schedule)
     config = MonitorConfig(threshold_instructions=threshold,
                            diversity_loss_policy=diversity_loss_policy)
     _, trace = enforcement_loop(source, source, config)
     return SimTrace(trace.samples, source.instants)
-
-
-class _TickedSource(ScriptedSource):
-    """A ScriptedSource whose clock records (tick, staggering) after each tick the head lives."""
-
-    def __init__(self, schedule: Schedule):
-        super().__init__(schedule)
-        self.instants: list[tuple[int, int]] = []
-        # Kept here rather than asked of the head: a head with no work is
-        # terminated at tick 0 already, yet its first tick is a modeled instant.
-        self._head_alive = True
-
-    def wait_one_period(self) -> None:
-        for _ in range(self.period_ticks):
-            self.advance(1)
-            if self._head_alive:
-                self.instants.append(
-                    (self.tick, self.read_count(Role.HEAD) - self.read_count(Role.TRAIL)))
-                self._head_alive = self.exit_status(Role.HEAD) is None
 
 
 def _steps(alphabet, running):
@@ -193,7 +174,7 @@ def _first_counterexample(alphabet, ticks, period_ticks, latency, threshold):
     the lowest head rate and the least trail rate above its staggering plus
     that; padded with the lowest rate, that is a candidate, and a state whose
     least extension cannot precede the least candidate is dropped. The rules
-    are the enforcement loop's, as simulate() runs it on a one-tick clock,
+    are the enforcement loop's, as simulate() runs it tick by tick,
     restricted to replicas without lengths.
     """
     size, lowest = len(alphabet), alphabet[0]
@@ -205,18 +186,18 @@ def _first_counterexample(alphabet, ticks, period_ticks, latency, threshold):
     # Past every schedule while no candidate is known.
     first = past = (size**ticks, 0)
     for tick in range(1, ticks + 1):
-        # Extensions of one replica's prefix of this tick to the full length.
+        # Prefixes are kept as full-length indices, padded with the lowest
+        # rate: this tick's digit weighs rest in them.
         rest = size ** (ticks - tick)
         check, suspend = tick % period_ticks == 0, tick + latency + 1
         reached = {}
         get = reached.get
         for (staggering, frozen_from), (head, trail) in states.items():
-            head, trail = head * size, trail * size
-            if (head * rest, trail * rest) >= first:
+            if (head, trail) >= first:
                 continue
             running = tick < frozen_from
             if running and (over := bisect.bisect_right(alphabet, staggering + lowest)) < size:
-                first = min(first, (head * rest, (trail + over) * rest))
+                first = min(first, (head, trail + over * rest))
             if tick == ticks:
                 continue
             # The freeze tick after a step to below the threshold and to at
@@ -237,7 +218,7 @@ def _first_counterexample(alphabet, ticks, period_ticks, latency, threshold):
                 if now < 0:
                     break
                 state = (now, below if now < threshold else above)
-                prefix = (head + head_digit, trail + trail_digit)
+                prefix = (head + head_digit * rest, trail + trail_digit * rest)
                 known = get(state)
                 if known is None or prefix < known:
                     reached[state] = prefix

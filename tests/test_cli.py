@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from softlockstep import cli, linuxperf, replication
+from softlockstep import cli, linuxperf, monitor, replication
 from softlockstep.calibration import read_report, recommend_threshold, write_report, CalibrationReport
 from softlockstep.cli import _VERDICT_EXIT, main
 from softlockstep.core import PayloadSpec, VerdictKind
@@ -220,6 +220,8 @@ def test_impossible_pinning_exits_seventy(tmp_path, capsys):
      "--duration-ms applies only to the process backend"),
     (["calibrate", "--backend", "scripted:{schedule}", "--counter", "auto"],
      "--counter applies only to the process backend"),
+    (["run", "--backend", "scripted:{schedule}", "--threshold", "5", "--period-us", "7"],
+     "--period-us applies only to the process backend"),
 ])
 def test_usage_errors_exit_sixty_four(argv, fragment, tmp_path, capsys):
     schedule = tmp_path / "schedule.csv"
@@ -428,6 +430,15 @@ def test_calibrate_with_a_zero_period_exits_sixty_four_without_forking(monkeypat
     monkeypatch.setattr(replication, "spawn_replicas", lambda *a, **k: spawned.append(a))
     assert main(["calibrate", "--period-us", "0"]) == 64
     assert "check_period_us must be positive" in capsys.readouterr().err
+    assert spawned == []
+
+
+def test_a_period_the_clock_cannot_wait_exits_sixty_four_without_forking(monkeypatch, capsys):
+    spawned = []
+    monkeypatch.setattr(monitor, "spawn_replicas", lambda *a, **k: spawned.append(a))
+    assert main(["run", "--workload", "spin:1000", "--threshold", "5",
+                 "--period-us", "100000000000000000"]) == 64
+    assert "check period must be at most" in capsys.readouterr().err
     assert spawned == []
 
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from softlockstep.core import (
+    MAX_CHECK_PERIOD_US,
     Action,
     DiversityLossPolicy,
     MonitorConfig,
@@ -100,6 +101,13 @@ def test_validate_config_rejects_nonpositive_threshold():
 def test_validate_config_rejects_nonpositive_period():
     problems = validate_config(MonitorConfig(threshold_instructions=10, check_period_us=0))
     assert any("period" in p for p in problems)
+
+
+def test_validate_config_rejects_a_period_the_clock_cannot_wait():
+    # A longer period's deadline would pass the int64 nanoseconds the clock counts.
+    assert validate_config(MonitorConfig(10, check_period_us=MAX_CHECK_PERIOD_US)) == []
+    problems = validate_config(MonitorConfig(10, check_period_us=MAX_CHECK_PERIOD_US + 1))
+    assert problems == [f"check period must be at most {MAX_CHECK_PERIOD_US} us"]
 
 
 def test_validate_config_rejects_nonpositive_timeout():

@@ -37,7 +37,7 @@ from softlockstep.monitor import (
     run_scripted,
     write_trace,
 )
-from softlockstep.progress import CounterUnavailable, ScriptedSource
+from softlockstep.progress import CounterUnavailable, ExitKind, ExitStatus, ScriptedSource
 from softlockstep.replication import PinningFailure, spawn_replicas
 from softlockstep.sim import Schedule, simulate
 from softlockstep.workloads import Workload, checksum_workload, direct_run
@@ -283,6 +283,24 @@ def test_a_failed_read_or_poll_blames_the_replica_it_was_about(role, method):
     assert len(trace.samples) == 2
 
 
+class _BothFailSource(ScriptedSource):
+    """A scripted source whose head and trail report failed exits from one check on."""
+
+    def exit_status(self, role):
+        if self.tick < 3:
+            return super().exit_status(role)
+        return ExitStatus(ExitKind.NONZERO_EXIT, 1) if role is Role.HEAD else ExitStatus(ExitKind.CRASH)
+
+
+def test_a_failed_head_is_blamed_before_a_failed_trail():
+    source = _BothFailSource(Schedule.of([1] * 10, [1] * 10))
+    verdict, trace = enforcement_loop(source=source, clock=source, config=cfg(100))
+    assert verdict.kind is VerdictKind.REPLICA_FAILURE
+    assert verdict.failed_role is Role.HEAD
+    assert verdict.failure_cause == "nonzero-exit"
+    assert len(trace.samples) == 2
+
+
 # ------------------------------------------------------------------ replay
 
 def test_replay_reproduces_a_scripted_run_exactly():
@@ -349,6 +367,17 @@ def test_replay_refuses_a_trace_that_validate_rejects():
     assert trace.validate() == ["timestamp -5 decreases", "timestamp -9 decreases"]
     with pytest.raises(ValueError, match="^timestamp -5 decreases; timestamp -9 decreases$"):
         replay(trace, cfg(1))
+
+
+def test_replay_refuses_a_config_that_run_scripted_refuses():
+    _, trace = run_scripted(Schedule.of([5, 5], [5, 5]), cfg(3))
+    config = MonitorConfig(threshold_instructions=-7, check_period_us=-1, head_core=1, trail_core=1)
+    with pytest.raises(ValueError) as raised:
+        run_scripted(Schedule.of([5, 5], [5, 5]), config)
+    with pytest.raises(ValueError, match="^threshold must be positive; check period must be "
+                                         "positive; cores must be distinct") as replayed:
+        replay(trace, config)
+    assert str(replayed.value) == str(raised.value)
 
 
 # --------------------------------------------------------------- trace CSV

@@ -13,7 +13,7 @@ import softlockstep
 from softlockstep.calibration import CalibrationReport
 from softlockstep.core import Action, MonitorConfig, PayloadSpec, Role, StaggeringSample, Verdict
 from softlockstep.integrity import FaultSpec
-from softlockstep.progress import ExitKind, ExitStatus
+from softlockstep.progress import ExitKind, ExitStatus, ProgressSource
 from softlockstep.sim import CheckResult, Schedule
 from softlockstep.workloads import Workload
 
@@ -141,3 +141,7 @@ def test_the_staggering_rule_runs_in_one_production_loop():
     sim = ast.parse((_PACKAGE / "sim.py").read_text())
     named = set().union(*(_names(node) for node in ast.walk(sim)))
     assert not named & {"decide", "TrailState"}
+    # Nor a second scripted source: simulate runs progress.ScriptedSource as it is.
+    classes = [value for value in vars(softlockstep.sim).values()
+               if isinstance(value, type) and value.__module__ == softlockstep.sim.__name__]
+    assert classes and not any(issubclass(cls, ProgressSource) for cls in classes)
