@@ -6,15 +6,14 @@ progress behind the head by suspending and resuming it, and compares the two
 output sets byte for byte when both finish. The staggering makes a transient
 host fault land in different program states in the two replicas, so it cannot
 corrupt both outputs identically; the comparison then catches it.
+
+Importing the package loads the pure-Python layers: the domain types, the
+enforcement loop, the simulator and model checker, output comparison and the
+workloads. The process layer (replication, linuxperf, and with them ctypes,
+mmap and signal) loads with the first protect() or calibrate(), and the
+calibration names resolve on first access.
 """
 
-from .calibration import (
-    CalibrationReport,
-    calibrate,
-    read_report,
-    recommend_threshold,
-    write_report,
-)
 from .core import (
     Action,
     DiversityLossPolicy,
@@ -23,6 +22,7 @@ from .core import (
     StaggeringSample,
     Verdict,
     VerdictKind,
+    WrappedComputation,
 )
 from .integrity import FaultSpec, parse_fault_spec
 from .monitor import (
@@ -33,8 +33,7 @@ from .monitor import (
     run_scripted,
     write_trace,
 )
-from .progress import CounterUnavailable
-from .replication import PinningFailure, SpawnFailure, WrappedComputation
+from .progress import CounterUnavailable, PinningFailure, SpawnFailure
 from .sim import (
     CheckResult,
     EmptyTrace,
@@ -50,6 +49,19 @@ from .sim import (
 from .workloads import Workload, direct_run, parse_workload_id
 
 __version__ = "0.1.0"
+
+# Resolved on first access (PEP 562): a run without calibration never compiles it.
+_CALIBRATION_NAMES = ("CalibrationReport", "calibrate", "read_report", "recommend_threshold",
+                      "write_report")
+
+
+def __getattr__(name):
+    if name in _CALIBRATION_NAMES:
+        from . import calibration
+
+        return getattr(calibration, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # What callers of protect, calibrate, replay, run_scripted, the simulator and
 # the CLI use. Test doubles and internals stay importable from their modules.

@@ -14,7 +14,6 @@ import math
 import os
 from typing import NamedTuple
 
-from . import linuxperf
 from .core import MonitorConfig, Role
 from .progress import (
     LoopClock,
@@ -273,11 +272,14 @@ def calibrate(
     if probes < 30:
         raise ValueError("need at least 30 probes for a usable worst case")
     _check_period_and_margin(check_period_us, safety_margin)
-    resolved = linuxperf.probe_counter(counter)
-    # Local import: replication pulls in fork/mmap machinery that pure
-    # threshold arithmetic callers never need.
+    # Local imports: linuxperf and replication pull in the ctypes, fork and
+    # mmap machinery that threshold arithmetic, report files and scripted
+    # calibration never need.
+    from . import linuxperf
     from .replication import spawn_replicas
     from .workloads import spin_workload
+
+    resolved = linuxperf.probe_counter(counter)
 
     workload = spin_workload(10**15)  # effectively runs until killed
     config = MonitorConfig(threshold_instructions=1)

@@ -12,10 +12,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import calibration, integrity, monitor, sim
+from . import integrity, monitor, sim
 from .core import DiversityLossPolicy, MonitorConfig, VerdictKind
-from .progress import CounterUnavailable
-from .replication import PinningFailure, SpawnFailure
+from .progress import CounterUnavailable, PinningFailure, SpawnFailure
 from .workloads import parse_workload_id
 
 EX_COUNTEREXAMPLE = 1
@@ -144,6 +143,8 @@ def _resolve_threshold(args) -> tuple[int, str]:
     if args.threshold is not None:
         return args.threshold, args.counter or "auto"
     if args.calibration_file:
+        from . import calibration
+
         report = calibration.read_report(args.calibration_file)
         # A threshold is only meaningful against the counter it was measured
         # with; adopt the report's counter unless explicitly overridden.
@@ -196,6 +197,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from . import calibration
+
     if args.margin < 1:
         raise ValueError("margin must be >= 1")
     if args.backend == "process":

@@ -9,6 +9,7 @@ once the margin is restored. Everything here is pure data and pure functions.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
 
@@ -88,6 +89,12 @@ def validate_config(config: MonitorConfig) -> list[str]:
             if core_a == core_b:
                 errors.append(f"cores must be distinct ({name_a}={core_a}, {name_b}={core_b})")
     return errors
+
+
+# A wrapped computation reads only the given input views, writes only the
+# given output views, and is deterministic in them. Returning False signals
+# an application-detected failure (maps to a nonzero exit).
+WrappedComputation = Callable[[Sequence[memoryview], Sequence[memoryview]], object]
 
 
 class PayloadSpec(NamedTuple):

@@ -239,6 +239,16 @@ class _FreezeDriver:
             self._send[running](role)
 
 
+def check_bit(output_sizes: Sequence[int], output_index: int, byte_offset: int, bit_index: int) -> None:
+    """Refuse, with ValueError, a bit that lies outside the declared outputs."""
+    if not 0 <= output_index < len(output_sizes):
+        raise ValueError(f"output index {output_index} out of range")
+    if not 0 <= byte_offset < output_sizes[output_index]:
+        raise ValueError(f"byte offset {byte_offset} out of range for output {output_index}")
+    if not 0 <= bit_index < 8:
+        raise ValueError(f"bit index {bit_index} out of range")
+
+
 def inject_fault(session, fault: FaultSpec) -> Callable[[int, int, int], None] | None:
     """Arm one fault against a live session.
 

@@ -15,12 +15,14 @@ TIMEOUT, DIVERSITY_LOSS or REPLICA_FAILURE.
 protect() owns the whole lifecycle of a real run: spawn both replicas on
 private data copies, enforce staggering until both finish, compare outputs
 byte for byte after a loop MATCH, always release the session, and only then,
-on a match, copy the head's outputs into the caller's buffers.
+on a match, copy the head's outputs into the caller's buffers. The process
+layer (replication, and through it linuxperf, ctypes, mmap and signal) is
+imported by the first protected run, so the simulator, run_scripted and
+replay never load it; csv loads with the first trace written or read.
 """
 
 from __future__ import annotations
 
-import csv
 import os
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -35,6 +37,7 @@ from .core import (
     TrailState,
     Verdict,
     VerdictKind,
+    WrappedComputation,
     decide,
     staggering,
     validate_config,
@@ -42,22 +45,15 @@ from .core import (
 from .progress import (
     CounterUnavailable,
     LoopClock,
+    PinningFailure,
     ProgressSource,
     RealClock,
     ReplaySource,
     ScriptedSource,
 )
-from .replication import (
-    PinningFailure,
-    ReplicaLost,
-    ReplicaSession,
-    WrappedComputation,
-    huge_page_mapping,
-    kept_from_forks,
-    spawn_replicas,
-)
 
 if TYPE_CHECKING:
+    from .replication import ReplicaSession
     from .sim import Schedule
 
 TRACE_HEADER = ("interval", "timestamp_ns", "head_instr", "trail_instr", "staggering", "action")
@@ -225,6 +221,14 @@ def _validate_caller_outputs(outputs: Sequence, output_sizes: Sequence[int]) -> 
             raise ValueError(f"output buffer {i} holds {view.nbytes} bytes, declared {size}")
 
 
+def spawn_replicas(computation: WrappedComputation, payload: PayloadSpec, config: MonitorConfig,
+                   counter: str) -> ReplicaSession:
+    """replication.spawn_replicas, imported on the first call: protect() spawns through this name."""
+    from .replication import spawn_replicas
+
+    return spawn_replicas(computation, payload, config, counter=counter)
+
+
 def protect(
     computation: WrappedComputation,
     inputs: Sequence,
@@ -260,6 +264,8 @@ def protect(
     pages are inherited by forks again, even if the caller had marked them
     MADV_DONTFORK.
     """
+    from .replication import huge_page_mapping, kept_from_forks
+
     problems = validate_config(config)
     if problems:
         raise ValueError("; ".join(problems))
@@ -270,6 +276,10 @@ def protect(
         if problems:
             raise ValueError("; ".join(problems))
         _validate_caller_outputs(outputs, output_sizes)
+        if inject is not None and inject.kind is integrity.FaultKind.BIT_FLIP:
+            # Refused before any fork, by the check the session applies.
+            integrity.check_bit(payload.output_sizes, inject.output_index, inject.byte_offset,
+                                inject.bit_index)
         # Each replica reads its input copy and writes its output mapping:
         # it needs none of the caller's pages, and the copy-back into pages
         # no fork shared takes no copy-on-write fault.
@@ -321,6 +331,8 @@ def _pin_monitor(core: int) -> None:
 
 def _compare(session: ReplicaSession, head_copy) -> Verdict:
     """Compare both finished replicas' outputs, the head's read into head_copy."""
+    from .replication import ReplicaLost
+
     try:
         return integrity.compare_outputs(
             session.outputs(Role.HEAD),
@@ -384,6 +396,8 @@ def write_trace(trace: Trace, sink) -> None:
         with open(sink, "w", newline="") as f:
             write_trace(trace, f)
         return
+    import csv
+
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(TRACE_HEADER)
     for s in trace.samples:
@@ -397,6 +411,8 @@ def read_trace(source) -> Trace:
     if isinstance(source, (str, os.PathLike)):
         with open(source, newline="") as f:
             return read_trace(f)
+    import csv
+
     reader = csv.reader(source)
     try:
         header = next(reader)

@@ -35,6 +35,14 @@ class CounterUnavailable(Exception):
     """
 
 
+class SpawnFailure(RuntimeError):
+    """A replica could not be brought to the stopped-and-counted state."""
+
+
+class PinningFailure(RuntimeError):
+    """A requested core affinity could not be applied."""
+
+
 class StaleHandle(Exception):
     """Operation on a released session."""
 

@@ -21,6 +21,11 @@ until the enforcement loop releases it. When the computation returns, the
 child writes a one-byte done report to its pipe and sleeps, outputs in
 place, until the session kills it. The monitor reads a finished replica's
 outputs with process_vm_readv.
+
+This module, with linuxperf, ctypes, mmap and signal, is the process layer:
+import softlockstep does not load it, and the first monitor.protect() or
+calibration.calibrate() imports it. Its setup failures, SpawnFailure and
+PinningFailure, live in progress and are importable from here too.
 """
 
 from __future__ import annotations
@@ -33,16 +38,12 @@ import itertools
 import mmap
 import os
 import signal
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from . import linuxperf
-from .core import MonitorConfig, PayloadSpec, Role, validate_config
-from .progress import ExitKind, ExitStatus, StaleHandle
-
-# A wrapped computation reads only the given input views, writes only the
-# given output views, and is deterministic in them. Returning False signals
-# an application-detected failure (maps to a nonzero exit).
-WrappedComputation = Callable[[Sequence[memoryview], Sequence[memoryview]], object]
+from .core import MonitorConfig, PayloadSpec, Role, WrappedComputation, validate_config
+from .integrity import check_bit
+from .progress import ExitKind, ExitStatus, PinningFailure, SpawnFailure, StaleHandle
 
 _PR_SET_PDEATHSIG = 1
 _ERR_PIPE_LIMIT = 8192
@@ -50,14 +51,6 @@ _ERR_PIPE_LIMIT = 8192
 # traceback never starts with this byte.
 _DONE = b"\0"
 _DONE_STATUS = ExitStatus(kind=ExitKind.SUCCESS)
-
-
-class SpawnFailure(RuntimeError):
-    """A replica could not be brought to the stopped-and-counted state."""
-
-
-class PinningFailure(RuntimeError):
-    """A requested core affinity could not be applied."""
 
 
 class ReplicaIncomplete(RuntimeError):
@@ -412,13 +405,7 @@ class ReplicaSession:
     def register_bitflip(self, role: Role, output_index: int, byte_offset: int, bit_index: int) -> None:
         """Corrupt one output bit after the replica finishes, before its outputs are read."""
         rep = self._replica(role)
-        sizes = self.payload.output_sizes
-        if not 0 <= output_index < len(sizes):
-            raise ValueError(f"output index {output_index} out of range")
-        if not 0 <= byte_offset < sizes[output_index]:
-            raise ValueError(f"byte offset {byte_offset} out of range for output {output_index}")
-        if not 0 <= bit_index < 8:
-            raise ValueError(f"bit index {bit_index} out of range")
+        check_bit(self.payload.output_sizes, output_index, byte_offset, bit_index)
         rep.pending_bitflips.append((output_index, byte_offset, bit_index))
 
     def outputs(self, role: Role) -> ReplicaOutputs:

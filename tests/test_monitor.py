@@ -568,6 +568,26 @@ def test_protect_crash_injection_reports_replica_failure():
     assert verdict.failure_cause == "crash"
 
 
+@pytest.mark.parametrize("coordinates, message", [
+    ((0, 99, 0), "byte offset 99 out of range for output 0"),
+    ((1, 0, 0), "output index 1 out of range"),
+    ((0, 0, 8), "bit index 8 out of range"),
+], ids=["byte", "output", "bit"])
+def test_a_bit_flip_outside_the_outputs_is_refused_before_any_fork(monkeypatch, coordinates,
+                                                                    message):
+    spawned = []
+
+    def spawn(*args, **kwargs):
+        spawned.append(args)
+        return spawn_replicas(*args, **kwargs)
+
+    monkeypatch.setattr(monitor, "spawn_replicas", spawn)
+    workload = checksum_workload(nbytes=64)  # one 16-byte output
+    with pytest.raises(ValueError, match=message):
+        run_protected(workload, inject=FaultSpec.bit_flip(Role.TRAIL, *coordinates))
+    assert spawned == []
+
+
 @requires_counter
 def test_protect_timeout_on_a_stuck_computation():
     def stuck(inputs, outputs):

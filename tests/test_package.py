@@ -1,6 +1,7 @@
 """The package root: what `from softlockstep import *` gives a caller."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -34,7 +35,8 @@ def test_star_import_binds_exactly_all():
 ])
 def test_internals_leave_the_root_but_stay_importable(name):
     assert not hasattr(softlockstep, name)
-    assert any(hasattr(getattr(softlockstep, module), name)
+    # Looked up by import: the root binds a submodule only once it is imported.
+    assert any(hasattr(importlib.import_module(f"softlockstep.{module}"), name)
                for module in ("core", "monitor", "progress", "replication"))
 
 
@@ -64,6 +66,39 @@ def test_the_library_loads_without_numpy():
     assert heavy.isdisjoint(imported)
     assert heavy.isdisjoint(spin)
     assert "numpy" not in checksum and "hashlib" in checksum
+
+
+def test_the_simulator_path_loads_no_process_layer():
+    # A fresh interpreter, measured against its own startup set as above. The
+    # process layer and csv load with the first protect(), calibrate() or trace
+    # file; the simulator, the model checker, scripted runs, replay and the
+    # CLI's simulate need none of them.
+    script = (
+        "import json, sys\n"
+        "startup = set(sys.modules)\n"
+        "import softlockstep, softlockstep.cli\n"
+        "from softlockstep import MonitorConfig, Schedule\n"
+        "schedule = Schedule.of([2, 1, 2], [1, 2, 1], suspend_latency_ticks=1)\n"
+        "softlockstep.exhaustive_check([0, 1, 2], 3, 1, 1, 4)\n"
+        "softlockstep.simulate(schedule, 2)\n"
+        "_, trace = softlockstep.run_scripted(schedule, MonitorConfig(threshold_instructions=2))\n"
+        "softlockstep.replay(trace, MonitorConfig(threshold_instructions=2))\n"
+        "softlockstep.cli.main(['simulate', '--alphabet', '0,1,2', '--ticks', '3',\n"
+        "                       '--latency', '1', '--threshold', '4'])\n"
+        "added = sorted(set(sys.modules) - startup)\n"
+        "resolved = [softlockstep.calibrate.__name__, softlockstep.CalibrationReport.__name__,\n"
+        "            softlockstep.SpawnFailure.__name__]\n"
+        "print(json.dumps([added, resolved]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(softlockstep.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, check=True)
+    added, resolved = json.loads(result.stdout.strip().splitlines()[-1])
+    process_layer = {"softlockstep.replication", "softlockstep.linuxperf",
+                     "softlockstep.calibration", "ctypes", "mmap", "signal", "csv"}
+    assert process_layer.isdisjoint(added)
+    assert resolved == ["calibrate", "CalibrationReport", "SpawnFailure"]
 
 
 def _records():
