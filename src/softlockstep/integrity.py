@@ -253,8 +253,9 @@ def inject_fault(session, fault: FaultSpec) -> Callable[[int, int, int], None] |
     """Arm one fault against a live session.
 
     Bit flips are written into the target's outputs after it finishes and
-    before they are read; a crash kills the target right now, before it can
-    win the race against the first check. Both need no runtime hook. A freeze
+    before they are read; a crash kills the target right now and waits until
+    it is dead, so the first check reports the crash even when the target
+    had already reported done. Both need no runtime hook. A freeze
     is a timed behavior, so it returns a hook the enforcement loop calls at
     each check (after reading counts, before deciding); while it holds the
     target, it stands in for the session's suspend and resume.

@@ -13,9 +13,11 @@ The loop ends in a verdict: MATCH once both replicas finished, otherwise
 TIMEOUT, DIVERSITY_LOSS or REPLICA_FAILURE.
 
 protect() owns the whole lifecycle of a real run: spawn both replicas on
-private data copies, enforce staggering until both finish, compare outputs
-byte for byte after a loop MATCH, always release the session, and only then,
-on a match, copy the head's outputs into the caller's buffers. The process
+private data copies (the head runs while the trail is forked), enforce
+staggering until both finish, waking on a replica's report as well as at
+each check period, compare outputs byte for byte after a loop MATCH, kill
+both replicas, on a match copy the head's outputs into the caller's buffers
+while they die, and always release the session, which reaps them. The process
 layer (replication, and through it linuxperf, ctypes, mmap and signal) is
 imported by the first protected run, so the simulator, run_scripted and
 replay never load it; csv loads with the first trace written or read.
@@ -296,7 +298,7 @@ def protect(
                 on_check = integrity.inject_fault(session, inject)
             verdict, trace = enforcement_loop(
                 source=session,
-                clock=RealClock(config.check_period_us),
+                clock=RealClock(config.check_period_us, session.report_fds()),
                 config=config,
                 on_check=on_check,
                 backend=f"process/{session.counter_kind}",
@@ -307,12 +309,16 @@ def protect(
                 verdict = _compare(session, head_copy)
             elif verdict.kind is VerdictKind.REPLICA_FAILURE:
                 verdict = verdict._replace(detail=session.failure_detail(verdict.failed_role))
-            # Copy back only once both replicas are reaped: a partly covered
-            # first or last page of a caller's buffer is still shared
-            # copy-on-write with a live replica.
-            session.release()
+            # The copy back runs while both replicas die, and release() reaps
+            # them after it. A partly covered first or last page of a
+            # caller's buffer, still shared copy-on-write with a dying
+            # replica, takes one fault on its first write; the replica sees
+            # no change.
+            for role in Role:
+                session.kill_replica(role, wait=False)
             if verdict.kind is VerdictKind.MATCH:
                 _copy_back(head_copy, outputs, output_sizes)
+            session.release()
             return verdict, trace
         finally:
             session.release()

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import time
+from collections.abc import Sequence
 from typing import NamedTuple, Protocol, runtime_checkable
 
 from .core import Action, Role, StaggeringSample
@@ -101,14 +102,43 @@ class LoopClock(Protocol):
     def now_ns(self) -> int: ...
 
 
-class RealClock:
-    """Wall-clock periods for runs over live processes."""
+# poll(2) takes its timeout in whole milliseconds, as a C int.
+_MAX_POLL_MS = 2**31 - 1
 
-    def __init__(self, period_us: int):
+
+class RealClock:
+    """Wall-clock periods for runs over live processes.
+
+    Given the read ends of the replicas' report pipes, a period's wait ends
+    as soon as one of them turns readable: a done report, a traceback or end
+    of file. The period's whole milliseconds are waited in one poll, its
+    timeout clamped to 2**31 - 1 ms, and the sub-millisecond rest is slept.
+    Each pipe ends one wait at most: it is unregistered once it fires, so a
+    pipe at end of file cannot spin the loop, and a poll with no pipe left
+    is a plain timed wait. Without pipes, or for a period under 1 ms, the
+    whole period is slept.
+    """
+
+    def __init__(self, period_us: int, report_fds: Sequence[int] = ()):
         self.period_us = period_us
+        self._poll = None
+        if report_fds:
+            import select
+
+            self._poll = select.poll()
+            for fd in report_fds:
+                self._poll.register(fd, select.POLLIN)
 
     def wait_one_period(self) -> None:
-        time.sleep(self.period_us / 1_000_000)
+        whole_ms, rest_us = divmod(self.period_us, 1000)
+        if self._poll is None or not whole_ms:
+            time.sleep(self.period_us / 1_000_000)
+            return
+        ready = self._poll.poll(min(whole_ms, _MAX_POLL_MS))
+        for fd, _ in ready:
+            self._poll.unregister(fd)
+        if not ready and rest_us:
+            time.sleep(rest_us / 1_000_000)
 
     def now_ns(self) -> int:
         return time.monotonic_ns()

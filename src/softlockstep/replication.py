@@ -12,15 +12,18 @@ pages lying wholly inside its buffers out of both forks (kept_from_forks), so
 a replica reaches the caller's data only through its own copies, and writing
 those pages later takes no copy-on-write fault.
 
-The child first closes every descriptor it inherited but its report pipe,
-stdout and stderr, and reads stdin from /dev/null: the replicas share no
-open file but stdout and stderr, with each other or the caller. It then
-stops itself; the parent attaches a progress counter to the stopped child,
-so no wrapper instruction retires uncounted, and the trail stays stopped
-until the enforcement loop releases it. When the computation returns, the
-child writes a one-byte done report to its pipe and sleeps, outputs in
-place, until the session kills it. The monitor reads a finished replica's
-outputs with process_vm_readv.
+The child first asks to be killed when the monitor dies, and exits if the
+monitor is gone already. It then closes every descriptor it inherited but
+its report pipe, stdout and stderr, and reads stdin from /dev/null: the
+replicas share no open file but stdout and stderr, with each other or the
+caller. It then stops itself; the parent attaches a progress counter to the
+stopped child, so no wrapper instruction retires uncounted. The head is
+forked, counted, pinned and started first, and runs while the trail's inputs
+are copied and the trail is forked; the trail stays stopped until the
+enforcement loop releases it. When the computation returns, the child writes
+a one-byte done report to its pipe and sleeps, outputs in place, until the
+session kills it. The monitor reads a finished replica's outputs with
+process_vm_readv.
 
 This module, with linuxperf, ctypes, mmap and signal, is the process layer:
 import softlockstep does not load it, and the first monitor.protect() or
@@ -285,11 +288,17 @@ def _child_main(
     input_views: Sequence[memoryview],
     output_views: Sequence[memoryview],
     err_write_fd: int,
+    monitor_pid: int,
 ) -> None:
     # Runs only in the forked child; must never return to the caller's frame.
     try:
-        _contain_descriptors(err_write_fd)
+        # The death signal first, then the parent check: a monitor that died
+        # before the signal was set has left this child to another parent,
+        # and a stopped orphan would never be killed.
         _set_pdeathsig()
+        if os.getppid() != monitor_pid:
+            os._exit(1)
+        _contain_descriptors(err_write_fd)
         # Stop before retiring any wrapper instruction; the parent attaches
         # the counter and decides when this replica starts.
         signal.raise_signal(signal.SIGSTOP)
@@ -398,9 +407,23 @@ class ReplicaSession:
         """What the replica wrote before failing: its traceback, or ''."""
         return self._replica(role).err.decode("utf-8", "replace")
 
-    def kill_replica(self, role: Role) -> None:
-        """Forcibly crash one replica (fault injection support)."""
-        self._replica(role).kill()
+    def kill_replica(self, role: Role, wait: bool = True) -> None:
+        """SIGKILL one replica, which is then reported as a crash.
+
+        With wait, return once it is dead but not yet reaped, so the next
+        exit_status is the crash whatever the replica reported before (fault
+        injection). Without, its teardown runs on beside the caller; release()
+        reaps it.
+        """
+        rep = self._replica(role)
+        rep.kill()
+        if wait and rep.exit_status is None:
+            os.waitid(os.P_PID, rep.pid, os.WEXITED | os.WNOWAIT)
+
+    def report_fds(self) -> list[int]:
+        """Read ends of the replicas' report pipes: each turns readable with a
+        done report, a traceback, or the replica's exit."""
+        return [rep.err_read_fd for rep in self._replicas.values()]
 
     def register_bitflip(self, role: Role, output_index: int, byte_offset: int, bit_index: int) -> None:
         """Corrupt one output bit after the replica finishes, before its outputs are read."""
@@ -489,6 +512,7 @@ def _spawn_one(
     try:
         err_read, err_write = os.pipe()
         os.set_blocking(err_read, False)
+        monitor_pid = os.getpid()
         try:
             pid = os.fork()
         except BaseException:
@@ -496,7 +520,7 @@ def _spawn_one(
             os.close(err_write)
             raise
         if pid == 0:
-            _child_main(computation, input_views, output_views, err_write)
+            _child_main(computation, input_views, output_views, err_write, monitor_pid)
             os._exit(1)  # unreachable
         os.close(err_write)
         rep = _Replica(
@@ -542,7 +566,12 @@ def spawn_replicas(
     config: MonitorConfig,
     counter: str = linuxperf.COUNTER_AUTO,
 ) -> ReplicaSession:
-    """Create head and trail, both stopped, counted, on private data copies."""
+    """Create head and trail on private data copies, each counted from its first instruction.
+
+    The head is forked, counted, pinned and started before the trail's
+    inputs are copied and it is forked, so the head runs while the trail is
+    built. The trail is returned stopped: the enforcement loop releases it.
+    """
     problems = validate_config(config) + payload.validate()
     if problems:
         raise ValueError("; ".join(problems))
@@ -550,25 +579,22 @@ def spawn_replicas(
 
     replicas: dict[Role, _Replica] = {}
     try:
-        for role in (Role.HEAD, Role.TRAIL):
-            replicas[role] = _spawn_one(computation, payload, role)
-        for role, rep in replicas.items():
+        for role, core in ((Role.HEAD, config.head_core), (Role.TRAIL, config.trail_core)):
+            rep = replicas[role] = _spawn_one(computation, payload, role)
             rep.counter_fd, _ = linuxperf.open_counter(rep.pid, counter_kind)
-        _apply_pinning(replicas, config)
-        session = ReplicaSession(payload=payload, counter_kind=counter_kind, _replicas=replicas)
-        # Only the head starts; the trail is released by the enforcement loop.
-        session.resume(Role.HEAD)
-        return session
+            _pin(rep.pid, role, core)
+            if role is Role.HEAD:
+                os.kill(rep.pid, signal.SIGCONT)
+        return ReplicaSession(payload=payload, counter_kind=counter_kind, _replicas=replicas)
     except BaseException:
         _kill_then_reap(replicas.values())
         raise
 
 
-def _apply_pinning(replicas: dict[Role, _Replica], config: MonitorConfig) -> None:
-    for role, core in ((Role.HEAD, config.head_core), (Role.TRAIL, config.trail_core)):
-        if core is None:
-            continue
-        try:
-            os.sched_setaffinity(replicas[role].pid, {core})
-        except (OSError, ValueError) as exc:
-            raise PinningFailure(f"cannot pin {role.value} replica to core {core}: {exc}") from exc
+def _pin(pid: int, role: Role, core: int | None) -> None:
+    if core is None:
+        return
+    try:
+        os.sched_setaffinity(pid, {core})
+    except (OSError, ValueError) as exc:
+        raise PinningFailure(f"cannot pin {role.value} replica to core {core}: {exc}") from exc

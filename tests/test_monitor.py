@@ -8,6 +8,9 @@ import mmap
 import os
 import resource
 import signal
+import subprocess
+import sys
+import time
 import weakref
 
 import numpy as np
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 from softlockstep import linuxperf, monitor, replication
 from softlockstep.core import (
+    MAX_CHECK_PERIOD_US,
     Action,
     DiversityLossPolicy,
     MonitorConfig,
@@ -568,6 +572,94 @@ def test_protect_crash_injection_reports_replica_failure():
     assert verdict.failure_cause == "crash"
 
 
+def _instant(inputs, outputs):
+    pass
+
+
+@requires_counter
+def test_a_crash_of_a_head_that_may_have_finished_is_always_a_head_crash():
+    # The head runs from the spawn on, so an instant one has often reported
+    # done before the crash is injected; the first check still sees the crash.
+    for _ in range(20):
+        verdict, trace = protect(_instant, [], [], [bytearray(4)], [4], REAL_CONFIG,
+                                 inject=FaultSpec.crash(Role.HEAD))
+        assert (verdict.kind, verdict.failed_role, verdict.failure_cause) == (
+            VerdictKind.REPLICA_FAILURE, Role.HEAD, "crash")
+        assert trace.samples == []
+
+
+@requires_counter
+def test_a_report_ends_the_wait_of_the_longest_check_period():
+    # A fresh interpreter with a timeout: a loop that waits out the period
+    # hangs for all practical purposes.
+    script = (
+        "from softlockstep.core import MonitorConfig, VerdictKind\n"
+        "from softlockstep.monitor import protect\n"
+        "from softlockstep.workloads import checksum_workload, direct_run\n"
+        "w = checksum_workload(nbytes=1024)\n"
+        "outputs = [bytearray(n) for n in w.payload.output_sizes]\n"
+        f"config = MonitorConfig(threshold_instructions=2_000_000, check_period_us={MAX_CHECK_PERIOD_US})\n"
+        "verdict, _ = protect(w.computation, w.payload.inputs, w.payload.input_sizes,\n"
+        "                     outputs, w.payload.output_sizes, config)\n"
+        "assert verdict.kind is VerdictKind.MATCH, verdict\n"
+        "assert [bytes(b) for b in outputs] == direct_run(w)\n"
+    )
+    src = os.path.dirname(os.path.dirname(monitor.__file__))
+    subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                   check=True, timeout=30)
+
+
+@requires_counter
+def test_a_failing_replica_is_reported_within_one_period_of_its_exit():
+    period_s = 1.0
+    started = time.monotonic()
+    verdict, _ = protect(_boom, [], [], [bytearray(4)], [4],
+                         cfg(10**12, check_period_us=int(period_s * 1e6)))
+    assert time.monotonic() - started < period_s + 0.5
+    assert (verdict.failed_role, verdict.failure_cause) == (Role.HEAD, "nonzero-exit")
+    assert "ValueError: boom-6" in verdict.detail
+
+
+@requires_counter
+def test_both_replicas_are_killed_before_the_copy_back_and_reaped_after_it(monkeypatch):
+    calls = []
+    pids = {}
+    real_kill, real_waitpid, real_copy_back = os.kill, os.waitpid, monitor._copy_back
+
+    def spawn(*args, **kwargs):
+        session = spawn_replicas(*args, **kwargs)
+        pids.update((session.pid(role), role.value) for role in Role)
+        return session
+
+    def kill(pid, signum):
+        if signum == signal.SIGKILL:
+            calls.append(("kill", pids[pid]))
+        real_kill(pid, signum)
+
+    def waitpid(pid, options):
+        if options == 0:  # a reap; the loop's polls pass WNOHANG
+            calls.append(("reap", pids[pid]))
+        return real_waitpid(pid, options)
+
+    def copy_back(*args):
+        calls.append(("copy-back",))
+        real_copy_back(*args)
+
+    monkeypatch.setattr(monitor, "spawn_replicas", spawn)
+    monkeypatch.setattr(os, "kill", kill)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    monkeypatch.setattr(monitor, "_copy_back", copy_back)
+    workload = checksum_workload(nbytes=1024)
+    verdict, _, outputs = run_protected(workload)
+    monkeypatch.undo()
+    assert verdict.kind is VerdictKind.MATCH
+    assert [bytes(buf) for buf in outputs] == direct_run(workload)
+    kills = [("kill", "head"), ("kill", "trail")]
+    assert calls[:3] == kills + [("copy-back",)]
+    # release() signals again before it reaps: harmless to a dying process.
+    assert calls[3:] == kills + [("reap", "head"), ("reap", "trail")]
+
+
 @pytest.mark.parametrize("coordinates, message", [
     ((0, 99, 0), "byte offset 99 out of range for output 0"),
     ((1, 0, 0), "output index 1 out of range"),
@@ -595,8 +687,6 @@ def test_protect_timeout_on_a_stuck_computation():
         for i in range(10**10):
             acc = (acc + i) & 0xFFFFFFFF
         outputs[0][:] = acc.to_bytes(4, "little")
-
-    import time
 
     config = MonitorConfig(
         threshold_instructions=2_000_000, check_period_us=200, run_timeout_us=50_000

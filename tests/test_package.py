@@ -96,7 +96,8 @@ def test_the_simulator_path_loads_no_process_layer():
                             capture_output=True, text=True, check=True)
     added, resolved = json.loads(result.stdout.strip().splitlines()[-1])
     process_layer = {"softlockstep.replication", "softlockstep.linuxperf",
-                     "softlockstep.calibration", "ctypes", "mmap", "signal", "csv"}
+                     "softlockstep.calibration", "ctypes", "mmap", "select", "signal",
+                     "csv"}
     assert process_layer.isdisjoint(added)
     assert resolved == ["calibrate", "CalibrationReport", "SpawnFailure"]
 

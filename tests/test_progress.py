@@ -1,11 +1,13 @@
 """Scripted/replay progress sources: accrual, freezing, termination, replay."""
 
+import os
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softlockstep.core import Action, Role, StaggeringSample
+from softlockstep.core import MAX_CHECK_PERIOD_US, Action, Role, StaggeringSample
 from softlockstep.progress import (
     ExitKind,
     ExitStatus,
@@ -242,3 +244,50 @@ def test_real_clock_waits_at_least_one_period():
     elapsed = time.monotonic() - start
     assert elapsed >= 0.018
     assert clock.now_ns() >= before
+
+
+@pytest.fixture
+def pipe():
+    read_fd, write_fd = os.pipe()
+    yield read_fd, write_fd
+    for fd in (read_fd, write_fd):
+        try:
+            os.close(fd)
+        except OSError:
+            pass
+
+
+def timed_wait(clock) -> float:
+    start = time.monotonic()
+    clock.wait_one_period()
+    return time.monotonic() - start
+
+
+def test_a_readable_report_pipe_ends_the_wait_once(pipe):
+    read_fd, write_fd = pipe
+    clock = RealClock(period_us=100_000, report_fds=[read_fd])
+    os.write(write_fd, b"\0")
+    assert timed_wait(clock) < 0.050
+    # Unread, the pipe stays readable; unregistered, it ends no further wait.
+    assert timed_wait(clock) >= 0.095
+
+
+def test_a_pipe_at_end_of_file_cannot_spin_the_loop(pipe):
+    read_fd, write_fd = pipe
+    clock = RealClock(period_us=100_000, report_fds=[read_fd])
+    os.close(write_fd)
+    assert timed_wait(clock) < 0.050
+    assert timed_wait(clock) >= 0.095
+
+
+def test_a_quiet_pipe_waits_the_whole_period_sub_millisecond_rest_included(pipe):
+    clock = RealClock(period_us=20_700, report_fds=[pipe[0]])
+    assert timed_wait(clock) >= 0.0205
+
+
+def test_a_period_past_the_poll_range_is_clamped(pipe):
+    # poll() refuses a timeout above 2**31 - 1 ms with OverflowError.
+    read_fd, write_fd = pipe
+    clock = RealClock(period_us=MAX_CHECK_PERIOD_US, report_fds=[read_fd])
+    os.write(write_fd, b"\0")
+    assert timed_wait(clock) < 0.050

@@ -335,7 +335,7 @@ def test_kill_replica_reports_a_crash():
     payload = PayloadSpec.of([], [], [4])
     with spawn_replicas(busy, payload, CONFIG) as session:
         session.kill_replica(Role.HEAD)
-        status = wait_done(session, Role.HEAD)
+        status = session.exit_status(Role.HEAD)  # it returns once the replica is dead
         assert status.kind is ExitKind.CRASH
         assert status.code == signal.SIGKILL
         with pytest.raises(ReplicaIncomplete, match="crash"):
@@ -425,6 +425,47 @@ def test_spawn_failure_when_the_child_dies_before_stopping(monkeypatch):
     monkeypatch.setattr(signal, "raise_signal", no_stop)
     with pytest.raises(SpawnFailure, match="died before starting"):
         spawn_replicas(double_bytes, small_payload(), CONFIG)
+
+
+def test_a_replica_whose_monitor_is_gone_exits_before_starting(monkeypatch):
+    # The death signal is set first; a child whose parent is then no longer
+    # the monitor was orphaned before it, and exits instead of stopping.
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "getppid", lambda: 1)
+    with pytest.raises(SpawnFailure, match="head replica died before starting"):
+        spawn_replicas(double_bytes, small_payload(), CONFIG)
+    assert len(forked) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forked[0], os.WNOHANG)
+
+
+def test_the_head_starts_before_the_trail_is_forked(monkeypatch):
+    calls = []
+    real_fork, real_kill = os.fork, os.kill
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            calls.append(("fork", pid))
+        return pid
+
+    def kill(pid, signum):
+        calls.append((signal.Signals(signum).name, pid))
+        real_kill(pid, signum)
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "kill", kill)
+    with spawn_replicas(idle, small_payload(), CONFIG) as session:
+        head, trail = session.pid(Role.HEAD), session.pid(Role.TRAIL)
+        assert calls == [("fork", head), ("SIGCONT", head), ("fork", trail)]
 
 
 def test_pinning_to_an_impossible_core_fails_cleanly():
