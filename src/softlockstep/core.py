@@ -46,6 +46,9 @@ class Role(enum.Enum):
 # The longest check period a run takes: half the int64 nanosecond range, so
 # that a period's wait ends on a monotonic deadline the clock can still count.
 MAX_CHECK_PERIOD_US = 2**62 // 1000
+# The most outputs a run takes: a match reads the head's outputs into the
+# caller's buffers in one process_vm_readv, one iovec per buffer (IOV_MAX).
+MAX_OUTPUTS = 1024
 
 
 class MonitorConfig(NamedTuple):
@@ -105,7 +108,8 @@ class PayloadSpec(NamedTuple):
     unchanged until the replicas have been spawned, and a bytearray stays
     locked against resizing until release(). Only a non-contiguous buffer is
     copied once, in C order. input_sizes[i] must equal the byte length of
-    inputs[i]. Lists may be empty and sizes may be zero.
+    inputs[i]. Lists may be empty and sizes may be zero; there are at most
+    MAX_OUTPUTS outputs.
     """
 
     inputs: tuple[memoryview, ...]
@@ -147,6 +151,8 @@ class PayloadSpec(NamedTuple):
         for i, size in enumerate(self.output_sizes):
             if size < 0:
                 errors.append(f"output size {i} is negative")
+        if len(self.output_sizes) > MAX_OUTPUTS:
+            errors.append(f"{len(self.output_sizes)} outputs, at most {MAX_OUTPUTS} allowed")
         return errors
 
     @property

@@ -3,9 +3,9 @@
 Comparison is byte-exact: replicas run the same deterministic wrapper on
 identical private input copies, so any differing byte is a detected fault,
 never noise. A replica's outputs are read from its own memory chunk by
-chunk, never mapped. Injection exists to prove that claim end to end: flip
-one output bit, stall one replica, or kill it outright, and watch the
-verdict change accordingly.
+chunk into two small reused buffers, never mapped or copied whole.
+Injection exists to prove that claim end to end: flip one output bit, stall
+one replica, or kill it outright, and watch the verdict change accordingly.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from typing import Callable, NamedTuple, Sequence
 
 from .core import Role, Verdict
 
-# Bytes compared per step: small enough that the trail's chunk buffer and
-# the head's chunk stay in cache between the read and the comparison.
+# Bytes compared per step: small enough that both chunk buffers stay in
+# cache between the reads and the comparison.
 _COMPARE_CHUNK = 256 * 1024
 
 
@@ -55,23 +55,17 @@ def _first_difference(a, b) -> int:
     return lo
 
 
-def compare_outputs(
-    head_outputs,
-    trail_outputs,
-    output_sizes: Sequence[int],
-    head_copy=None,
-) -> Verdict:
+def compare_outputs(head_outputs, trail_outputs, output_sizes: Sequence[int]) -> Verdict:
     """Byte-for-byte verdict over both replicas' outputs, read chunk by chunk.
 
     Each side is a sequence of buffers (bytes, memoryview, mmap, ...) or a
     replica's outputs (replication.ReplicaOutputs), which are read in place
-    with process_vm_readv. The head's bytes are read into head_copy (a
-    writable buffer of sum(output_sizes) bytes, the outputs back to back;
-    a fresh one if not given), the trail's into one small reusable buffer.
-    After a Match, head_copy holds the head's outputs. Returns Match, or
-    Mismatch carrying (output_index, first_differing_byte) for every output
-    that differs. Shape violations raise instead of counting as mismatches:
-    they indicate harness bugs, not computation faults.
+    with process_vm_readv. Each chunk of the head and of the trail is read
+    into one of two small reused buffers and compared with memcmp; no copy
+    of the outputs outlives the call. Returns Match, or Mismatch carrying
+    (output_index, first_differing_byte) for every output that differs.
+    Shape violations raise instead of counting as mismatches: they indicate
+    harness bugs, not computation faults.
     """
     head_sizes, read_head = _reader(head_outputs)
     trail_sizes, read_trail = _reader(trail_outputs)
@@ -85,32 +79,20 @@ def compare_outputs(
             raise ShapeMismatch(
                 f"output {i}: head {a_len} bytes, trail {b_len} bytes, declared {size}"
             )
-    if head_copy is None:
-        head_copy = bytearray(sum(output_sizes))
-    head_buf = memoryview(head_copy)
-    trail = bytearray()  # sized by the first chunk, reused while sizes agree
-    head = None
+    head = trail = bytearray()  # sized by the first chunk, reused while sizes agree
     locations = []
-    try:
-        base = 0
-        for i, size in enumerate(output_sizes):
-            for start in range(0, size, _COMPARE_CHUNK):
-                n = min(_COMPARE_CHUNK, size - start)
-                head = head_buf[base + start : base + start + n]
-                if len(trail) != n:
-                    trail = bytearray(n)
-                read_head(i, start, head)
-                read_trail(i, start, trail)
-                # bytearray == buffer runs memcmp; memoryview == memoryview
-                # compares item by item, about 25 times slower.
-                if trail != head:
-                    locations.append((i, start + _first_difference(head, trail)))
-                    break
-            base += size
-    finally:
-        # No view of head_copy may outlive the call: its owner unmaps it.
-        del head
-        head_buf.release()
+    for i, size in enumerate(output_sizes):
+        for start in range(0, size, _COMPARE_CHUNK):
+            n = min(_COMPARE_CHUNK, size - start)
+            if len(head) != n:
+                head, trail = bytearray(n), bytearray(n)
+            read_head(i, start, head)
+            read_trail(i, start, trail)
+            # bytearray == bytearray runs memcmp; memoryview == memoryview
+            # compares item by item, about 25 times slower.
+            if head != trail:
+                locations.append((i, start + _first_difference(head, trail)))
+                break
     if locations:
         return Verdict.mismatch(locations)
     return Verdict.match()

@@ -14,10 +14,11 @@ TIMEOUT, DIVERSITY_LOSS or REPLICA_FAILURE.
 
 protect() owns the whole lifecycle of a real run: spawn both replicas on
 private data copies (the head runs while the trail is forked), enforce
-staggering until both finish, waking on a replica's report as well as at
-each check period, compare outputs byte for byte after a loop MATCH, kill
-both replicas, on a match copy the head's outputs into the caller's buffers
-while they die, and always release the session, which reaps them. The process
+staggering until both finish, waking on a replica's report or exit as well
+as at each check period, then after a loop MATCH stop the head and compare
+outputs byte for byte; on a match kill the trail and, while it dies, read
+the stopped head's outputs straight into the caller's buffers, and always
+release the session, which kills and reaps what is left. The process
 layer (replication, and through it linuxperf, ctypes, mmap and signal) is
 imported by the first protected run, so the simulator, run_scripted and
 replay never load it; csv loads with the first trace written or read.
@@ -243,8 +244,10 @@ def protect(
 ) -> tuple[Verdict, Trace]:
     """Run the computation twice under staggering enforcement and compare.
 
-    On Match the head's outputs are copied into the caller's output buffers;
-    on any other verdict the caller's buffers are left untouched. The replica
+    On Match the stopped head's outputs are read straight into the caller's
+    buffers: exactly the bytes that were compared. On any other verdict, a
+    head that dies before that read included, the caller's buffers are left
+    untouched. At most core.MAX_OUTPUTS outputs are taken. The replica
     session is always torn down, whatever the verdict or exception path.
 
     Neither replica inherits the pages lying wholly inside the caller's input
@@ -266,7 +269,7 @@ def protect(
     pages are inherited by forks again, even if the caller had marked them
     MADV_DONTFORK.
     """
-    from .replication import huge_page_mapping, kept_from_forks
+    from .replication import kept_from_forks
 
     problems = validate_config(config)
     if problems:
@@ -288,7 +291,6 @@ def protect(
         with kept_from_forks([*payload.inputs, *outputs]):
             session = spawn_replicas(computation, payload, config, counter=counter)
         saved_affinity: set[int] | None = None
-        head_copy = None
         try:
             if config.monitor_core is not None:
                 saved_affinity = os.sched_getaffinity(0)
@@ -304,28 +306,14 @@ def protect(
                 backend=f"process/{session.counter_kind}",
             )
             if verdict.kind is VerdictKind.MATCH:
-                # Made after both forks, so no replica ever maps it.
-                head_copy = huge_page_mapping(payload.total_output_bytes)
-                verdict = _compare(session, head_copy)
+                verdict = _compare(session, outputs)
             elif verdict.kind is VerdictKind.REPLICA_FAILURE:
                 verdict = verdict._replace(detail=session.failure_detail(verdict.failed_role))
-            # The copy back runs while both replicas die, and release() reaps
-            # them after it. A partly covered first or last page of a
-            # caller's buffer, still shared copy-on-write with a dying
-            # replica, takes one fault on its first write; the replica sees
-            # no change.
-            for role in Role:
-                session.kill_replica(role, wait=False)
-            if verdict.kind is VerdictKind.MATCH:
-                _copy_back(head_copy, outputs, output_sizes)
-            session.release()
             return verdict, trace
         finally:
             session.release()
             if saved_affinity is not None:
                 os.sched_setaffinity(0, saved_affinity)
-            if head_copy is not None:
-                head_copy.close()
 
 
 def _pin_monitor(core: int) -> None:
@@ -335,30 +323,31 @@ def _pin_monitor(core: int) -> None:
         raise PinningFailure(f"cannot pin the monitor to core {core}: {exc}") from exc
 
 
-def _compare(session: ReplicaSession, head_copy) -> Verdict:
-    """Compare both finished replicas' outputs, the head's read into head_copy."""
+def _compare(session: ReplicaSession, outputs: Sequence) -> Verdict:
+    """Stop the head, compare both replicas' outputs, and on a match deliver the head's.
+
+    The trail is killed before the head's outputs are read into the
+    caller's buffers, so its teardown runs beside that read. The head stays
+    stopped until release() kills it: the caller gets exactly the bytes
+    that were compared.
+    """
     from .replication import ReplicaLost
 
     try:
-        return integrity.compare_outputs(
-            session.outputs(Role.HEAD),
-            session.outputs(Role.TRAIL),
-            session.payload.output_sizes,
-            head_copy,
+        session.freeze(Role.HEAD)
+        head = session.outputs(Role.HEAD)
+        verdict = integrity.compare_outputs(
+            head, session.outputs(Role.TRAIL), session.payload.output_sizes
         )
+        if verdict.kind is VerdictKind.MATCH:
+            session.kill_replica(Role.TRAIL, wait=False)
+            head.read_all_into(outputs)
+        return verdict
     except ReplicaLost as exc:
         # Died after its done report, before its outputs were read.
         return Verdict.replica_failure(
             exc.role, exc.cause, session.failure_detail(exc.role) or str(exc)
         )
-
-
-def _copy_back(head_copy, outputs: Sequence, output_sizes: Sequence[int]) -> None:
-    offset = 0
-    with memoryview(head_copy) as copy:
-        for buf, size in zip(outputs, output_sizes):
-            memoryview(buf).cast("B")[:] = copy[offset : offset + size]
-            offset += size
 
 
 def run_scripted(schedule: Schedule, config: MonitorConfig) -> tuple[Verdict, Trace]:

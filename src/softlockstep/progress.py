@@ -109,14 +109,17 @@ _MAX_POLL_MS = 2**31 - 1
 class RealClock:
     """Wall-clock periods for runs over live processes.
 
-    Given the read ends of the replicas' report pipes, a period's wait ends
-    as soon as one of them turns readable: a done report, a traceback or end
-    of file. The period's whole milliseconds are waited in one poll, its
+    Given the replicas' report descriptors (ReplicaSession.report_fds: each
+    report pipe's read end, readable with a done report, a traceback or end
+    of file, and each pidfd, readable once that replica has exited), a
+    period's wait ends as soon as one of them turns readable. So a failing
+    replica wakes the loop when it writes its traceback and again when it
+    exits. The period's whole milliseconds are waited in one poll, its
     timeout clamped to 2**31 - 1 ms, and the sub-millisecond rest is slept.
-    Each pipe ends one wait at most: it is unregistered once it fires, so a
-    pipe at end of file cannot spin the loop, and a poll with no pipe left
-    is a plain timed wait. Without pipes, or for a period under 1 ms, the
-    whole period is slept.
+    Each descriptor ends one wait at most: it is unregistered once it fires,
+    so one that stays readable cannot spin the loop, and a poll with none
+    left is a plain timed wait. Without descriptors, or for a period under
+    1 ms, the whole period is slept.
     """
 
     def __init__(self, period_us: int, report_fds: Sequence[int] = ()):

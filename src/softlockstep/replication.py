@@ -23,7 +23,9 @@ are copied and the trail is forked; the trail stays stopped until the
 enforcement loop releases it. When the computation returns, the child writes
 a one-byte done report to its pipe and sleeps, outputs in place, until the
 session kills it. The monitor reads a finished replica's outputs with
-process_vm_readv.
+process_vm_readv, the head's after freeze() has stopped it, so they cannot
+change between the compare and the copy into the caller's buffers. A pidfd
+per replica lets the loop wake at its exit.
 
 This module, with linuxperf, ctypes, mmap and signal, is the process layer:
 import softlockstep does not load it, and the first monitor.protect() or
@@ -82,10 +84,10 @@ def _vm_call(name: str):
     return fn
 
 
-def _vm_copy(name: str, pid: int, local_address: int, remote_address: int, nbytes: int) -> None:
-    moved = _vm_call(name)(
-        pid, _IoVec(local_address, nbytes), 1, _IoVec(remote_address, nbytes), 1, 0
-    )
+def _vm_copy(name: str, pid: int, local, local_count: int, remote_address: int,
+             nbytes: int) -> None:
+    """Move nbytes between local_count local iovecs and one remote range, all or nothing."""
+    moved = _vm_call(name)(pid, local, local_count, _IoVec(remote_address, nbytes), 1, 0)
     if moved != nbytes:
         err = ctypes.get_errno() if moved < 0 else errno.EFAULT
         raise OSError(err, f"{name}: {os.strerror(err)}")
@@ -93,12 +95,7 @@ def _vm_copy(name: str, pid: int, local_address: int, remote_address: int, nbyte
 
 def _vm_read(pid: int, local_address: int, remote_address: int, nbytes: int) -> None:
     """Copy nbytes from another process's memory into ours (process_vm_readv)."""
-    _vm_copy("process_vm_readv", pid, local_address, remote_address, nbytes)
-
-
-def _vm_write(pid: int, local_address: int, remote_address: int, nbytes: int) -> None:
-    """Copy nbytes from our memory into another process's (process_vm_writev)."""
-    _vm_copy("process_vm_writev", pid, local_address, remote_address, nbytes)
+    _vm_copy("process_vm_readv", pid, _IoVec(local_address, nbytes), 1, remote_address, nbytes)
 
 
 def _address(buf) -> int:
@@ -182,6 +179,10 @@ class _Replica:
         self.pid = pid
         self.output_address = output_address  # where the child holds its outputs, back to back
         self.err_read_fd = err_read_fd
+        try:
+            self.exit_fd = os.pidfd_open(pid)  # readable once the process can be reaped
+        except OSError:  # Linux < 5.3: an exit is seen at the next check
+            self.exit_fd = -1
         self.counter_fd = -1
         self.done = False
         self.exit_status: ExitStatus | None = None
@@ -233,9 +234,10 @@ class _Replica:
         if self.counter_fd >= 0:
             linuxperf.close_counter(self.counter_fd)
             self.counter_fd = -1
-        if self.err_read_fd >= 0:
-            os.close(self.err_read_fd)
-            self.err_read_fd = -1
+        for fd in (self.err_read_fd, self.exit_fd):
+            if fd >= 0:
+                os.close(fd)
+        self.err_read_fd = self.exit_fd = -1
 
 
 def _kill_then_reap(replicas) -> None:
@@ -334,22 +336,43 @@ class ReplicaOutputs:
 
     def read_into(self, index: int, offset: int, dest) -> None:
         """Fill dest, a writable byte buffer, from output index at byte offset."""
-        self._transfer(_vm_read, index, offset, dest)
+        self._transfer("process_vm_readv", index, offset, dest)
 
     def flip_bit(self, index: int, offset: int, bit_index: int) -> None:
         byte = bytearray(1)
         self.read_into(index, offset, byte)
         byte[0] ^= 1 << bit_index
-        self._transfer(_vm_write, index, offset, byte)
+        self._transfer("process_vm_writev", index, offset, byte)
 
-    def _transfer(self, call, index: int, offset: int, buf) -> None:
+    def read_all_into(self, dests: Sequence) -> None:
+        """Fill one writable buffer per output, of its size, in one process_vm_readv.
+
+        One local iovec per buffer, IOV_MAX (core.MAX_OUTPUTS) at most, and
+        one remote iovec over the outputs, which lie back to back. The kernel
+        holds the replica's memory for the whole read: a replica killed
+        meanwhile leaves the buffers untouched (ReplicaLost) or is read in full.
+        """
+        views = [memoryview(buf) for buf in dests]
+        try:
+            if [view.nbytes for view in views] != list(self.sizes):
+                raise ValueError(f"buffers do not match outputs of {self.sizes} bytes")
+            local = (_IoVec * len(views))(*[(_buffer_address(v), v.nbytes) for v in views])
+            self._call("process_vm_readv", local, len(views), self._starts[0], sum(self.sizes))
+        finally:
+            for view in views:
+                view.release()
+
+    def _transfer(self, name: str, index: int, offset: int, buf) -> None:
         nbytes = len(buf)
         if not 0 <= offset <= offset + nbytes <= self.sizes[index]:
             raise ValueError(f"bytes {offset}..{offset + nbytes} outside output {index}")
-        if nbytes == 0:
-            return
+        if nbytes:
+            self._call(name, _IoVec(_address(buf), nbytes), 1, self._starts[index] + offset,
+                       nbytes)
+
+    def _call(self, name: str, local, local_count: int, remote_address: int, nbytes: int) -> None:
         try:
-            call(self.pid, _address(buf), self._starts[index] + offset, nbytes)
+            _vm_copy(name, self.pid, local, local_count, remote_address, nbytes)
         except OSError as exc:
             raise ReplicaLost(
                 self.role, "crash", f"{self.role.value} replica's outputs are gone: {exc}"
@@ -420,10 +443,24 @@ class ReplicaSession:
         if wait and rep.exit_status is None:
             os.waitid(os.P_PID, rep.pid, os.WEXITED | os.WNOWAIT)
 
+    def freeze(self, role: Role) -> None:
+        """SIGSTOP one replica and return once the stop is reported, or it has died.
+
+        A reported stop means every thread of the replica has stopped, so a
+        finished replica's outputs cannot change until it is killed;
+        outputs() reports one that died instead.
+        """
+        rep = self._replica(role)
+        if rep.exit_status is None:
+            os.kill(rep.pid, signal.SIGSTOP)
+            os.waitid(os.P_PID, rep.pid, os.WSTOPPED | os.WEXITED | os.WNOWAIT)
+
     def report_fds(self) -> list[int]:
-        """Read ends of the replicas' report pipes: each turns readable with a
-        done report, a traceback, or the replica's exit."""
-        return [rep.err_read_fd for rep in self._replicas.values()]
+        """Descriptors that turn readable on a replica's news: the read end of
+        its report pipe with a done report, a traceback or end of file, and
+        its pidfd once it has exited and can be reaped."""
+        return [fd for rep in self._replicas.values() for fd in (rep.err_read_fd, rep.exit_fd)
+                if fd >= 0]
 
     def register_bitflip(self, role: Role, output_index: int, byte_offset: int, bit_index: int) -> None:
         """Corrupt one output bit after the replica finishes, before its outputs are read."""

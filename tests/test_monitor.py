@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from softlockstep import linuxperf, monitor, replication
 from softlockstep.core import (
     MAX_CHECK_PERIOD_US,
+    MAX_OUTPUTS,
     Action,
     DiversityLossPolicy,
     MonitorConfig,
@@ -609,22 +610,32 @@ def test_a_report_ends_the_wait_of_the_longest_check_period():
                    check=True, timeout=30)
 
 
+def _late_boom(inputs, outputs):
+    # Fail while the loop waits, and exit slowly: the exit frees the ballast
+    # before it closes the report pipe, so the check that the traceback wakes
+    # finds the replica still alive, and only its exit can end the next wait.
+    ballast = b"\1" * (64 << 20)  # noqa: F841
+    time.sleep(0.05)
+    raise ValueError("boom-6")
+
+
 @requires_counter
 def test_a_failing_replica_is_reported_within_one_period_of_its_exit():
     period_s = 1.0
     started = time.monotonic()
-    verdict, _ = protect(_boom, [], [], [bytearray(4)], [4],
+    verdict, _ = protect(_late_boom, [], [], [bytearray(4)], [4],
                          cfg(10**12, check_period_us=int(period_s * 1e6)))
-    assert time.monotonic() - started < period_s + 0.5
+    assert time.monotonic() - started < period_s / 2
     assert (verdict.failed_role, verdict.failure_cause) == (Role.HEAD, "nonzero-exit")
     assert "ValueError: boom-6" in verdict.detail
 
 
 @requires_counter
-def test_both_replicas_are_killed_before_the_copy_back_and_reaped_after_it(monkeypatch):
+def test_the_trail_is_killed_before_the_copy_back_and_the_head_after_it(monkeypatch):
     calls = []
     pids = {}
-    real_kill, real_waitpid, real_copy_back = os.kill, os.waitpid, monitor._copy_back
+    real_kill, real_waitpid = os.kill, os.waitpid
+    real_read_all_into = replication.ReplicaOutputs.read_all_into
 
     def spawn(*args, **kwargs):
         session = spawn_replicas(*args, **kwargs)
@@ -641,23 +652,122 @@ def test_both_replicas_are_killed_before_the_copy_back_and_reaped_after_it(monke
             calls.append(("reap", pids[pid]))
         return real_waitpid(pid, options)
 
-    def copy_back(*args):
-        calls.append(("copy-back",))
-        real_copy_back(*args)
+    def read_all_into(self, dests):
+        calls.append(("copy-back", self.role.value))
+        real_read_all_into(self, dests)
 
     monkeypatch.setattr(monitor, "spawn_replicas", spawn)
     monkeypatch.setattr(os, "kill", kill)
     monkeypatch.setattr(os, "waitpid", waitpid)
-    monkeypatch.setattr(monitor, "_copy_back", copy_back)
+    monkeypatch.setattr(replication.ReplicaOutputs, "read_all_into", read_all_into)
     workload = checksum_workload(nbytes=1024)
     verdict, _, outputs = run_protected(workload)
     monkeypatch.undo()
     assert verdict.kind is VerdictKind.MATCH
     assert [bytes(buf) for buf in outputs] == direct_run(workload)
-    kills = [("kill", "head"), ("kill", "trail")]
-    assert calls[:3] == kills + [("copy-back",)]
-    # release() signals again before it reaps: harmless to a dying process.
-    assert calls[3:] == kills + [("reap", "head"), ("reap", "trail")]
+    # release() kills the head, signals the dying trail again, then reaps both.
+    assert calls == [("kill", "trail"), ("copy-back", "head"), ("kill", "head"),
+                     ("kill", "trail"), ("reap", "head"), ("reap", "trail")]
+
+
+def _state(pid):
+    """The one-letter process state in /proc/<pid>/stat ('T' when stopped)."""
+    with open(f"/proc/{pid}/stat") as f:
+        return f.read().rpartition(")")[2].split()[0]
+
+
+@requires_counter
+def test_the_head_is_stopped_through_the_compare_and_the_copy_back(monkeypatch):
+    states = []
+    heads = []
+    real_compare = compare_outputs
+    real_read_all_into = replication.ReplicaOutputs.read_all_into
+
+    def spawn(*args, **kwargs):
+        session = spawn_replicas(*args, **kwargs)
+        heads.append(session.pid(Role.HEAD))
+        return session
+
+    def compare(*args):
+        states.append(("compare", _state(heads[0])))
+        return real_compare(*args)
+
+    def read_all_into(self, dests):
+        states.append(("copy-back", _state(heads[0])))
+        real_read_all_into(self, dests)
+
+    monkeypatch.setattr(monitor, "spawn_replicas", spawn)
+    monkeypatch.setattr(monitor.integrity, "compare_outputs", compare)
+    monkeypatch.setattr(replication.ReplicaOutputs, "read_all_into", read_all_into)
+    workload = checksum_workload(nbytes=1024)
+    verdict, _, outputs = run_protected(workload)
+    assert verdict.kind is VerdictKind.MATCH
+    assert [bytes(buf) for buf in outputs] == direct_run(workload)
+    assert states == [("compare", "T"), ("copy-back", "T")]
+
+
+@requires_counter
+def test_a_head_killed_between_the_compare_and_the_copy_back_is_a_head_crash(monkeypatch):
+    pids = {}
+    real_compare = compare_outputs
+
+    def spawn(*args, **kwargs):
+        session = spawn_replicas(*args, **kwargs)
+        pids.update((r, session.pid(r)) for r in Role)
+        return session
+
+    def compare_then_kill(*args):
+        verdict = real_compare(*args)
+        assert verdict.kind is VerdictKind.MATCH
+        os.kill(pids[Role.HEAD], signal.SIGKILL)
+        os.waitid(os.P_PID, pids[Role.HEAD], os.WEXITED | os.WNOWAIT)  # dead, not reaped
+        return verdict
+
+    monkeypatch.setattr(monitor, "spawn_replicas", spawn)
+    monkeypatch.setattr(monitor.integrity, "compare_outputs", compare_then_kill)
+    fds_before = len(os.listdir("/proc/self/fd"))
+    verdict, _, outputs = run_protected(checksum_workload(nbytes=1024))
+    assert verdict.kind is VerdictKind.REPLICA_FAILURE
+    assert (verdict.failed_role, verdict.failure_cause) == (Role.HEAD, "crash")
+    assert all(bytes(buf) == bytes(len(buf)) for buf in outputs)
+    assert len(os.listdir("/proc/self/fd")) == fds_before
+    for pid in pids.values():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@requires_counter
+def test_protect_maps_nothing_output_sized_after_the_forks(monkeypatch):
+    sizes = []
+    real_mapping = replication.huge_page_mapping
+
+    def mapping(size):
+        sizes.append(size)
+        return real_mapping(size)
+
+    monkeypatch.setattr(replication, "huge_page_mapping", mapping)
+    workload = checksum_workload(nbytes=4096)
+    verdict, _, outputs = run_protected(workload)
+    assert verdict.kind is VerdictKind.MATCH
+    assert [bytes(buf) for buf in outputs] == direct_run(workload)
+    # Per replica, its input copy and its outputs; nothing in the monitor.
+    payload = workload.payload
+    assert sizes == [payload.total_input_bytes, payload.total_output_bytes] * 2
+
+
+def test_more_outputs_than_one_read_takes_are_refused_before_any_fork(monkeypatch):
+    spawned = []
+
+    def spawn(*args, **kwargs):
+        spawned.append(args)
+        return spawn_replicas(*args, **kwargs)
+
+    monkeypatch.setattr(monitor, "spawn_replicas", spawn)
+    count = MAX_OUTPUTS + 1
+    with pytest.raises(ValueError, match=f"{count} outputs, at most {MAX_OUTPUTS} allowed"):
+        protect(_instant, [], [], [bytearray(1) for _ in range(count)], [1] * count,
+                REAL_CONFIG)
+    assert spawned == []
 
 
 @pytest.mark.parametrize("coordinates, message", [
@@ -941,17 +1051,7 @@ def _fill_with_first_input_byte(inputs, outputs):
     np.frombuffer(outputs[0], dtype=np.uint8)[:] = inputs[0][0]
 
 
-def _transparent_huge_pages():
-    try:
-        with open("/sys/kernel/mm/transparent_hugepage/enabled") as f:
-            return "[never]" not in f.read()
-    except OSError:
-        return False
-
-
 @requires_counter
-@pytest.mark.skipif(not _transparent_huge_pages(),
-                    reason="the head copy's own 4 KiB faults would swamp the count")
 def test_the_copy_back_takes_no_copy_on_write_faults():
     # A page that a fork left write-protected faults on its first write after
     # the fork; the copy-back would take one such fault per output page. The
@@ -1047,6 +1147,7 @@ def _aliased():
 
 
 _SLICE = 3 * PAGE + 7
+_FORTY = [(i * 1237) % (PAGE + 9) for i in range(40)]  # zero-length first
 
 # Each case: inputs and outputs of pairwise equal byte sizes.
 BUFFER_SHAPES = {
@@ -1063,6 +1164,10 @@ BUFFER_SHAPES = {
     ),
     "output-aliases-input": _aliased,
     "zero-byte": lambda: ([b"", _pattern(PAGE)], [bytearray(0), bytearray(PAGE)]),
+    "all-empty": lambda: ([b"", b""], [bytearray(0), bytearray(0)]),
+    "forty-outputs": lambda: (
+        [_pattern(n) for n in _FORTY], [bytearray(b"\x5a" * n) for n in _FORTY],
+    ),
 }
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from softlockstep import linuxperf, replication
 from softlockstep.core import MonitorConfig, PayloadSpec, Role
-from softlockstep.progress import CounterUnavailable, ExitKind, StaleHandle
+from softlockstep.progress import CounterUnavailable, ExitKind, RealClock, StaleHandle
 from softlockstep.replication import (
     PinningFailure,
     ReplicaIncomplete,
@@ -91,21 +91,11 @@ def wait_done(session, role, timeout=20.0):
     raise AssertionError(f"{role.value} replica did not terminate in {timeout}s")
 
 
-def settled_count(source, role, polls=3):
-    # A SIGSTOP lands asynchronously; wait until the count stops moving.
-    last = source.read_count(role)
-    stable = 0
-    for _ in range(500):
-        time.sleep(0.001)
-        now = source.read_count(role)
-        if now == last:
-            stable += 1
-            if stable >= polls:
-                return now
-        else:
-            stable = 0
-            last = now
-    raise AssertionError("count never settled after suspend")
+def stopped_count(session, role):
+    # A SIGSTOP lands asynchronously; once the stop is reported, every thread
+    # of the replica has stopped and its count is frozen.
+    os.waitid(os.P_PID, session.pid(role), os.WSTOPPED | os.WNOWAIT)
+    return session.read_count(role)
 
 
 def test_round_trip_collects_identical_outputs_from_both_replicas():
@@ -296,7 +286,7 @@ def test_suspend_freezes_the_count_and_resume_restarts_it():
     with spawn_replicas(busy, payload, CONFIG) as session:
         time.sleep(0.02)
         session.suspend(Role.HEAD)
-        frozen = settled_count(session, Role.HEAD)
+        frozen = stopped_count(session, Role.HEAD)
         time.sleep(0.05)
         assert session.read_count(Role.HEAD) == frozen  # zero drift while stopped
         session.resume(Role.HEAD)
@@ -304,6 +294,21 @@ def test_suspend_freezes_the_count_and_resume_restarts_it():
         while session.read_count(Role.HEAD) == frozen:
             assert time.monotonic() < deadline, "count did not move after resume"
             time.sleep(0.002)
+
+
+def test_a_done_replica_that_was_checked_wakes_no_further_wait():
+    # Each check drains the done report that woke it; a replica asleep after
+    # its report keeps its pipe and its pidfd quiet.
+    with start_both(idle, small_payload()) as session:
+        clock = RealClock(50_000, session.report_fds())
+        for role in Role:
+            assert wait_done(session, role).success
+        waits = []
+        for _ in range(3):
+            started = time.monotonic()
+            clock.wait_one_period()
+            waits.append(time.monotonic() - started)
+    assert min(waits) >= 0.045
 
 
 def test_wrapper_exception_surfaces_as_nonzero_exit_with_detail():
