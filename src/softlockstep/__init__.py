@@ -10,9 +10,12 @@ corrupt both outputs identically; the comparison then catches it.
 Importing the package loads the pure-Python layers: the domain types, the
 enforcement loop, the simulator and model checker, output comparison and the
 workloads. The process layer (replication, linuxperf, and with them ctypes,
-mmap and signal) loads with the first protect() or calibrate(), and the
-calibration names resolve on first access.
+mmap and signal) loads with the first protect() or calibrate(). The
+calibration names, and the file formats, text parsers and replay (the
+formats module), resolve on their first access.
 """
+
+from importlib import import_module as _import_module
 
 from .core import (
     Action,
@@ -24,15 +27,8 @@ from .core import (
     VerdictKind,
     WrappedComputation,
 )
-from .integrity import FaultSpec, parse_fault_spec
-from .monitor import (
-    Trace,
-    protect,
-    read_trace,
-    replay,
-    run_scripted,
-    write_trace,
-)
+from .integrity import FaultSpec
+from .monitor import Trace, protect, run_scripted
 from .progress import CounterUnavailable, PinningFailure, SpawnFailure
 from .sim import (
     CheckResult,
@@ -42,25 +38,36 @@ from .sim import (
     SimTrace,
     exhaustive_check,
     min_staggering,
-    read_schedule_csv,
     simulate,
-    write_schedule_csv,
 )
-from .workloads import Workload, direct_run, parse_workload_id
+from .workloads import Workload, direct_run
 
 __version__ = "0.1.0"
 
-# Resolved on first access (PEP 562): a run without calibration never compiles it.
-_CALIBRATION_NAMES = ("CalibrationReport", "calibrate", "read_report", "recommend_threshold",
-                      "write_report")
+# Resolved on first access (PEP 562), each from its module: a run that never
+# calibrates, reads or writes a file, replays or parses text never compiles
+# calibration or formats.
+_LAZY_NAMES = {
+    "CalibrationReport": "calibration",
+    "calibrate": "calibration",
+    "read_report": "calibration",
+    "recommend_threshold": "calibration",
+    "write_report": "calibration",
+    "parse_fault_spec": "formats",
+    "parse_workload_id": "formats",
+    "read_schedule_csv": "formats",
+    "read_trace": "formats",
+    "replay": "formats",
+    "write_schedule_csv": "formats",
+    "write_trace": "formats",
+}
 
 
 def __getattr__(name):
-    if name in _CALIBRATION_NAMES:
-        from . import calibration
-
-        return getattr(calibration, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_import_module(f"{__name__}.{module}"), name)
 
 
 # What callers of protect, calibrate, replay, run_scripted, the simulator and

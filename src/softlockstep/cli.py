@@ -12,10 +12,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import integrity, monitor, sim
+from . import monitor, sim
 from .core import DiversityLossPolicy, MonitorConfig, VerdictKind
+from .formats import (
+    parse_fault_spec,
+    parse_workload_id,
+    read_schedule_csv,
+    write_schedule_csv,
+    write_trace,
+)
 from .progress import CounterUnavailable, PinningFailure, SpawnFailure
-from .workloads import parse_workload_id
 
 EX_COUNTEREXAMPLE = 1
 EX_USAGE = 64
@@ -108,7 +114,7 @@ def _read_schedule(args):
         raise ValueError("scripted backend needs a file: --backend scripted:FILE")
     period_ticks = getattr(args, "period_ticks", None)
     with open(path) as f:
-        return sim.read_schedule_csv(
+        return read_schedule_csv(
             f,
             period_ticks=1 if period_ticks is None else period_ticks,
             suspend_latency_ticks=0 if args.scripted_latency is None else args.scripted_latency,
@@ -161,7 +167,7 @@ def _cmd_run(args) -> int:
             raise ValueError("the process backend needs --workload")
         workload = parse_workload_id(args.workload, seed=0 if args.seed is None else args.seed)
         config = _run_config(args, threshold)
-        fault = integrity.parse_fault_spec(args.inject) if args.inject else None
+        fault = parse_fault_spec(args.inject) if args.inject else None
         outputs = [bytearray(size) for size in workload.payload.output_sizes]
         verdict, trace = monitor.protect(
             workload.computation,
@@ -188,7 +194,7 @@ def _cmd_run(args) -> int:
         raise ValueError(f"unknown backend {args.backend!r} (expected process or scripted:FILE)")
 
     if args.trace_out:
-        monitor.write_trace(trace, args.trace_out)
+        write_trace(trace, args.trace_out)
     print(verdict.describe())
     if verdict.kind is VerdictKind.REPLICA_FAILURE and verdict.detail.strip():
         # The last line of a traceback names the exception and its message.
@@ -243,7 +249,7 @@ def _cmd_simulate(args) -> int:
     )
     if args.counterexample_out:
         with open(args.counterexample_out, "w") as f:
-            sim.write_schedule_csv(ce, f)
+            write_schedule_csv(ce, f)
         print(f"counterexample written to {args.counterexample_out}")
     return EX_COUNTEREXAMPLE
 

@@ -6,8 +6,6 @@ trail whenever the observed staggering falls below the threshold and waking it
 once the margin is restored. Everything here is pure data and pure functions.
 """
 
-from __future__ import annotations
-
 import enum
 from collections.abc import Callable, Sequence
 from typing import NamedTuple

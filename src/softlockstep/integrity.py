@@ -8,10 +8,9 @@ Injection exists to prove that claim end to end: flip one output bit, stall
 one replica, or kill it outright, and watch the verdict change accordingly.
 """
 
-from __future__ import annotations
-
+from collections.abc import Callable, Sequence
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .core import Role, Verdict
 
@@ -105,7 +104,7 @@ class FaultKind(Enum):
 
 
 class FaultSpec(NamedTuple):
-    """One injectable fault, parseable from 'kind:target[:params]' text."""
+    """One injectable fault; formats.parse_fault_spec reads it from 'kind:target[:params]' text."""
 
     kind: FaultKind
     target: Role
@@ -131,54 +130,6 @@ class FaultSpec(NamedTuple):
     @classmethod
     def crash(cls, target: Role) -> "FaultSpec":
         return cls(kind=FaultKind.CRASH, target=target)
-
-
-_DURATION_SUFFIXES = (("us", 1), ("ms", 1000), ("s", 1_000_000))
-
-
-def _parse_duration_us(text: str) -> int:
-    for suffix, scale in _DURATION_SUFFIXES:
-        if text.endswith(suffix):
-            return int(text[: -len(suffix)]) * scale
-    return int(text)  # bare numbers are microseconds
-
-
-def parse_fault_spec(text: str) -> FaultSpec:
-    """Parse 'bitflip:trail:0:0:3', 'freeze:head:3ms' or 'crash:head'."""
-    parts = text.strip().split(":")
-    if len(parts) < 2:
-        raise ValueError(f"fault spec {text!r} needs at least kind:target")
-    kind_text, target_text = parts[0], parts[1]
-    try:
-        kind = FaultKind(kind_text)
-    except ValueError:
-        raise ValueError(
-            f"unknown fault kind {kind_text!r} (expected bitflip, freeze or crash)"
-        ) from None
-    try:
-        target = Role(target_text)
-    except ValueError:
-        raise ValueError(f"unknown fault target {target_text!r} (expected head or trail)") from None
-    params = parts[2:]
-    if kind is FaultKind.BIT_FLIP:
-        if len(params) != 3:
-            raise ValueError("bitflip needs output_index:byte_offset:bit_index")
-        output_index, byte_offset, bit_index = (int(p) for p in params)
-        if not 0 <= bit_index < 8:
-            raise ValueError("bit_index must be 0..7")
-        if output_index < 0 or byte_offset < 0:
-            raise ValueError("bitflip coordinates must be non-negative")
-        return FaultSpec.bit_flip(target, output_index, byte_offset, bit_index)
-    if kind is FaultKind.FREEZE:
-        if len(params) != 1:
-            raise ValueError("freeze needs a duration, e.g. freeze:head:3ms")
-        duration_us = _parse_duration_us(params[0])
-        if duration_us <= 0:
-            raise ValueError("freeze duration must be positive")
-        return FaultSpec.freeze(target, duration_us)
-    if params:
-        raise ValueError("crash takes no parameters")
-    return FaultSpec.crash(target)
 
 
 class _FreezeDriver:

@@ -5,7 +5,8 @@ the rest of the system testable: the same code polls real processes through
 perf counters (a ReplicaSession with a RealClock), replays a script tick by
 tick (a ScriptedSource, its own clock, which also records the staggering at
 every tick boundary; sim.simulate is this loop on one as it is), or
-re-executes a recorded trace (a ReplaySource, its own clock). It is the one
+re-executes a recorded trace (formats.replay, on a formats.ReplaySource,
+its own clock). It is the one
 place the staggering rule is applied. Every check reads the head count
 first, then the trail, then how each exited, computes the signed staggering,
 and applies exactly one action, which becomes one trace sample.
@@ -21,13 +22,13 @@ the stopped head's outputs straight into the caller's buffers, and always
 release the session, which kills and reaps what is left. The process
 layer (replication, and through it linuxperf, ctypes, mmap and signal) is
 imported by the first protected run, so the simulator, run_scripted and
-replay never load it; csv loads with the first trace written or read.
+replay never load it. Trace files, like the other file formats, are read
+and written by the formats module.
 """
 
-from __future__ import annotations
-
 import os
-from typing import TYPE_CHECKING, Callable, Sequence
+from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING
 
 from . import integrity
 from .core import (
@@ -51,16 +52,12 @@ from .progress import (
     PinningFailure,
     ProgressSource,
     RealClock,
-    ReplaySource,
     ScriptedSource,
 )
 
 if TYPE_CHECKING:
     from .replication import ReplicaSession
     from .sim import Schedule
-
-TRACE_HEADER = ("interval", "timestamp_ns", "head_instr", "trail_instr", "staggering", "action")
-
 
 class Trace:
     """A recorded run: the sample sequence plus how it was produced.
@@ -225,7 +222,7 @@ def _validate_caller_outputs(outputs: Sequence, output_sizes: Sequence[int]) -> 
 
 
 def spawn_replicas(computation: WrappedComputation, payload: PayloadSpec, config: MonitorConfig,
-                   counter: str) -> ReplicaSession:
+                   counter: str) -> "ReplicaSession":
     """replication.spawn_replicas, imported on the first call: protect() spawns through this name."""
     from .replication import spawn_replicas
 
@@ -323,7 +320,7 @@ def _pin_monitor(core: int) -> None:
         raise PinningFailure(f"cannot pin the monitor to core {core}: {exc}") from exc
 
 
-def _compare(session: ReplicaSession, outputs: Sequence) -> Verdict:
+def _compare(session: "ReplicaSession", outputs: Sequence) -> Verdict:
     """Stop the head, compare both replicas' outputs, and on a match deliver the head's.
 
     The trail is killed before the head's outputs are read into the
@@ -350,7 +347,7 @@ def _compare(session: ReplicaSession, outputs: Sequence) -> Verdict:
         )
 
 
-def run_scripted(schedule: Schedule, config: MonitorConfig) -> tuple[Verdict, Trace]:
+def run_scripted(schedule: "Schedule", config: MonitorConfig) -> tuple[Verdict, Trace]:
     """Drive the real enforcement loop from a scripted schedule (no processes).
 
     One tick is progress.TICK_NS of scripted time. The loop's verdict is the
@@ -361,78 +358,3 @@ def run_scripted(schedule: Schedule, config: MonitorConfig) -> tuple[Verdict, Tr
     if problems:
         raise ValueError("; ".join(problems))
     return enforcement_loop(source=source, clock=source, config=config, backend="scripted")
-
-
-def replay(trace: Trace, config: MonitorConfig) -> tuple[Verdict, Trace]:
-    """Re-run the loop against a recorded trace's counts and timestamps.
-
-    The recorded run's timeout is not replayed. The replay times out where
-    the recording ends instead, so a run recorded without both replicas
-    finishing (timed out, or aborted and replayed under another policy)
-    ends as TIMEOUT. A replayed run that completes is a MATCH: the recording
-    holds no outputs to compare. An empty or invalid trace, or a config that
-    run_scripted would refuse, raises ValueError.
-    """
-    problems = validate_config(config) + trace.validate()
-    if problems:
-        raise ValueError("; ".join(problems))
-    source = ReplaySource(trace.samples)
-    return enforcement_loop(
-        source=source,
-        clock=source,
-        config=config._replace(run_timeout_us=source.duration_us),
-        backend="replay",
-    )
-
-
-def write_trace(trace: Trace, sink) -> None:
-    """Write the fixed-format CSV; sink is a path or a text file object."""
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "w", newline="") as f:
-            write_trace(trace, f)
-        return
-    import csv
-
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(TRACE_HEADER)
-    for s in trace.samples:
-        writer.writerow(
-            [s.interval_index, s.timestamp_ns, s.head_count, s.trail_count, s.staggering, s.action.value]
-        )
-
-
-def read_trace(source) -> Trace:
-    """Parse a trace CSV; rejects bad headers, negative counts and a staggering they contradict."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, newline="") as f:
-            return read_trace(f)
-    import csv
-
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty trace file") from None
-    if tuple(header) != TRACE_HEADER:
-        raise ValueError(f"expected header {','.join(TRACE_HEADER)}, got {','.join(header)}")
-    samples = []
-    for row in reader:
-        if not row:
-            continue
-        where = f"row {reader.line_num}"  # the file line, blank lines counted
-        if len(row) != 6:
-            raise ValueError(f"{where}: expected 6 fields, got {len(row)}")
-        try:
-            interval, timestamp, head, trail, stag = (int(v) for v in row[:5])
-            action = Action(row[5])
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-        if head < 0 or trail < 0:
-            raise ValueError(f"{where}: progress counts must be non-negative, "
-                             f"got head {head}, trail {trail}")
-        sample = StaggeringSample(interval, timestamp, head, trail, action)
-        # Checked, then dropped: a sample derives its staggering from its counts.
-        if stag != sample.staggering:
-            raise ValueError(f"{where}: staggering {stag} != head {head} - trail {trail}")
-        samples.append(sample)
-    return Trace(samples=samples, backend="file")

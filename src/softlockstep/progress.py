@@ -3,10 +3,10 @@
 The monitor only ever talks to a ProgressSource, keyed by Role: read a
 replica's cumulative progress count, stop it, wake it, ask how it exited.
 The OS-backed source is replication.ReplicaSession, over perf counters from
-linuxperf.py; this module holds the contract, the deterministic scripted
-source that plays a sim.Schedule, and a replay source that feeds a
-previously recorded run back through the live loop. The scripted and replay
-sources are their own loop clocks.
+linuxperf.py; this module holds the contract, the real clock, and the
+deterministic scripted source that plays a sim.Schedule, which is its own
+loop clock. The replay source, which feeds a previously recorded run back
+through the live loop, lives with the trace format in formats.
 
 Scripted time is measured in ticks. During tick i a running scripted replica
 accrues its i-th delta; a suspend issued at tick k with latency L lets it
@@ -18,14 +18,12 @@ their schedule; run_scripted and the simulator run the one enforcement loop
 on it as it is, the simulator also returning those tick-boundary instants.
 """
 
-from __future__ import annotations
-
 import enum
 import time
 from collections.abc import Sequence
 from typing import NamedTuple, Protocol, runtime_checkable
 
-from .core import Action, Role, StaggeringSample
+from .core import Role
 
 
 class CounterUnavailable(Exception):
@@ -246,55 +244,3 @@ class ScriptedSource:
 
     def exit_status(self, role: Role) -> ExitStatus | None:
         return _SUCCESS if self._replica(role).terminated_at(self.tick) else None
-
-
-class ReplaySource:
-    """Feeds the samples of a previous run back to the loop, one per check.
-
-    Suspend/resume are no-ops: the recorded counts already embody whatever
-    suspensions the original monitor applied, so re-applying them would
-    distort the replay. A replica terminates at the sample that recorded
-    its HEAD_DONE or TRAIL_DONE, and never if none did. The source is its
-    own loop clock: each period steps to the next sample. The recording
-    lasts duration_us, the whole microseconds from its first sample to just
-    past its latest; a step past the last sample moves the clock to that end.
-    """
-
-    def __init__(self, samples: list[StaggeringSample]):
-        if not samples:
-            raise ValueError("nothing to replay: no recorded samples")
-        self._samples = samples
-        self._done = {Role.HEAD: len(samples), Role.TRAIL: len(samples)}
-        for position, sample in enumerate(samples):
-            if sample.action is Action.HEAD_DONE:
-                self._done[Role.HEAD] = position
-            elif sample.action is Action.TRAIL_DONE:
-                self._done[Role.TRAIL] = position
-        start_ns = samples[0].timestamp_ns
-        self.duration_us = (max(s.timestamp_ns for s in samples) - start_ns) // 1000 + 1
-        self.index = -1
-        self.exhausted = False
-
-    def wait_one_period(self) -> None:
-        if self.index + 1 < len(self._samples):
-            self.index += 1
-        else:
-            self.exhausted = True
-
-    def now_ns(self) -> int:
-        if self.exhausted:
-            return self._samples[0].timestamp_ns + self.duration_us * 1000
-        return self._samples[max(self.index, 0)].timestamp_ns
-
-    def read_count(self, role: Role) -> int:
-        sample = self._samples[max(self.index, 0)]
-        return sample.head_count if role is Role.HEAD else sample.trail_count
-
-    def suspend(self, role: Role) -> None:
-        pass
-
-    def resume(self, role: Role) -> None:
-        pass
-
-    def exit_status(self, role: Role) -> ExitStatus | None:
-        return _SUCCESS if self.index >= self._done[role] else None

@@ -17,10 +17,9 @@ head-major order, that does. It walks the monitor states reachable after each
 tick, keeping for each state the least prefix that reaches it, rather than
 the schedules: an independent statement of the rule, which the tests hold to
 simulate(), and so to the production loop, schedule by schedule. The walk
-counts its own work and gives up past MAX_WALK_WORK.
+counts its own work and gives up past MAX_WALK_WORK. Schedule CSV files are
+read and written by the formats module.
 """
-
-from __future__ import annotations
 
 import bisect
 import math
@@ -284,38 +283,4 @@ def exhaustive_check(
         counterexample=Schedule.of(head, trail, period_ticks=period_ticks,
                                    suspend_latency_ticks=suspend_latency_ticks),
         schedules_checked=first[0] * size**ticks + first[1] + 1,
-    )
-
-
-def write_schedule_csv(schedule: Schedule, sink) -> None:
-    """Serialize a schedule as `tick,head_delta,trail_delta` rows (1-based ticks)."""
-    sink.write("tick,head_delta,trail_delta\n")
-    for i in range(schedule.ticks):
-        head = schedule.head_deltas[i] if i < len(schedule.head_deltas) else 0
-        trail = schedule.trail_deltas[i] if i < len(schedule.trail_deltas) else 0
-        sink.write(f"{i + 1},{head},{trail}\n")
-
-
-def read_schedule_csv(source, period_ticks=1, suspend_latency_ticks=0) -> Schedule:
-    """Parse `tick,head_delta,trail_delta` rows into a Schedule; errors name the file line."""
-    rows = [(lineno, line.strip()) for lineno, line in enumerate(source, start=1) if line.strip()]
-    if not rows or rows[0][1] != "tick,head_delta,trail_delta":
-        raise ValueError("expected header 'tick,head_delta,trail_delta'")
-    head_deltas, trail_deltas = [], []
-    for lineno, line in rows[1:]:
-        parts = line.split(",")
-        try:
-            if len(parts) != 3:
-                raise ValueError(f"expected 3 fields, got {len(parts)}")
-            tick, head, trail = (int(p) for p in parts)
-            if tick != len(head_deltas) + 1:
-                raise ValueError("ticks must be consecutive from 1")
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        head_deltas.append(head)
-        trail_deltas.append(trail)
-    return Schedule.of(
-        head_deltas, trail_deltas,
-        period_ticks=period_ticks,
-        suspend_latency_ticks=suspend_latency_ticks,
     )

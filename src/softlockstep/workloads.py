@@ -9,16 +9,13 @@ Only matmul needs numpy, and imports it only when it is built or run; hashlib
 likewise loads only when checksum is built.
 """
 
-from __future__ import annotations
-
 import math
 import random
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from typing import NamedTuple
 
-from .core import PayloadSpec
+from .core import PayloadSpec, WrappedComputation
 
-_DEFAULT_PARAMS = {"matmul": 128, "checksum": 65536, "spin": 5_000_000}
 _VALUE_BOUND = 1 << 20  # |a|,|b| < 2^20 keeps n<=4096 matmuls inside int64
 _DIGEST_SIZE = 16
 
@@ -30,7 +27,7 @@ class Workload(NamedTuple):
     param: int
     seed: int
     payload: PayloadSpec
-    computation: Callable[[Sequence[memoryview], Sequence[memoryview]], object]
+    computation: WrappedComputation
 
 
 def _matmul(inputs: Sequence[memoryview], outputs: Sequence[memoryview]) -> None:
@@ -94,23 +91,6 @@ _BUILDERS = {
     "checksum": checksum_workload,
     "spin": spin_workload,
 }
-
-
-def parse_workload_id(ident: str, seed: int = 0) -> Workload:
-    """Build a workload from 'name' or 'name:param' text, e.g. 'matmul:256'."""
-    name, _, param_text = ident.strip().partition(":")
-    if name not in _BUILDERS:
-        raise ValueError(
-            f"unknown workload {name!r} (expected one of {', '.join(sorted(_BUILDERS))})"
-        )
-    if param_text:
-        try:
-            param = int(param_text)
-        except ValueError:
-            raise ValueError(f"workload parameter must be an integer, got {param_text!r}") from None
-    else:
-        param = _DEFAULT_PARAMS[name]
-    return _BUILDERS[name](param, seed=seed)
 
 
 def direct_run(workload: Workload) -> list[bytes]:

@@ -14,9 +14,9 @@ from softlockstep import cli, linuxperf, monitor, replication
 from softlockstep.calibration import read_report, recommend_threshold, write_report, CalibrationReport
 from softlockstep.cli import _VERDICT_EXIT, main
 from softlockstep.core import PayloadSpec, VerdictKind
-from softlockstep.monitor import read_trace
+from softlockstep.formats import read_schedule_csv, read_trace, write_schedule_csv
 from softlockstep.progress import CounterUnavailable
-from softlockstep.sim import Schedule, read_schedule_csv, simulate, write_schedule_csv
+from softlockstep.sim import Schedule, simulate
 from softlockstep.workloads import Workload
 
 try:

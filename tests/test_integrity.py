@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softlockstep.core import Role, VerdictKind
+from softlockstep.formats import parse_fault_spec
 from softlockstep.integrity import _COMPARE_CHUNK, _first_difference
 from softlockstep.integrity import (
     FaultKind,
@@ -16,7 +17,6 @@ from softlockstep.integrity import (
     ShapeMismatch,
     compare_outputs,
     inject_fault,
-    parse_fault_spec,
 )
 
 
@@ -83,7 +83,8 @@ def test_first_difference_agrees_with_a_byte_loop(size, where):
     positions = {"first": [0], "last": [size - 1]}.get(where) or rng.sample(range(size), min(size, 5))
     for position in positions:
         trail[position] ^= 1 << rng.randrange(8)
-    # As compare_outputs calls it: a view of the head copy, the trail's bytearray.
+    # compare_outputs passes two reused bytearrays; a memoryview on either side
+    # is checked too, as any buffer must give the same offset.
     with memoryview(bytearray(head)) as view:
         assert _first_difference(view, trail) == naive_first_difference(head, trail) == min(positions)
         assert _first_difference(trail, view) == min(positions)

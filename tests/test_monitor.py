@@ -31,16 +31,13 @@ from softlockstep.core import (
     Verdict,
     VerdictKind,
 )
+from softlockstep.formats import TRACE_HEADER, read_trace, replay, write_trace
 from softlockstep.integrity import FaultSpec, compare_outputs, inject_fault
 from softlockstep.monitor import (
-    TRACE_HEADER,
     Trace,
     enforcement_loop,
     protect,
-    read_trace,
-    replay,
     run_scripted,
-    write_trace,
 )
 from softlockstep.progress import CounterUnavailable, ExitKind, ExitStatus, ScriptedSource
 from softlockstep.replication import PinningFailure, spawn_replicas

@@ -37,7 +37,7 @@ def test_internals_leave_the_root_but_stay_importable(name):
     assert not hasattr(softlockstep, name)
     # Looked up by import: the root binds a submodule only once it is imported.
     assert any(hasattr(importlib.import_module(f"softlockstep.{module}"), name)
-               for module in ("core", "monitor", "progress", "replication"))
+               for module in ("core", "formats", "monitor", "progress", "replication"))
 
 
 def test_the_library_loads_without_numpy():
@@ -50,7 +50,7 @@ def test_the_library_loads_without_numpy():
         "def added():\n"
         "    return sorted({name.partition('.')[0] for name in set(sys.modules) - startup})\n"
         "import softlockstep, softlockstep.cli\n"
-        "from softlockstep.workloads import parse_workload_id\n"
+        "from softlockstep.formats import parse_workload_id\n"
         "imported = added()\n"
         "parse_workload_id('spin:10')\n"
         "spin = added()\n"
@@ -100,6 +100,38 @@ def test_the_simulator_path_loads_no_process_layer():
                      "csv"}
     assert process_layer.isdisjoint(added)
     assert resolved == ["calibrate", "CalibrationReport", "SpawnFailure"]
+
+
+_FORMAT_NAMES = ("parse_fault_spec", "parse_workload_id", "read_schedule_csv", "read_trace",
+                 "replay", "write_schedule_csv", "write_trace")
+
+
+def test_the_simulator_path_compiles_no_file_format():
+    # A fresh interpreter, measured against its own startup set as above. The
+    # file formats, text parsers and replay resolve on first access from the
+    # root; the model checker, the simulator and scripted runs need none of them.
+    script = (
+        "import json, sys\n"
+        "startup = set(sys.modules)\n"
+        "import softlockstep\n"
+        "from softlockstep import MonitorConfig, Schedule\n"
+        "schedule = Schedule.of([2, 1, 2], [1, 2, 1], suspend_latency_ticks=1)\n"
+        "softlockstep.exhaustive_check([0, 1, 2], 3, 1, 1, 4)\n"
+        "softlockstep.simulate(schedule, 2)\n"
+        "softlockstep.run_scripted(schedule, MonitorConfig(threshold_instructions=2))\n"
+        "added = sorted(set(sys.modules) - startup)\n"
+        "import softlockstep.formats as formats\n"
+        f"names = {_FORMAT_NAMES!r}\n"
+        "resolved = [getattr(softlockstep, name) is getattr(formats, name) for name in names]\n"
+        "print(json.dumps([added, resolved]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(softlockstep.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, check=True)
+    added, resolved = json.loads(result.stdout)
+    assert {"softlockstep.formats", "csv"}.isdisjoint(added)
+    assert resolved == [True] * len(_FORMAT_NAMES)
 
 
 def _records():

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softlockstep.core import MAX_CHECK_PERIOD_US, Action, Role, StaggeringSample
+from softlockstep.formats import ReplaySource
 from softlockstep.progress import (
     ExitKind,
     ExitStatus,
     RealClock,
-    ReplaySource,
     ScriptedSource,
 )
 from softlockstep.sim import Schedule

@@ -16,11 +16,11 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from softlockstep import linuxperf
 from softlockstep.core import Action, MonitorConfig, PayloadSpec, Role, StaggeringSample
+from softlockstep.formats import ReplaySource
 from softlockstep.progress import (
     CounterUnavailable,
     ExitKind,
     ProgressSource,
-    ReplaySource,
     ScriptedSource,
     StaleHandle,
 )

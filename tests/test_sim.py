@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from softlockstep import sim
 from softlockstep.calibration import calibrate_scripted
 from softlockstep.core import Action, DiversityLossPolicy, MonitorConfig
+from softlockstep.formats import read_schedule_csv, write_schedule_csv
 from softlockstep.monitor import run_scripted
 from softlockstep.progress import ScriptedSource
 from softlockstep.sim import (
@@ -20,9 +21,7 @@ from softlockstep.sim import (
     SearchSpaceTooLarge,
     exhaustive_check,
     min_staggering,
-    read_schedule_csv,
     simulate,
-    write_schedule_csv,
 )
 
 
