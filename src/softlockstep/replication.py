@@ -274,11 +274,12 @@ def _contain_descriptors(keep: int) -> None:
     share one open file's offset, and a replica reading this or an earlier
     replica's report pipe would take its done report or traceback.
     closerange uses close_range(2) where the kernel has it; bounding it by
-    the open-file limit, below which every fd lies unless the limit was
-    lowered after it was opened, keeps its close-by-close fallback short.
+    the highest fd in /proc/self/fd, not by the open-file limit (a fd opened
+    before the limit was lowered lies above it), keeps its close-by-close
+    fallback short.
     """
     os.closerange(3, keep)
-    os.closerange(max(keep + 1, 3), os.sysconf("SC_OPEN_MAX"))
+    os.closerange(max(keep + 1, 3), max(map(int, os.listdir("/proc/self/fd"))) + 1)
     null = os.open(os.devnull, os.O_RDONLY)
     if null != 0:
         os.dup2(null, 0)

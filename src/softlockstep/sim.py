@@ -14,11 +14,12 @@ The model is small enough to check exhaustively. exhaustive_check covers
 every per-tick rate assignment over a small alphabet and either certifies
 that no schedule drives the staggering negative or returns the first one, in
 head-major order, that does. It walks the monitor states reachable after each
-tick, keeping for each state the least prefix that reaches it, rather than
-the schedules: an independent statement of the rule, which the tests hold to
-simulate(), and so to the production loop, schedule by schedule. The walk
-counts its own work and gives up past MAX_WALK_WORK. Schedule CSV files are
-read and written by the formats module.
+tick, grouped by the tick the trail is frozen from and keeping for each state
+the least prefix that reaches it as one integer, rather than the schedules:
+an independent statement of the rule, which the tests hold to simulate(), and
+so to the production loop, schedule by schedule. The walk counts its own work
+and gives up past MAX_WALK_WORK. Schedule CSV files are read and written by
+the formats module.
 """
 
 import bisect
@@ -31,7 +32,8 @@ from .progress import ScriptedSource
 
 # Bounds on exhaustive_check. Each state the walk expands costs the length of
 # its step table, or the table's rate pairs if it builds it; past MAX_WALK_WORK
-# the walk raises (2-vCPU Xeon: at most 0.5 s of CPU accepted, 0.6 s refused).
+# the walk raises (2-vCPU Xeon: at most 0.55 s of CPU accepted, one letter
+# over MAX_WALK_WORK ticks; the slowest refusal found takes 0.25 s).
 # Refused up front: more ticks than that, as the walk loops over ticks whatever
 # its states, and a space |alphabet|^(2*ticks) of MAX_SPACE_DIGITS digits or
 # more, whose exact counts str() could not print (it stops at 4,300 digits).
@@ -145,84 +147,107 @@ def simulate(
     return SimTrace(trace.samples, source.instants)
 
 
-def _steps(alphabet, running):
-    """(head_rate - trail_rate, head digit, trail digit) for each distinct step of one tick."""
+def _steps(alphabet, running, head_weight):
+    """(head_rate - trail_rate, digits) for each distinct step of one tick.
+
+    digits is head digit * head_weight + trail digit: what the step adds to a
+    prefix kept in units of its tick's trail digit (see _first_counterexample).
+    """
     if not running:  # a frozen trail's rate does not count: its lowest letter stands for all
-        return [(rate, digit, 0) for digit, rate in enumerate(alphabet)]
+        return [(rate, digit * head_weight) for digit, rate in enumerate(alphabet)]
     # Largest first, so that the walk stops at the first step that goes
     # negative; each step keeps its least digit pair, head digit first.
     least = {}
     for head_digit, head_rate in enumerate(alphabet):
         for trail_digit, trail_rate in enumerate(alphabet):
-            least.setdefault(head_rate - trail_rate, (head_digit, trail_digit))
-    return sorted(((step, *digits) for step, digits in least.items()), reverse=True)
+            least.setdefault(head_rate - trail_rate, head_digit * head_weight + trail_digit)
+    return sorted(least.items(), reverse=True)
 
 
 def _first_counterexample(alphabet, ticks, period_ticks, latency, threshold):
-    """(head index, trail index) of the first schedule that goes negative, or None.
+    """Head-major index of the first schedule that goes negative, or None.
 
     Walks the monitor states reachable after each tick: the staggering and
     the tick the trail is frozen from (it runs at tick u while u < that
     tick): 0 once it is frozen for the next tick, ticks + 1 if it runs to
-    the end, else a pending suspend's check tick + latency + 1. Each state
-    keeps the least (head, trail) prefix reaching it: prefixes in one state
-    go negative under the same extensions, and a common extension keeps
-    their head-major order. A pair of rates moves a state only by its step
-    head_rate - trail_rate, so each state follows each step of _steps once,
-    with the least digit pair giving it. A state goes negative soonest under
-    the lowest head rate and the least trail rate above its staggering plus
-    that; padded with the lowest rate, that is a candidate, and a state whose
-    least extension cannot precede the least candidate is dropped. The rules
+    the end, else a pending suspend's check tick + latency + 1. The states
+    are grouped by freeze tick, {freeze tick: {staggering: prefix}}, so a
+    group's next freeze ticks are worked out once per tick. Each state keeps
+    the least prefix reaching it as one integer: the index
+    head * |alphabet|^ticks + trail of the prefix padded with the lowest
+    rate, in units of the tick's trail digit |alphabet|^(ticks - tick), so
+    that a step adds its digits unscaled and the next tick multiplies by
+    |alphabet|. Prefixes in one state go negative under the same extensions,
+    and a common extension keeps their head-major order. A pair of rates
+    moves a state only by its step head_rate - trail_rate, so each state
+    follows each step of _steps once, with the least digit pair giving it.
+    A state goes negative soonest under the lowest head rate and the least
+    trail rate above its staggering plus that; padded with the lowest rate,
+    that is a candidate. Every candidate of a tick is taken before any state
+    of the tick is expanded, and a state whose prefix does not precede the
+    least candidate is dropped: its extensions only come later. The rules
     are the enforcement loop's, as simulate() runs it tick by tick,
     restricted to replicas without lengths.
     """
     size, lowest = len(alphabet), alphabet[0]
+    # Only a staggering below spread can go negative in one tick.
+    spread = alphabet[-1] - lowest
+    head_weight = size**ticks
     # A frozen and a running trail's steps, built when first needed: a wide
     # alphabet has |alphabet|^2 pairs, and a one-tick check expands no state.
     tables = [None, None]
     work = 0
-    states = {(0, 0): (0, 0)}
-    # Past every schedule while no candidate is known.
-    first = past = (size**ticks, 0)
+    groups = {0: {0: 0}}
+    # Past every schedule, |alphabet|^(2*ticks), while no candidate is known;
+    # in tick 0's units, |alphabet|^ticks.
+    first = head_weight
     for tick in range(1, ticks + 1):
-        # Prefixes are kept as full-length indices, padded with the lowest
-        # rate: this tick's digit weighs rest in them.
-        rest = size ** (ticks - tick)
+        # The states hold prefixes in the last tick's units; first and the
+        # candidates are in this tick's.
+        first *= size
+        for frozen_from, group in groups.items():
+            if tick < frozen_from and spread:
+                for staggering, prefix in group.items():
+                    if staggering < spread and prefix * size < first:
+                        first = min(first, prefix * size + bisect.bisect_right(
+                            alphabet, staggering + lowest))
+        if tick == ticks:
+            break
         check, suspend = tick % period_ticks == 0, tick + latency + 1
         reached = {}
-        get = reached.get
-        for (staggering, frozen_from), (head, trail) in states.items():
-            if (head, trail) >= first:
-                continue
+        for frozen_from, group in groups.items():
             running = tick < frozen_from
-            if running and (over := bisect.bisect_right(alphabet, staggering + lowest)) < size:
-                first = min(first, (head, trail + over * rest))
-            if tick == ticks:
-                continue
             # The freeze tick after a step to below the threshold and to at
             # least it: a check suspends, keeping an earlier tick, or resumes.
-            held = min(frozen_from, suspend) if check else frozen_from
+            held = suspend if check and suspend < frozen_from else frozen_from
             below = held if held > tick + 1 else 0
             above = ticks + 1 if check else below
             steps = tables[running]
-            work += len(steps) if steps is not None else size * size if running else size
-            if work > MAX_WALK_WORK:
-                raise SearchSpaceTooLarge(
-                    f"the walk over {size}^(2*{ticks}) schedules exceeds the bound of "
-                    f"{MAX_WALK_WORK} state steps by tick {tick}")
-            if steps is None:
-                steps = tables[running] = _steps(alphabet, running)
-            for step, head_digit, trail_digit in steps:
-                now = staggering + step
-                if now < 0:
-                    break
-                state = (now, below if now < threshold else above)
-                prefix = (head + head_digit * rest, trail + trail_digit * rest)
-                known = get(state)
-                if known is None or prefix < known:
-                    reached[state] = prefix
-        states = reached
-    return None if first == past else first
+            lower = upper = None
+            for staggering, prefix in group.items():
+                prefix *= size
+                if prefix >= first:
+                    continue
+                work += len(steps) if steps is not None else size * size if running else size
+                if work > MAX_WALK_WORK:
+                    raise SearchSpaceTooLarge(
+                        f"the walk over {size}^(2*{ticks}) schedules exceeds the bound of "
+                        f"{MAX_WALK_WORK} state steps by tick {tick}")
+                if steps is None:
+                    steps = tables[running] = _steps(alphabet, running, head_weight)
+                if lower is None:  # a group is made by its first expansion
+                    lower = reached.setdefault(below, {})
+                    upper = reached.setdefault(above, {})
+                for step, digits in steps:
+                    now = staggering + step
+                    if now < 0:
+                        break
+                    # A prefix at or past first is dropped here, not next tick.
+                    target = lower if now < threshold else upper
+                    if target.get(now, first) > (least := prefix + digits):
+                        target[now] = least
+        groups = reached
+    return None if first == head_weight * head_weight else first
 
 
 class CheckResult(NamedTuple):
@@ -245,12 +270,15 @@ def exhaustive_check(
     tick boundary, or a safe verdict if none exists. schedules_checked is
     the 1-based index of that counterexample, or the whole space when safe.
     The schedules are not stepped one by one: the walk advances the monitor
-    states reachable after each tick, each with the least prefix reaching
-    it, along each distinct step head_rate - trail_rate once rather than
-    each rate pair, which finds exactly the counterexample a
-    schedule-by-schedule enumeration would find first. SearchSpaceTooLarge
-    is raised for more than MAX_WALK_WORK ticks, a space of MAX_SPACE_DIGITS
-    digits or more, or a walk whose work passes MAX_WALK_WORK.
+    states reachable after each tick, grouped by the tick the trail is frozen
+    from, each with the least prefix reaching it as one integer index, along
+    each distinct step head_rate - trail_rate once rather than each rate
+    pair, which finds exactly the counterexample a schedule-by-schedule
+    enumeration would find first. Each tick takes all of its candidates
+    before it expands a state, and expands only the states that can still
+    precede the least of them. SearchSpaceTooLarge is raised for more than
+    MAX_WALK_WORK ticks, a space of MAX_SPACE_DIGITS digits or more, or a
+    walk whose work passes MAX_WALK_WORK.
     """
     alphabet = tuple(sorted({int(r) for r in rate_alphabet}))
     if not alphabet or any(r < 0 for r in alphabet):
@@ -277,10 +305,10 @@ def exhaustive_check(
         return CheckResult(safe=True, schedules_checked=size ** (2 * ticks))
     # Each index read as base-|alphabet| digits, most significant first.
     head, trail = ([alphabet[index // size**k % size] for k in reversed(range(ticks))]
-                   for index in first)
+                   for index in divmod(first, size**ticks))
     return CheckResult(
         safe=False,
         counterexample=Schedule.of(head, trail, period_ticks=period_ticks,
                                    suspend_latency_ticks=suspend_latency_ticks),
-        schedules_checked=first[0] * size**ticks + first[1] + 1,
+        schedules_checked=first + 1,
     )

@@ -4,9 +4,11 @@ These tests fork real processes and attach real progress counters; they skip
 only if the host offers no usable counter at all.
 """
 
+import contextlib
 import errno
 import functools
 import os
+import resource
 import signal
 import sys
 import time
@@ -216,6 +218,32 @@ def test_a_replica_inherits_no_descriptor_of_the_callers(tmp_path):
         assert os.lseek(fd, 0, os.SEEK_CUR) == 0
     finally:
         os.close(fd)
+
+
+def test_a_replica_inherits_no_descriptor_above_a_lowered_open_file_limit(tmp_path):
+    # A descriptor opened before the caller lowered its soft RLIMIT_NOFILE
+    # stays open above the new limit: the replicas must close it too.
+    path = tmp_path / "shared"
+    path.write_bytes(b"ab")
+    fd = os.open(path, os.O_RDONLY)
+    limits = resource.getrlimit(resource.RLIMIT_NOFILE)
+    high = 2000 if limits[1] == resource.RLIM_INFINITY or limits[1] > 2000 else limits[1] - 1
+    try:
+        os.dup2(fd, high)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (high // 2, limits[1]))
+        with start_both(functools.partial(read_fd, high), PayloadSpec.of([], [], [1])) as session:
+            assert wait_done(session, Role.HEAD).success
+            assert wait_done(session, Role.TRAIL).success
+            assert session.collect_outputs(Role.HEAD) == [b"-"]
+            assert session.collect_outputs(Role.TRAIL) == [b"-"]
+            for role in Role:
+                assert not os.path.exists(f"/proc/{session.pid(role)}/fd/{high}")
+        assert os.lseek(high, 0, os.SEEK_CUR) == 0
+    finally:
+        resource.setrlimit(resource.RLIMIT_NOFILE, limits)
+        os.close(fd)
+        with contextlib.suppress(OSError):
+            os.close(high)
 
 
 def _state(pid):

@@ -382,10 +382,27 @@ def test_every_check_the_schedule_count_bound_accepted_is_still_accepted():
     assert exhaustive_check([1], 12_000, 1, 1, 1).safe
 
 
+def test_a_tick_prunes_its_states_by_its_least_candidate():
+    # Nine letters over 152 ticks. A walk that expanded some states of a tick
+    # before it knew all of the tick's candidates passed the work bound by
+    # tick 136; pruned by each tick's least candidate, it answers.
+    alphabet, ticks, period, latency, threshold = (1, 2, 4, 8, 11, 13, 21, 27, 30), 152, 1, 2, 61
+    result = exhaustive_check(alphabet, ticks, period, latency, threshold)
+    assert not result.safe and result.schedules_checked == 315
+    # Exact: in head-major order schedules 1 to 314 hold and 315 does not.
+    head = (alphabet[0],) * ticks
+    schedules = [Schedule.of(head, trail, period_ticks=period, suspend_latency_ticks=latency)
+                 for trail in itertools.islice(itertools.product(alphabet, repeat=ticks), 315)]
+    lowest = [min_staggering(simulate(schedule, threshold)) for schedule in schedules]
+    assert min(lowest[:-1]) >= 0 > lowest[-1]
+    assert result.counterexample == schedules[-1]
+
+
 @pytest.mark.parametrize("alphabet, period, latency, ticks, safe", [
     ([0, 1], 3, 2, 400, 5),
     ([0, 1, 2], 1, 1, 200, 4),
-], ids=["0,1-over-400-ticks", "0,1,2-over-200-ticks"])
+    (range(8), 2, 1, 70, 21),
+], ids=["0,1-over-400-ticks", "0,1,2-over-200-ticks", "0..7-over-70-ticks"])
 def test_the_bound_is_tight_at_long_horizons(alphabet, period, latency, ticks, safe):
     # threshold = r * (P + L) holds over every schedule, one less does not.
     assert exhaustive_check(alphabet, ticks, period, latency, safe).safe
