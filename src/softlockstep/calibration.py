@@ -53,26 +53,32 @@ def recommend_threshold(
     microseconds. The product is taken over the floats' exact integer ratios,
     so the result is the true ceiling, not the ceiling of an approximation.
     """
-    if not math.isfinite(peak_rate):
-        raise ValueError("peak_rate must be finite")
-    if peak_rate <= 0:
-        raise ValueError("peak_rate must be positive")
-    if monitor_latency_us < 0:
-        raise ValueError("monitor_latency_us must be non-negative")
-    _check_period_and_margin(check_period_us, safety_margin)
+    problems = _range_problems(peak_rate, check_period_us, monitor_latency_us, safety_margin)
+    if problems:
+        raise ValueError("; ".join(problems))
     rate_num, rate_den = peak_rate.as_integer_ratio()
     margin_num, margin_den = safety_margin.as_integer_ratio()
     numerator = rate_num * (check_period_us + monitor_latency_us) * margin_num
     return -(-numerator // (rate_den * 1_000_000 * margin_den))
 
 
-def _check_period_and_margin(check_period_us: int, safety_margin: float) -> None:
+def _range_problems(peak_rate: float, check_period_us: int, monitor_latency_us: int,
+                    safety_margin: float) -> list[str]:
+    """Every argument of recommend_threshold that is out of range, each by name."""
+    problems = []
+    if not math.isfinite(peak_rate):
+        problems.append("peak_rate must be finite")
+    elif peak_rate <= 0:
+        problems.append("peak_rate must be positive")
     if check_period_us <= 0:
-        raise ValueError("check_period_us must be positive")
+        problems.append("check_period_us must be positive")
+    if monitor_latency_us < 0:
+        problems.append("monitor_latency_us must be non-negative")
     if not math.isfinite(safety_margin):
-        raise ValueError("safety_margin must be finite")
-    if safety_margin < 1:
-        raise ValueError("safety_margin must be >= 1")
+        problems.append("safety_margin must be finite")
+    elif safety_margin < 1:
+        problems.append("safety_margin must be >= 1")
+    return problems
 
 
 class CalibrationReport(NamedTuple):
@@ -86,26 +92,10 @@ class CalibrationReport(NamedTuple):
     recommended_threshold: int
 
     def validate(self) -> list[str]:
-        problems = []
-        if not math.isfinite(self.peak_rate):
-            problems.append("peak_rate must be finite")
-        elif self.peak_rate <= 0:
-            problems.append("peak_rate must be positive")
-        if self.check_period_us <= 0:
-            problems.append("check_period_us must be positive")
-        if self.monitor_latency_us < 0:
-            problems.append("monitor_latency_us must be non-negative")
-        if not math.isfinite(self.safety_margin):
-            problems.append("safety_margin must be finite")
-        elif self.safety_margin < 1:
-            problems.append("safety_margin must be >= 1")
+        fields = (self.peak_rate, self.check_period_us, self.monitor_latency_us, self.safety_margin)
+        problems = _range_problems(*fields)
         if not problems:
-            expected = recommend_threshold(
-                self.peak_rate,
-                self.check_period_us,
-                self.monitor_latency_us,
-                self.safety_margin,
-            )
+            expected = recommend_threshold(*fields)
             if expected != self.recommended_threshold:
                 problems.append(
                     f"recommended_threshold {self.recommended_threshold} does not "
@@ -271,7 +261,7 @@ def calibrate(
         raise ValueError("duration_us must be at least 100000 (100 ms) for a stable estimate")
     if probes < 30:
         raise ValueError("need at least 30 probes for a usable worst case")
-    _check_period_and_margin(check_period_us, safety_margin)
+    recommend_threshold(1.0, check_period_us, 0, safety_margin)  # refuses a bad period or margin
     # Local imports: linuxperf and replication pull in the ctypes, fork and
     # mmap machinery that threshold arithmetic, report files and scripted
     # calibration never need.

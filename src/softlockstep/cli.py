@@ -205,8 +205,6 @@ def _cmd_run(args) -> int:
 def _cmd_calibrate(args) -> int:
     from . import calibration
 
-    if args.margin < 1:
-        raise ValueError("margin must be >= 1")
     if args.backend == "process":
         _refuse_flags(args, _SCRIPTED_FLAGS, "scripted backend (scripted:FILE)")
         report = calibration.calibrate(

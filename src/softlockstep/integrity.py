@@ -6,13 +6,17 @@ never noise. A replica's outputs are read from its own memory chunk by
 chunk into two small reused buffers, never mapped or copied whole.
 Injection exists to prove that claim end to end: flip one output bit, stall
 one replica, or kill it outright, and watch the verdict change accordingly.
+A crash and a freeze are armed here against a live session, a freeze as the
+loop's progress source; protect() writes a bit flip after the loop.
 """
 
+import functools
 from collections.abc import Callable, Sequence
 from enum import Enum
 from typing import NamedTuple
 
 from .core import Role, Verdict
+from .progress import ProgressSource
 
 # Bytes compared per step: small enough that both chunk buffers stay in
 # cache between the reads and the comparison.
@@ -133,43 +137,42 @@ class FaultSpec(NamedTuple):
 
 
 class _FreezeDriver:
-    """Stop the target out of band at the first check and hold it for the duration.
+    """The loop's progress source in a freeze run: the session, with one replica held.
 
-    While the hold lasts, the driver stands in for the session's suspend and
-    resume: the loop's requests for the target are recorded, not sent, so
-    none ends the hold early, and the hold ends in the state the loop last
-    asked for. The loop starts with the head running and the trail stopped,
-    so a held head runs again at the end, and a held trail only if the loop
-    has resumed it meanwhile.
+    At the first check it stops the target out of band and holds it for the
+    duration. Meanwhile the loop's requests for the target are recorded,
+    not sent, so none ends the hold early, and the hold ends in the state
+    the loop last asked for. The loop starts with the head running and the
+    trail stopped, so a held head runs again at the end, and a held trail
+    only if the loop has resumed it meanwhile.
     """
 
     def __init__(self, session, fault: FaultSpec):
         self.session = session
         self.fault = fault
-        self.resume_after_ns: int | None = None
-        self.done = False
+        self.read_count = session.read_count
+        self.exit_status = session.exit_status
+        self.holding: bool | None = None  # None until the first check
+        self.resume_after_ns = 0
         self.wants_running = fault.target is Role.HEAD
-        self._send = {False: session.suspend, True: session.resume}
 
     def on_check(self, now_ns: int, head_count: int, trail_count: int) -> None:
-        if self.done:
-            return
-        if self.resume_after_ns is None:
+        if self.holding is None:
             self.session.suspend(self.fault.target)
-            self.resume_after_ns = now_ns + self.fault.duration_us * 1000
-            self.session.suspend = lambda role: self._request(role, False)
-            self.session.resume = lambda role: self._request(role, True)
-        elif now_ns >= self.resume_after_ns:
-            del self.session.suspend, self.session.resume
+            self.holding, self.resume_after_ns = True, now_ns + self.fault.duration_us * 1000
+        elif self.holding and now_ns >= self.resume_after_ns:
+            self.holding = False
             if self.wants_running:
                 self.session.resume(self.fault.target)
-            self.done = True
 
     def _request(self, role: Role, running: bool) -> None:
-        if role is self.fault.target:
+        if self.holding and role is self.fault.target:
             self.wants_running = running
         else:
-            self._send[running](role)
+            (self.session.resume if running else self.session.suspend)(role)
+
+    suspend = functools.partialmethod(_request, running=False)
+    resume = functools.partialmethod(_request, running=True)
 
 
 def check_bit(output_sizes: Sequence[int], output_index: int, byte_offset: int, bit_index: int) -> None:
@@ -182,21 +185,20 @@ def check_bit(output_sizes: Sequence[int], output_index: int, byte_offset: int, 
         raise ValueError(f"bit index {bit_index} out of range")
 
 
-def inject_fault(session, fault: FaultSpec) -> Callable[[int, int, int], None] | None:
-    """Arm one fault against a live session.
+def inject_fault(session, fault: FaultSpec) -> tuple[ProgressSource, Callable | None]:
+    """Arm a fault that acts before or during the loop: (the loop's source, its on_check).
 
-    Bit flips are written into the target's outputs after it finishes and
-    before they are read; a crash kills the target right now and waits until
-    it is dead, so the first check reports the crash even when the target
-    had already reported done. Both need no runtime hook. A freeze
-    is a timed behavior, so it returns a hook the enforcement loop calls at
-    each check (after reading counts, before deciding); while it holds the
-    target, it stands in for the session's suspend and resume.
+    A crash kills the target right now and waits until it is dead, so the
+    first check reports the crash even when the target had already reported
+    done; the loop polls the session itself. A freeze is a timed behavior:
+    the loop polls a _FreezeDriver in the session's place and calls its
+    on_check at each check (after reading counts, before deciding). A bit
+    flip acts after the loop: protect() writes it into the target's outputs
+    once the head has stopped, before the comparison, so here it arms nothing.
     """
-    if fault.kind is FaultKind.BIT_FLIP:
-        session.register_bitflip(fault.target, fault.output_index, fault.byte_offset, fault.bit_index)
-        return None
     if fault.kind is FaultKind.FREEZE:
-        return _FreezeDriver(session, fault).on_check
-    session.kill_replica(fault.target)
-    return None
+        driver = _FreezeDriver(session, fault)
+        return driver, driver.on_check
+    if fault.kind is FaultKind.CRASH:
+        session.kill_replica(fault.target)
+    return session, None

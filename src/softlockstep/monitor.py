@@ -16,11 +16,12 @@ TIMEOUT, DIVERSITY_LOSS or REPLICA_FAILURE.
 protect() owns the whole lifecycle of a real run: spawn both replicas on
 private data copies (the head runs while the trail is forked), enforce
 staggering until both finish, waking on a replica's report or exit as well
-as at each check period, then after a loop MATCH stop the head and compare
-outputs byte for byte; on a match kill the trail and, while it dies, read
-the stopped head's outputs straight into the caller's buffers, and always
-release the session, which kills and reaps what is left. The process
-layer (replication, and through it linuxperf, ctypes, mmap and signal) is
+as at each check period, then after a loop MATCH stop the head, write an
+injected bit flip into its target's outputs, and compare them byte for
+byte; on a match kill the trail and, while it dies, read the stopped
+head's outputs straight into the caller's buffers, and always release the
+session, which kills and reaps what is left. The process layer
+(replication, and through it linuxperf, ctypes, mmap and signal) is
 imported by the first protected run, so the simulator, run_scripted and
 replay never load it. Trace files, like the other file formats, are read
 and written by the formats module.
@@ -49,7 +50,6 @@ from .core import (
 from .progress import (
     CounterUnavailable,
     LoopClock,
-    PinningFailure,
     ProgressSource,
     RealClock,
     ScriptedSource,
@@ -266,7 +266,7 @@ def protect(
     pages are inherited by forks again, even if the caller had marked them
     MADV_DONTFORK.
     """
-    from .replication import kept_from_forks
+    from .replication import _pin, kept_from_forks
 
     problems = validate_config(config)
     if problems:
@@ -279,7 +279,7 @@ def protect(
             raise ValueError("; ".join(problems))
         _validate_caller_outputs(outputs, output_sizes)
         if inject is not None and inject.kind is integrity.FaultKind.BIT_FLIP:
-            # Refused before any fork, by the check the session applies.
+            # Refused before any fork: _compare writes the flip after the loop.
             integrity.check_bit(payload.output_sizes, inject.output_index, inject.byte_offset,
                                 inject.bit_index)
         # Each replica reads its input copy and writes its output mapping:
@@ -291,19 +291,19 @@ def protect(
         try:
             if config.monitor_core is not None:
                 saved_affinity = os.sched_getaffinity(0)
-                _pin_monitor(config.monitor_core)
-            on_check = None
+                _pin(0, "the monitor", config.monitor_core)
+            source, on_check = session, None
             if inject is not None:
-                on_check = integrity.inject_fault(session, inject)
+                source, on_check = integrity.inject_fault(session, inject)
             verdict, trace = enforcement_loop(
-                source=session,
+                source=source,
                 clock=RealClock(config.check_period_us, session.report_fds()),
                 config=config,
                 on_check=on_check,
                 backend=f"process/{session.counter_kind}",
             )
             if verdict.kind is VerdictKind.MATCH:
-                verdict = _compare(session, outputs)
+                verdict = _compare(session, outputs, inject)
             elif verdict.kind is VerdictKind.REPLICA_FAILURE:
                 verdict = verdict._replace(detail=session.failure_detail(verdict.failed_role))
             return verdict, trace
@@ -313,29 +313,25 @@ def protect(
                 os.sched_setaffinity(0, saved_affinity)
 
 
-def _pin_monitor(core: int) -> None:
-    try:
-        os.sched_setaffinity(0, {core})
-    except (OSError, ValueError) as exc:
-        raise PinningFailure(f"cannot pin the monitor to core {core}: {exc}") from exc
-
-
-def _compare(session: "ReplicaSession", outputs: Sequence) -> Verdict:
+def _compare(session: "ReplicaSession", outputs: Sequence,
+             inject: "integrity.FaultSpec | None") -> Verdict:
     """Stop the head, compare both replicas' outputs, and on a match deliver the head's.
 
-    The trail is killed before the head's outputs are read into the
-    caller's buffers, so its teardown runs beside that read. The head stays
-    stopped until release() kills it: the caller gets exactly the bytes
-    that were compared.
+    An injected bit flip is written into its target's outputs first. The
+    trail is killed before the head's outputs are read into the caller's
+    buffers, so its teardown runs beside that read. The head stays stopped
+    until release() kills it: the caller gets exactly the bytes that were
+    compared.
     """
     from .replication import ReplicaLost
 
     try:
         session.freeze(Role.HEAD)
-        head = session.outputs(Role.HEAD)
-        verdict = integrity.compare_outputs(
-            head, session.outputs(Role.TRAIL), session.payload.output_sizes
-        )
+        head, trail = session.outputs(Role.HEAD), session.outputs(Role.TRAIL)
+        if inject is not None and inject.kind is integrity.FaultKind.BIT_FLIP:
+            (head if inject.target is Role.HEAD else trail).flip_bit(
+                inject.output_index, inject.byte_offset, inject.bit_index)
+        verdict = integrity.compare_outputs(head, trail, session.payload.output_sizes)
         if verdict.kind is VerdictKind.MATCH:
             session.kill_replica(Role.TRAIL, wait=False)
             head.read_all_into(outputs)

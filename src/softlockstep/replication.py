@@ -25,7 +25,9 @@ a one-byte done report to its pipe and sleeps, outputs in place, until the
 session kills it. The monitor reads a finished replica's outputs with
 process_vm_readv, the head's after freeze() has stopped it, so they cannot
 change between the compare and the copy into the caller's buffers. A pidfd
-per replica lets the loop wake at its exit.
+per replica lets the loop wake at its exit. None of the monitor's fds takes
+a slot among 0-2 that the caller left closed. The session is mechanism only:
+protect() checks its arguments and faults are armed around it.
 
 This module, with linuxperf, ctypes, mmap and signal, is the process layer:
 import softlockstep does not load it, and the first monitor.protect() or
@@ -38,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import errno
+import fcntl
 import functools
 import itertools
 import mmap
@@ -46,16 +49,14 @@ import signal
 from collections.abc import Sequence
 
 from . import linuxperf
-from .core import MonitorConfig, PayloadSpec, Role, WrappedComputation, validate_config
-from .integrity import check_bit
-from .progress import ExitKind, ExitStatus, PinningFailure, SpawnFailure, StaleHandle
+from .core import MonitorConfig, PayloadSpec, Role, WrappedComputation
+from .progress import _SUCCESS, ExitKind, ExitStatus, PinningFailure, SpawnFailure, StaleHandle
 
 _PR_SET_PDEATHSIG = 1
 _ERR_PIPE_LIMIT = 8192
 # The done report. A failing child writes its traceback instead, and a
 # traceback never starts with this byte.
 _DONE = b"\0"
-_DONE_STATUS = ExitStatus(kind=ExitKind.SUCCESS)
 
 
 class ReplicaIncomplete(RuntimeError):
@@ -98,11 +99,6 @@ def _vm_read(pid: int, local_address: int, remote_address: int, nbytes: int) -> 
     _vm_copy("process_vm_readv", pid, _IoVec(local_address, nbytes), 1, remote_address, nbytes)
 
 
-def _address(buf) -> int:
-    """Start address of a writable, non-empty buffer; no export outlives the call."""
-    return ctypes.addressof(ctypes.c_char.from_buffer(buf))
-
-
 # A Py_buffer has eleven fields, none wider than a pointer; buf comes first.
 _PyBuffer = ctypes.c_void_p * 11
 _get_buffer = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.py_object, _PyBuffer, ctypes.c_int)(
@@ -111,10 +107,11 @@ _get_buffer = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.py_object, _PyBuffer, ctype
 _release_buffer = ctypes.PYFUNCTYPE(None, _PyBuffer)(("PyBuffer_Release", ctypes.pythonapi))
 
 
-def _buffer_address(view: memoryview) -> int:
-    """Start address of a C-contiguous buffer, read-only ones too (c_char.from_buffer refuses those)."""
+def _buffer_address(buf, writable: bool = False) -> int:
+    """Start address of a C-contiguous buffer, writable if asked; no export outlives the call."""
     info = _PyBuffer()
-    _get_buffer(view, info, 0)  # PyBUF_SIMPLE; a refusal raises BufferError
+    # PyBUF_SIMPLE, or PyBUF_WRITABLE: the kernel would write a read-only buffer regardless.
+    _get_buffer(buf, info, int(writable))  # a refusal raises BufferError
     try:
         return info[0]
     finally:
@@ -180,26 +177,25 @@ class _Replica:
         self.output_address = output_address  # where the child holds its outputs, back to back
         self.err_read_fd = err_read_fd
         try:
-            self.exit_fd = os.pidfd_open(pid)  # readable once the process can be reaped
+            self.exit_fd = _off_stdio(os.pidfd_open(pid))  # readable once the process can be reaped
         except OSError:  # Linux < 5.3: an exit is seen at the next check
             self.exit_fd = -1
         self.counter_fd = -1
         self.done = False
-        self.exit_status: ExitStatus | None = None
+        self.status: ExitStatus | None = None
         self.err = b""
-        self.pending_bitflips: list[tuple[int, int, int]] = []
 
     def poll_exit(self) -> ExitStatus | None:
         """SUCCESS once the done report came and the process lives, its exit status once gone."""
-        if self.exit_status is None:
+        if self.status is None:
             pid, status = os.waitpid(self.pid, os.WNOHANG)
             if pid != 0:
-                self.exit_status = _decode_status(status)
+                self.status = _decode_status(status)
             if not self.done:
                 self._read_pipe()
-        if self.exit_status is not None:
-            return self.exit_status
-        return _DONE_STATUS if self.done else None
+        if self.status is not None:
+            return self.status
+        return _SUCCESS if self.done else None
 
     def _read_pipe(self) -> None:
         """Take what the child wrote: its done report, or (part of) its traceback."""
@@ -217,7 +213,7 @@ class _Replica:
 
     def kill(self) -> None:
         """SIGKILL the process unless it has been reaped."""
-        if self.exit_status is None:
+        if self.status is None:
             try:
                 os.kill(self.pid, signal.SIGKILL)
             except ProcessLookupError:
@@ -225,12 +221,12 @@ class _Replica:
 
     def close(self) -> None:
         """Reap the killed or exited process, close its counter and pipe."""
-        if self.exit_status is None:
+        if self.status is None:
             try:
                 _, status = os.waitpid(self.pid, 0)
-                self.exit_status = _decode_status(status)
+                self.status = _decode_status(status)
             except ChildProcessError:
-                self.exit_status = ExitStatus(kind=ExitKind.CRASH, code=signal.SIGKILL)
+                self.status = ExitStatus(kind=ExitKind.CRASH, code=signal.SIGKILL)
         if self.counter_fd >= 0:
             linuxperf.close_counter(self.counter_fd)
             self.counter_fd = -1
@@ -265,6 +261,16 @@ def _set_pdeathsig() -> None:
         libc.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
     except Exception:
         pass
+
+
+def _off_stdio(fd: int) -> int:
+    """fd, moved to 3 or above: in a slot of 0-2 the caller left closed, a pipe end,
+    pidfd or counter fd would become a replica's stdin, stdout or stderr."""
+    if fd > 2:
+        return fd
+    moved = fcntl.fcntl(fd, fcntl.F_DUPFD_CLOEXEC, 3)
+    os.close(fd)
+    return moved
 
 
 def _contain_descriptors(keep: int) -> None:
@@ -357,7 +363,8 @@ class ReplicaOutputs:
         try:
             if [view.nbytes for view in views] != list(self.sizes):
                 raise ValueError(f"buffers do not match outputs of {self.sizes} bytes")
-            local = (_IoVec * len(views))(*[(_buffer_address(v), v.nbytes) for v in views])
+            local = (_IoVec * len(views))(
+                *[(_buffer_address(v, writable=True), v.nbytes) for v in views])
             self._call("process_vm_readv", local, len(views), self._starts[0], sum(self.sizes))
         finally:
             for view in views:
@@ -368,8 +375,8 @@ class ReplicaOutputs:
         if not 0 <= offset <= offset + nbytes <= self.sizes[index]:
             raise ValueError(f"bytes {offset}..{offset + nbytes} outside output {index}")
         if nbytes:
-            self._call(name, _IoVec(_address(buf), nbytes), 1, self._starts[index] + offset,
-                       nbytes)
+            address = _buffer_address(buf, writable=True)
+            self._call(name, _IoVec(address, nbytes), 1, self._starts[index] + offset, nbytes)
 
     def _call(self, name: str, local, local_count: int, remote_address: int, nbytes: int) -> None:
         try:
@@ -412,7 +419,7 @@ class ReplicaSession:
         rep = self._replica(role)
         # A finished replica sleeps until release() and is left alone;
         # signalling a zombie is harmless.
-        if rep.exit_status is None and not rep.done:
+        if rep.status is None and not rep.done:
             try:
                 os.kill(rep.pid, signum)
             except ProcessLookupError:
@@ -441,7 +448,7 @@ class ReplicaSession:
         """
         rep = self._replica(role)
         rep.kill()
-        if wait and rep.exit_status is None:
+        if wait and rep.status is None:
             os.waitid(os.P_PID, rep.pid, os.WEXITED | os.WNOWAIT)
 
     def freeze(self, role: Role) -> None:
@@ -452,7 +459,7 @@ class ReplicaSession:
         outputs() reports one that died instead.
         """
         rep = self._replica(role)
-        if rep.exit_status is None:
+        if rep.status is None:
             os.kill(rep.pid, signal.SIGSTOP)
             os.waitid(os.P_PID, rep.pid, os.WSTOPPED | os.WEXITED | os.WNOWAIT)
 
@@ -463,14 +470,8 @@ class ReplicaSession:
         return [fd for rep in self._replicas.values() for fd in (rep.err_read_fd, rep.exit_fd)
                 if fd >= 0]
 
-    def register_bitflip(self, role: Role, output_index: int, byte_offset: int, bit_index: int) -> None:
-        """Corrupt one output bit after the replica finishes, before its outputs are read."""
-        rep = self._replica(role)
-        check_bit(self.payload.output_sizes, output_index, byte_offset, bit_index)
-        rep.pending_bitflips.append((output_index, byte_offset, bit_index))
-
     def outputs(self, role: Role) -> ReplicaOutputs:
-        """One finished replica's outputs in place, with pending bit flips applied.
+        """One finished replica's outputs in place.
 
         Raises ReplicaIncomplete while the replica runs, and ReplicaLost once
         it has failed or died.
@@ -480,16 +481,9 @@ class ReplicaSession:
         if status is None:
             raise ReplicaIncomplete(f"{role.value} replica still running")
         if not status.success:
-            detail = rep.err.decode("utf-8", "replace")
-            raise ReplicaLost(
-                role, status.failure_cause,
-                f"{role.value} replica failed ({status.failure_cause}): {detail}",
-            )
-        outputs = ReplicaOutputs(role, rep.pid, rep.output_address, self.payload.output_sizes)
-        for output_index, byte_offset, bit_index in rep.pending_bitflips:
-            outputs.flip_bit(output_index, byte_offset, bit_index)
-        rep.pending_bitflips.clear()
-        return outputs
+            raise ReplicaLost(role, status.failure_cause, f"{role.value} replica failed "
+                              f"({status.failure_cause}): {self.failure_detail(role)}")
+        return ReplicaOutputs(role, rep.pid, rep.output_address, self.payload.output_sizes)
 
     def collect_outputs(self, role: Role) -> list[bytes]:
         """Copies of one finished replica's outputs that outlive the session."""
@@ -546,9 +540,9 @@ def _spawn_one(
     input_region, input_views = _copy_inputs(payload)
     output_region = huge_page_mapping(payload.total_output_bytes)
     output_views = _carve(output_region, payload.output_sizes)
-    input_address = _address(input_region)
+    input_address = _buffer_address(input_region)
     try:
-        err_read, err_write = os.pipe()
+        err_read, err_write = map(_off_stdio, os.pipe())
         os.set_blocking(err_read, False)
         monitor_pid = os.getpid()
         try:
@@ -563,7 +557,7 @@ def _spawn_one(
         os.close(err_write)
         rep = _Replica(
             pid=pid,
-            output_address=_address(output_region),
+            output_address=_buffer_address(output_region),
             err_read_fd=err_read,
         )
     finally:
@@ -576,9 +570,9 @@ def _spawn_one(
     # Wait for the self-stop; an exit here means the child died pre-wrapper.
     _, status = os.waitpid(pid, os.WUNTRACED)
     if not os.WIFSTOPPED(status):
-        rep.exit_status = _decode_status(status)
+        rep.status = _decode_status(status)
         rep._read_pipe()
-        detail = rep.err.decode("utf-8", "replace") or str(rep.exit_status)
+        detail = rep.err.decode("utf-8", "replace") or str(rep.status)
         rep.close()
         raise SpawnFailure(f"{role.value} replica died before starting: {detail}")
     # Outputs are read back with process_vm_readv: if the kernel refuses it
@@ -587,7 +581,7 @@ def _spawn_one(
     # nothing in.
     probe = bytearray(1)
     try:
-        _vm_read(pid, _address(probe), input_address, 1)
+        _vm_read(pid, _buffer_address(probe, writable=True), input_address, 1)
     except OSError as exc:
         _kill_then_reap([rep])
         name = errno.errorcode.get(exc.errno, str(exc.errno))
@@ -609,18 +603,16 @@ def spawn_replicas(
     The head is forked, counted, pinned and started before the trail's
     inputs are copied and it is forked, so the head runs while the trail is
     built. The trail is returned stopped: the enforcement loop releases it.
+    config and payload are taken as checked: protect() refuses bad ones before any fork.
     """
-    problems = validate_config(config) + payload.validate()
-    if problems:
-        raise ValueError("; ".join(problems))
     counter_kind = linuxperf.probe_counter(counter)
 
     replicas: dict[Role, _Replica] = {}
     try:
         for role, core in ((Role.HEAD, config.head_core), (Role.TRAIL, config.trail_core)):
             rep = replicas[role] = _spawn_one(computation, payload, role)
-            rep.counter_fd, _ = linuxperf.open_counter(rep.pid, counter_kind)
-            _pin(rep.pid, role, core)
+            rep.counter_fd = _off_stdio(linuxperf.open_counter(rep.pid, counter_kind)[0])
+            _pin(rep.pid, f"{role.value} replica", core)
             if role is Role.HEAD:
                 os.kill(rep.pid, signal.SIGCONT)
         return ReplicaSession(payload=payload, counter_kind=counter_kind, _replicas=replicas)
@@ -629,10 +621,11 @@ def spawn_replicas(
         raise
 
 
-def _pin(pid: int, role: Role, core: int | None) -> None:
+def _pin(pid: int, who: str, core: int | None) -> None:
+    """Pin a process (0: this one) to one core, or raise PinningFailure naming who."""
     if core is None:
         return
     try:
         os.sched_setaffinity(pid, {core})
     except (OSError, ValueError) as exc:
-        raise PinningFailure(f"cannot pin {role.value} replica to core {core}: {exc}") from exc
+        raise PinningFailure(f"cannot pin {who} to core {core}: {exc}") from exc

@@ -18,6 +18,7 @@ from softlockstep.integrity import (
     compare_outputs,
     inject_fault,
 )
+from softlockstep.progress import ProgressSource
 
 
 def test_identical_outputs_match():
@@ -177,39 +178,46 @@ class _FakeSession:
     def __init__(self):
         self.log = []
 
+    def read_count(self, role):
+        return 0
+
+    def exit_status(self, role):
+        return None
+
     def suspend(self, role):
         self.log.append(("suspend", role))
 
     def resume(self, role):
         self.log.append(("resume", role))
 
-    def register_bitflip(self, role, output_index, byte_offset, bit_index):
-        self.log.append(("bitflip", role, output_index, byte_offset, bit_index))
-
     def kill_replica(self, role):
         self.log.append(("kill", role))
 
 
-def test_inject_bitflip_registers_and_needs_no_hook():
+def test_a_bit_flip_arms_nothing_before_the_loop():
+    # The flip is written after the loop, by protect(), into the target's outputs.
     session = _FakeSession()
-    hook = inject_fault(session, FaultSpec.bit_flip(Role.TRAIL, 1, 9, 2))
-    assert hook is None
-    assert session.log == [("bitflip", Role.TRAIL, 1, 9, 2)]
+    source, on_check = inject_fault(session, FaultSpec.bit_flip(Role.TRAIL, 1, 9, 2))
+    assert source is session and on_check is None
+    assert session.log == []
 
 
 def test_inject_crash_kills_immediately():
     # The kill happens at arm time: a fast replica must not be able to finish
     # cleanly before the first check would have fired.
     session = _FakeSession()
-    hook = inject_fault(session, FaultSpec.crash(Role.HEAD))
-    assert hook is None
+    source, on_check = inject_fault(session, FaultSpec.crash(Role.HEAD))
+    assert source is session and on_check is None
     assert session.log == [("kill", Role.HEAD)]
 
 
 def test_freeze_driver_suspends_then_resumes_after_the_hold():
     session = _FakeSession()
-    hook = inject_fault(session, FaultSpec.freeze(Role.HEAD, duration_us=100))
+    source, hook = inject_fault(session, FaultSpec.freeze(Role.HEAD, duration_us=100))
     assert callable(hook)
+    assert isinstance(source, ProgressSource) and source is not session
+    assert source.read_count == session.read_count
+    assert source.exit_status == session.exit_status
     assert session.log == []  # nothing until the first check
     hook(1_000_000, 0, 0)
     assert session.log == [("suspend", Role.HEAD)]
@@ -223,25 +231,25 @@ def test_freeze_driver_suspends_then_resumes_after_the_hold():
 
 def test_a_trail_freeze_holds_the_loops_requests_and_ends_as_last_asked():
     session = _FakeSession()
-    hook = inject_fault(session, FaultSpec.freeze(Role.TRAIL, duration_us=100))
+    source, hook = inject_fault(session, FaultSpec.freeze(Role.TRAIL, duration_us=100))
     hook(1_000_000, 0, 0)
-    for request in (session.resume, session.suspend, session.resume):
+    for request in (source.resume, source.suspend, source.resume):
         request(Role.TRAIL)  # the loop's requests inside the hold: held back
     assert session.log == [("suspend", Role.TRAIL)]
     hook(1_100_000, 0, 0)  # the loop last asked for a running trail
     assert session.log == [("suspend", Role.TRAIL), ("resume", Role.TRAIL)]
-    session.suspend(Role.TRAIL)  # after the hold, requests go straight through
+    source.suspend(Role.TRAIL)  # after the hold, requests go straight through
     assert session.log[-1] == ("suspend", Role.TRAIL)
 
 
 def test_a_freeze_ends_stopped_for_a_trail_and_passes_the_other_role_through():
     session = _FakeSession()
-    hook = inject_fault(session, FaultSpec.freeze(Role.TRAIL, duration_us=100))
+    source, hook = inject_fault(session, FaultSpec.freeze(Role.TRAIL, duration_us=100))
     hook(1_000_000, 0, 0)
     hook(1_100_000, 0, 0)  # the loop never resumed it: it stays stopped
     assert session.log == [("suspend", Role.TRAIL)]
     session = _FakeSession()
-    hook = inject_fault(session, FaultSpec.freeze(Role.HEAD, duration_us=100))
+    source, hook = inject_fault(session, FaultSpec.freeze(Role.HEAD, duration_us=100))
     hook(1_000_000, 0, 0)
-    session.resume(Role.TRAIL)
+    source.resume(Role.TRAIL)
     assert session.log == [("suspend", Role.HEAD), ("resume", Role.TRAIL)]

@@ -188,9 +188,11 @@ def test_on_check_sees_exactly_what_the_samples_record():
 
 def freeze_run(schedule, threshold, freeze=None):
     """The loop over a scripted schedule, with a freeze injected if given."""
-    source = ScriptedSource(schedule)
-    on_check = inject_fault(source, freeze) if freeze is not None else None
-    return enforcement_loop(source=source, clock=source, config=cfg(threshold),
+    clock = source = ScriptedSource(schedule)
+    on_check = None
+    if freeze is not None:
+        source, on_check = inject_fault(source, freeze)
+    return enforcement_loop(source=source, clock=clock, config=cfg(threshold),
                             on_check=on_check)
 
 
@@ -607,6 +609,48 @@ def test_a_report_ends_the_wait_of_the_longest_check_period():
                    check=True, timeout=30)
 
 
+_STDIO_CLOSED = """
+import os, sys
+os.close(0)
+os.close(1)
+from softlockstep.core import MonitorConfig
+from softlockstep.monitor import protect
+
+def fd1_open(inputs, outputs):
+    try:
+        os.fstat(1)
+        outputs[0][:] = b"1"
+    except OSError:
+        outputs[0][:] = b"0"
+
+def prints(inputs, outputs):
+    print("out", flush=True)
+
+config = MonitorConfig(threshold_instructions=2_000_000, run_timeout_us=2_000_000)
+out = bytearray(1)
+verdict, _ = protect(fd1_open, [], [], [out], [1], config)
+sys.stderr.write(f"{verdict.describe()} {out.decode()}\\n")
+verdict, _ = protect(prints, [], [], [bytearray(1)], [1], config)
+sys.stderr.write(f"{verdict.describe()}\\n{verdict.detail}\\n")
+"""
+
+
+@requires_counter
+def test_a_caller_without_stdin_and_stdout_lends_neither_slot_to_the_monitor(fails_after):
+    # With fds 0 and 1 closed, a pipe, pidfd or counter fd the monitor opens
+    # would take them: the head's report pipe would become its stdout, and
+    # the trail would inherit what sat at fd 1. A replica must see fd 1
+    # closed, as the caller does, and a print must fail as it would unprotected.
+    src = os.path.dirname(os.path.dirname(monitor.__file__))
+    with fails_after(20):
+        done = subprocess.run([sys.executable, "-c", _STDIO_CLOSED], stderr=subprocess.PIPE,
+                              env={**os.environ, "PYTHONPATH": src}, text=True)
+    first, second = done.stderr.splitlines()[:2]
+    assert first == "MATCH 0"
+    assert second == "REPLICA_FAILURE (head: nonzero-exit)"
+    assert "[Errno 9] Bad file descriptor" in done.stderr
+
+
 def _late_boom(inputs, outputs):
     # Fail while the loop waits, and exit slowly: the exit frees the ballast
     # before it closes the report pipe, so the check that the traceback wakes
@@ -1014,6 +1058,14 @@ def test_protect_validates_caller_buffers():
     with pytest.raises(ValueError, match="threshold"):
         protect(workload.computation, workload.payload.inputs,
                 workload.payload.input_sizes, [bytearray(16)], [16], cfg(0))
+
+
+def test_an_input_that_contradicts_its_declared_size_is_refused_before_any_fork(monkeypatch):
+    spawned = []
+    monkeypatch.setattr(monitor, "spawn_replicas", lambda *a, **k: spawned.append(a))
+    with pytest.raises(ValueError, match="declared"):
+        protect(_instant, [b"abc"], [99], [bytearray(4)], [4], REAL_CONFIG)
+    assert spawned == []
 
 
 # ------------------------------------------- caller buffers and the forks

@@ -213,3 +213,27 @@ def test_the_staggering_rule_runs_in_one_production_loop():
     classes = [value for value in vars(softlockstep.sim).values()
                if isinstance(value, type) and value.__module__ == softlockstep.sim.__name__]
     assert classes and not any(issubclass(cls, ProgressSource) for cls in classes)
+
+
+def test_the_replica_session_is_mechanism_only():
+    # Arguments are refused at the door, before any fork, and faults are
+    # armed around the session (integrity, monitor._compare), never kept in it.
+    tree = ast.parse((_PACKAGE / "replication.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {getattr(node, "module", None)}.union(*map(_names, node.names))
+    assert "integrity" not in imported
+    assert _uses_of("check_bit") == ([("monitor", "protect")], [])
+    assert "replication" not in {module for module, _ in _uses_of("validate_config")[0]}
+    # Nor is a progress source rewritten at run time: a freeze run's loop
+    # polls integrity's driver, which forwards to the session.
+    rewritten = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(_PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del))
+        and node.attr in {"suspend", "resume", "read_count", "exit_status"}
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+    assert rewritten == []

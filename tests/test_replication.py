@@ -161,11 +161,24 @@ def test_output_regions_do_not_alias_across_replicas():
     with start_both(fill_pattern, PayloadSpec.of([], [], [8])) as session:
         assert wait_done(session, Role.HEAD).success
         assert wait_done(session, Role.TRAIL).success
-        session.register_bitflip(Role.HEAD, 0, 0, 0)
+        session.outputs(Role.HEAD).flip_bit(0, 0, 0)
         head = session.collect_outputs(Role.HEAD)
         trail = session.collect_outputs(Role.TRAIL)
     assert head[0][0] == 0xAA  # 0xAB with bit 0 cleared
     assert trail[0] == b"\xab" * 8
+
+
+def test_outputs_are_never_read_into_a_read_only_buffer():
+    # process_vm_readv would write it regardless: the address lookup refuses it.
+    target = bytes(8)
+    with start_both(fill_pattern, PayloadSpec.of([], [], [8])) as session:
+        assert wait_done(session, Role.HEAD).success
+        outputs = session.outputs(Role.HEAD)
+        with pytest.raises(BufferError):
+            outputs.read_into(0, 0, target)
+        with pytest.raises(BufferError):
+            outputs.read_all_into([target])
+    assert target == bytes(8)
 
 
 def _pipes(pid):
@@ -429,26 +442,6 @@ def test_a_failure_report_that_cannot_import_traceback_still_exits_1():
         status = wait_done(session, Role.HEAD)
         assert status.kind is ExitKind.NONZERO_EXIT and status.code == 1
         assert session.failure_detail(Role.HEAD) == ""
-
-
-def test_register_bitflip_validates_coordinates():
-    payload = PayloadSpec.of([], [], [4, 2])
-    with spawn_replicas(double_bytes, payload, CONFIG) as session:
-        with pytest.raises(ValueError, match="output index"):
-            session.register_bitflip(Role.HEAD, 2, 0, 0)
-        with pytest.raises(ValueError, match="byte offset"):
-            session.register_bitflip(Role.HEAD, 1, 2, 0)
-        with pytest.raises(ValueError, match="bit index"):
-            session.register_bitflip(Role.HEAD, 0, 0, 8)
-
-
-def test_spawn_rejects_invalid_config_and_payload():
-    with pytest.raises(ValueError, match="threshold"):
-        spawn_replicas(double_bytes, small_payload(),
-                       MonitorConfig(threshold_instructions=0))
-    bad_payload = PayloadSpec.of([b"abc"], [99], [4])
-    with pytest.raises(ValueError, match="declared"):
-        spawn_replicas(double_bytes, bad_payload, CONFIG)
 
 
 def test_spawn_failure_when_the_child_dies_before_stopping(monkeypatch):
