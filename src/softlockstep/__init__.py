@@ -3,16 +3,20 @@
 A protected run forks the computation into two OS processes (head and trail)
 on private copies of the inputs, keeps the trail at least a threshold of
 progress behind the head by suspending and resuming it, and compares the two
-output sets byte for byte when both finish. The staggering makes a transient
-host fault land in different program states in the two replicas, so it cannot
-corrupt both outputs identically; the comparison then catches it.
+output sets byte for byte when both finish; any difference is reported. A
+fault that reaches one replica only, such as a flipped bit in input data the
+head has already read and the trail has not, is detected whenever it changes
+that replica's outputs. A fault in data that neither replica has read yet
+reaches both: it can corrupt both outputs identically, and such a run ends
+as MATCH.
 
 Importing the package loads the pure-Python layers: the domain types, the
-enforcement loop, the simulator and model checker, output comparison and the
-workloads. The process layer (replication, linuxperf, and with them ctypes,
-mmap and signal) loads with the first protect() or calibrate(). The
-calibration names, and the file formats, text parsers and replay (the
-formats module), resolve on their first access.
+progress sources, the enforcement loop, and the simulator and model checker.
+The first protect() adds output comparison and fault injection (integrity)
+and the process layer (replication, linuxperf, and with them ctypes, mmap
+and signal); calibrate() adds the process layer too. FaultSpec, Workload,
+direct_run, the calibration names, and the file formats, text parsers and
+replay (the formats module) resolve on their first access.
 """
 
 from importlib import import_module as _import_module
@@ -27,7 +31,6 @@ from .core import (
     VerdictKind,
     WrappedComputation,
 )
-from .integrity import FaultSpec
 from .monitor import Trace, protect, run_scripted
 from .progress import CounterUnavailable, PinningFailure, SpawnFailure
 from .sim import (
@@ -40,14 +43,16 @@ from .sim import (
     min_staggering,
     simulate,
 )
-from .workloads import Workload, direct_run
 
 __version__ = "0.1.0"
 
 # Resolved on first access (PEP 562), each from its module: a run that never
-# calibrates, reads or writes a file, replays or parses text never compiles
-# calibration or formats.
+# calibrates, reads or writes a file, replays, parses text, injects a fault or
+# builds a workload never compiles calibration, formats, integrity or workloads.
 _LAZY_NAMES = {
+    "FaultSpec": "integrity",
+    "Workload": "workloads",
+    "direct_run": "workloads",
     "CalibrationReport": "calibration",
     "calibrate": "calibration",
     "read_report": "calibration",

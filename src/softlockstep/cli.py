@@ -14,13 +14,6 @@ import sys
 
 from . import monitor, sim
 from .core import DiversityLossPolicy, MonitorConfig, VerdictKind
-from .formats import (
-    parse_fault_spec,
-    parse_workload_id,
-    read_schedule_csv,
-    write_schedule_csv,
-    write_trace,
-)
 from .progress import CounterUnavailable, PinningFailure, SpawnFailure
 
 EX_COUNTEREXAMPLE = 1
@@ -109,6 +102,8 @@ def _refuse_flags(args, flags, backend: str) -> None:
 
 def _read_schedule(args):
     """The schedule of a scripted:FILE backend, at the given or default timing."""
+    from .formats import read_schedule_csv
+
     path = args.backend.partition(":")[2]
     if not path:
         raise ValueError("scripted backend needs a file: --backend scripted:FILE")
@@ -160,6 +155,8 @@ def _resolve_threshold(args) -> tuple[int, str]:
 
 
 def _cmd_run(args) -> int:
+    from .formats import parse_fault_spec, parse_workload_id, write_trace
+
     threshold, counter = _resolve_threshold(args)
     if args.backend == "process":
         _refuse_flags(args, _SCRIPTED_FLAGS, "scripted backend (scripted:FILE)")
@@ -246,6 +243,8 @@ def _cmd_simulate(args) -> int:
         f"{sim.min_staggering(trace)} (threshold {args.threshold})"
     )
     if args.counterexample_out:
+        from .formats import write_schedule_csv
+
         with open(args.counterexample_out, "w") as f:
             write_schedule_csv(ce, f)
         print(f"counterexample written to {args.counterexample_out}")

@@ -4,18 +4,23 @@ Trace CSV and schedule CSV reading and writing, replay of a recorded trace
 through the enforcement loop (with the ReplaySource that feeds it), and the
 fault-spec and workload-id parsers. Neither protect() nor the simulator runs
 any of it, so `import softlockstep` does not load this module: the package
-root resolves these names on their first access, and the CLI imports it.
-csv loads with the first trace written or read.
+root resolves these names on their first access, and the CLI imports them in
+the subcommands that use them. The fault-spec parser loads integrity and the
+workload-id parser loads workloads on their first call, and csv loads with the
+first trace written or read, so replay loads none of them.
 """
 
 import os
+from typing import TYPE_CHECKING
 
 from .core import Action, MonitorConfig, Role, StaggeringSample, Verdict, validate_config
-from .integrity import FaultKind, FaultSpec
 from .monitor import Trace, enforcement_loop
 from .progress import _SUCCESS, ExitStatus
 from .sim import Schedule
-from .workloads import _BUILDERS, Workload
+
+if TYPE_CHECKING:
+    from .integrity import FaultSpec
+    from .workloads import Workload
 
 TRACE_HEADER = ("interval", "timestamp_ns", "head_instr", "trail_instr", "staggering", "action")
 
@@ -191,8 +196,10 @@ def _parse_duration_us(text: str) -> int:
     return int(text)  # bare numbers are microseconds
 
 
-def parse_fault_spec(text: str) -> FaultSpec:
+def parse_fault_spec(text: str) -> "FaultSpec":
     """Parse 'bitflip:trail:0:0:3', 'freeze:head:3ms' or 'crash:head'."""
+    from .integrity import FaultKind, FaultSpec
+
     parts = text.strip().split(":")
     if len(parts) < 2:
         raise ValueError(f"fault spec {text!r} needs at least kind:target")
@@ -232,8 +239,10 @@ def parse_fault_spec(text: str) -> FaultSpec:
 _DEFAULT_PARAMS = {"matmul": 128, "checksum": 65536, "spin": 5_000_000}
 
 
-def parse_workload_id(ident: str, seed: int = 0) -> Workload:
+def parse_workload_id(ident: str, seed: int = 0) -> "Workload":
     """Build a workload from 'name' or 'name:param' text, e.g. 'matmul:256'."""
+    from .workloads import _BUILDERS
+
     name, _, param_text = ident.strip().partition(":")
     if name not in _BUILDERS:
         raise ValueError(

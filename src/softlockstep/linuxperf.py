@@ -149,8 +149,14 @@ def open_counter(pid: int, kind: str) -> tuple[int, str]:
 
 
 def read_counter(fd: int) -> int:
-    """Current cumulative count; valid until the fd is closed, even after exit."""
+    """Current cumulative count; valid until the fd is closed, even after exit.
+
+    A read shorter than the 8-byte count (an event in error state reads b"")
+    raises CounterUnavailable, which the enforcement loop blames on the replica.
+    """
     data = os.read(fd, 8)
+    if len(data) != 8:
+        raise CounterUnavailable(f"counter fd {fd} read {len(data)} bytes of an 8-byte count")
     return struct.unpack("q", data)[0]
 
 

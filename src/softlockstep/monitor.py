@@ -20,18 +20,17 @@ as at each check period, then after a loop MATCH stop the head, write an
 injected bit flip into its target's outputs, and compare them byte for
 byte; on a match kill the trail and, while it dies, read the stopped
 head's outputs straight into the caller's buffers, and always release the
-session, which kills and reaps what is left. The process layer
-(replication, and through it linuxperf, ctypes, mmap and signal) is
-imported by the first protected run, so the simulator, run_scripted and
-replay never load it. Trace files, like the other file formats, are read
-and written by the formats module.
+session, which kills and reaps what is left. Output comparison and fault
+injection (integrity) and the process layer (replication, and through it
+linuxperf, ctypes, mmap and signal) are imported by the first protected run,
+so the simulator, run_scripted and replay never load them. Trace files,
+like the other file formats, are read and written by the formats module.
 """
 
 import os
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
-from . import integrity
 from .core import (
     Action,
     DiversityLossPolicy,
@@ -56,6 +55,7 @@ from .progress import (
 )
 
 if TYPE_CHECKING:
+    from . import integrity
     from .replication import ReplicaSession
     from .sim import Schedule
 
@@ -266,6 +266,7 @@ def protect(
     pages are inherited by forks again, even if the caller had marked them
     MADV_DONTFORK.
     """
+    from . import integrity
     from .replication import _pin, kept_from_forks
 
     problems = validate_config(config)
@@ -323,6 +324,7 @@ def _compare(session: "ReplicaSession", outputs: Sequence,
     until release() kills it: the caller gets exactly the bytes that were
     compared.
     """
+    from . import integrity
     from .replication import ReplicaLost
 
     try:

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from softlockstep import cli, linuxperf, monitor, replication
+from softlockstep import cli, formats, linuxperf, monitor, replication
 from softlockstep.calibration import read_report, recommend_threshold, write_report, CalibrationReport
 from softlockstep.cli import _VERDICT_EXIT, main
 from softlockstep.core import PayloadSpec, VerdictKind
@@ -147,7 +147,7 @@ def test_process_run_failure_prints_the_last_traceback_line(monkeypatch, capsys)
     def failing_workload(ident, seed=0):
         return Workload("boom", 0, seed, PayloadSpec.of([], [], [4]), boom)
 
-    monkeypatch.setattr(cli, "parse_workload_id", failing_workload)
+    monkeypatch.setattr(formats, "parse_workload_id", failing_workload)
     # A threshold no head reaches first: the trail never starts.
     code = main(["run", "--workload", "boom:0", "--threshold", str(10**12),
                  "--period-us", "200"])

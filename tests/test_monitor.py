@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softlockstep import linuxperf, monitor, replication
+from softlockstep import integrity, linuxperf, monitor, replication
 from softlockstep.core import (
     MAX_CHECK_PERIOD_US,
     MAX_OUTPUTS,
@@ -285,6 +285,19 @@ def test_a_failed_read_or_poll_blames_the_replica_it_was_about(role, method):
     assert verdict.failure_cause == "counter-failure"
     assert verdict.failed_role is role
     assert len(trace.samples) == 2
+
+
+@pytest.mark.parametrize("data", [b"", b"\0" * 4], ids=["eof", "four-bytes"])
+def test_a_short_counter_read_is_an_unavailable_counter(data):
+    # A perf fd whose event is in error state reads b"" (end of file).
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, data)
+    os.close(write_fd)
+    try:
+        with pytest.raises(CounterUnavailable, match=f"{len(data)} bytes"):
+            linuxperf.read_counter(read_fd)
+    finally:
+        os.close(read_fd)
 
 
 class _BothFailSource(ScriptedSource):
@@ -738,7 +751,7 @@ def test_the_head_is_stopped_through_the_compare_and_the_copy_back(monkeypatch):
         real_read_all_into(self, dests)
 
     monkeypatch.setattr(monitor, "spawn_replicas", spawn)
-    monkeypatch.setattr(monitor.integrity, "compare_outputs", compare)
+    monkeypatch.setattr(integrity, "compare_outputs", compare)
     monkeypatch.setattr(replication.ReplicaOutputs, "read_all_into", read_all_into)
     workload = checksum_workload(nbytes=1024)
     verdict, _, outputs = run_protected(workload)
@@ -765,7 +778,7 @@ def test_a_head_killed_between_the_compare_and_the_copy_back_is_a_head_crash(mon
         return verdict
 
     monkeypatch.setattr(monitor, "spawn_replicas", spawn)
-    monkeypatch.setattr(monitor.integrity, "compare_outputs", compare_then_kill)
+    monkeypatch.setattr(integrity, "compare_outputs", compare_then_kill)
     fds_before = len(os.listdir("/proc/self/fd"))
     verdict, _, outputs = run_protected(checksum_workload(nbytes=1024))
     assert verdict.kind is VerdictKind.REPLICA_FAILURE
@@ -899,7 +912,7 @@ def test_a_loop_verdict_other_than_match_ends_the_run(monkeypatch, caller, kind)
 
     compared = []
     monkeypatch.setattr(monitor, "spawn_replicas", spawn)
-    monkeypatch.setattr(monitor.integrity, "compare_outputs", lambda *a: compared.append(a))
+    monkeypatch.setattr(integrity, "compare_outputs", lambda *a: compared.append(a))
     verdict, trace, outputs = run_protected(checksum_workload(nbytes=64))
     expected = LOOP_VERDICTS[kind]
     if kind is VerdictKind.REPLICA_FAILURE:
@@ -907,6 +920,27 @@ def test_a_loop_verdict_other_than_match_ends_the_run(monkeypatch, caller, kind)
     assert verdict == expected
     assert trace is loop_trace
     assert compared == []
+    assert all(bytes(buf) == bytes(len(buf)) for buf in outputs)
+
+
+@requires_counter
+@pytest.mark.parametrize("role", [Role.HEAD, Role.TRAIL])
+def test_a_short_counter_read_ends_the_run_as_a_counter_failure(monkeypatch, role):
+    # The replica's counter fd becomes a pipe at end of file, which reads
+    # b"" as a perf fd whose event is in error state does.
+    def spawn(*args, **kwargs):
+        session = spawn_replicas(*args, **kwargs)
+        read_fd, write_fd = os.pipe()
+        os.close(write_fd)
+        os.dup2(read_fd, session._replica(role).counter_fd)
+        os.close(read_fd)
+        return session
+
+    monkeypatch.setattr(monitor, "spawn_replicas", spawn)
+    verdict, trace, outputs = run_protected(checksum_workload(nbytes=1024))
+    assert (verdict.kind, verdict.failed_role, verdict.failure_cause) == (
+        VerdictKind.REPLICA_FAILURE, role, "counter-failure")
+    assert trace.samples == []
     assert all(bytes(buf) == bytes(len(buf)) for buf in outputs)
 
 
@@ -973,7 +1007,7 @@ def test_a_replica_killed_after_its_done_report_is_a_crash(monkeypatch, role, mo
     if moment == "after-the-loop":
         monkeypatch.setattr(monitor, "enforcement_loop", loop_then_kill)
     else:
-        monkeypatch.setattr(monitor.integrity, "compare_outputs", kill_then_compare)
+        monkeypatch.setattr(integrity, "compare_outputs", kill_then_compare)
     fds_before = len(os.listdir("/proc/self/fd"))
     verdict, trace, outputs = run_protected(checksum_workload(nbytes=1024))
     assert verdict.kind is VerdictKind.REPLICA_FAILURE

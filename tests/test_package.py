@@ -134,6 +134,48 @@ def test_the_simulator_path_compiles_no_file_format():
     assert resolved == [True] * len(_FORMAT_NAMES)
 
 
+def test_each_path_loads_only_the_modules_it_runs():
+    # A fresh interpreter, measured against its own startup set as above.
+    # Fault injection and the workloads load with protect() or the parsers,
+    # the file formats with the first file, parser or replay.
+    script = (
+        "import json, sys\n"
+        "startup = set(sys.modules)\n"
+        "def added():\n"
+        "    return sorted(set(sys.modules) - startup)\n"
+        "import softlockstep\n"
+        "from softlockstep import MonitorConfig, Schedule\n"
+        "config = MonitorConfig(threshold_instructions=2)\n"
+        "schedule = Schedule.of([2, 1, 2], [1, 2, 1], suspend_latency_ticks=1)\n"
+        "softlockstep.exhaustive_check([0, 1, 2], 3, 1, 1, 4)\n"
+        "softlockstep.simulate(schedule, 2)\n"
+        "_, trace = softlockstep.run_scripted(schedule, config)\n"
+        "simulator = added()\n"
+        "import softlockstep.cli\n"
+        "code = softlockstep.cli.main(['simulate', '--alphabet', '0,1,2', '--ticks', '3',\n"
+        "                              '--latency', '1', '--threshold', '0'])\n"
+        "cli = added()\n"
+        "softlockstep.replay(trace, config)\n"
+        "replayed = added()\n"
+        "from softlockstep import integrity, workloads\n"
+        "resolved = [softlockstep.FaultSpec is integrity.FaultSpec,\n"
+        "            softlockstep.Workload is workloads.Workload,\n"
+        "            softlockstep.direct_run is workloads.direct_run]\n"
+        "print(json.dumps([simulator, code, cli, replayed, resolved]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(softlockstep.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, check=True)
+    simulator, code, cli, replayed, resolved = json.loads(result.stdout.strip().splitlines()[-1])
+    injection_and_workloads = {"softlockstep.integrity", "softlockstep.workloads"}
+    assert injection_and_workloads.isdisjoint(simulator)
+    assert code == 1  # unsafe, with no counterexample file to write
+    assert injection_and_workloads.isdisjoint(cli) and "softlockstep.formats" not in cli
+    assert injection_and_workloads.isdisjoint(replayed) and "softlockstep.formats" in replayed
+    assert resolved == [True, True, True]
+
+
 def _records():
     """One value of each record type, and a field to change in it."""
     payload = PayloadSpec.of([b"ab"], [2], [1])
