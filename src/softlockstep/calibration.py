@@ -1,11 +1,13 @@
-"""Host calibration: peak progress rate, suspension latency, threshold choice.
+"""Host calibration: peak progress rate, longest check gap, suspension latency.
 
-The staggering threshold must cover the progress a replica can make between
-the moment the monitor decides to suspend and the moment the freeze lands:
-one check period plus the suspension latency, at the fastest rate the host
-can sustain, times a safety margin. The arithmetic is done in exact rationals
-over integer microseconds so that a recommended threshold is reproducible to
-the last digit, and every report can be re-derived from its own fields.
+The staggering threshold must cover the progress either replica can make
+over one check gap plus the suspension latency, at its fastest rate, times a
+safety margin. calibrate() reads rate and gap off the enforcement loop
+itself, run on a busy head and trail, and probes the latency on the same
+session; its gap is a sample, not a bound, so its recommendation is
+measured, not proven. calibrate_scripted() reads them off a schedule. The
+arithmetic is exact over integer microseconds, so every report can be
+re-derived from its own fields to the last digit.
 """
 
 from __future__ import annotations
@@ -14,31 +16,28 @@ import math
 import os
 from typing import NamedTuple
 
-from .core import MonitorConfig, Role
-from .progress import (
-    LoopClock,
-    ProgressSource,
-    RealClock,
-    ScriptedSource,
-)
+from .core import MonitorConfig, Role, VerdictKind
+from .monitor import enforcement_loop
+from .progress import LoopClock, ProgressSource, RealClock, SpawnFailure
 
-_REPORT_KEYS = (
-    "counter",
-    "peak_rate",
-    "check_period_us",
-    "monitor_latency_us",
-    "safety_margin",
-    "recommended_threshold",
-)
-# Fixed measurement settings. A real calibration samples the rate over
-# 20 ms windows and polls a suspended replica every 100 us; a latency probe
-# ends after three polls without a count change; a scripted calibration
-# samples the rate over 1-tick windows, one per head delta, and needs only
-# three probes, since its latency is exact by construction.
-_WINDOW_US = 20_000
+# Each key's parser, in file order. A report written before gap_max_us was
+# recorded lacks that key and derives from its nominal period.
+_REPORT_FIELDS = {
+    "counter": str,
+    "peak_rate": float,
+    "check_period_us": int,
+    "gap_max_us": int,
+    "monitor_latency_us": int,
+    "safety_margin": float,
+    "recommended_threshold": int,
+}
+# Fixed measurement settings. A latency probe polls a suspended replica
+# every 100 us and ends after three polls without a count change; a measured
+# run lasts at least 10 check periods and 100 ms.
 _POLL_US = 100
 _SETTLE_POLLS = 3
-_SCRIPTED_PROBES = 3
+_MIN_RUN_PERIODS = 10
+_MIN_RUN_US = 100_000
 
 
 def recommend_threshold(
@@ -82,7 +81,11 @@ def _range_problems(peak_rate: float, check_period_us: int, monitor_latency_us: 
 
 
 class CalibrationReport(NamedTuple):
-    """Everything needed to re-derive (and therefore audit) a threshold."""
+    """Everything needed to re-derive (and therefore audit) a threshold.
+
+    The threshold covers the longer of the nominal check period and
+    gap_max_us, the longest check gap the calibration saw (0: not recorded).
+    """
 
     counter: str
     peak_rate: float
@@ -90,12 +93,16 @@ class CalibrationReport(NamedTuple):
     monitor_latency_us: int
     safety_margin: float
     recommended_threshold: int
+    gap_max_us: int = 0
 
     def validate(self) -> list[str]:
         fields = (self.peak_rate, self.check_period_us, self.monitor_latency_us, self.safety_margin)
         problems = _range_problems(*fields)
+        if self.gap_max_us < 0:
+            problems.append("gap_max_us must be non-negative")
         if not problems:
-            expected = recommend_threshold(*fields)
+            expected = recommend_threshold(self.peak_rate, max(self.check_period_us, self.gap_max_us),
+                                           self.monitor_latency_us, self.safety_margin)
             if expected != self.recommended_threshold:
                 problems.append(
                     f"recommended_threshold {self.recommended_threshold} does not "
@@ -105,19 +112,13 @@ class CalibrationReport(NamedTuple):
 
 
 def write_report(report: CalibrationReport, sink) -> None:
-    """Serialize as stable key=value lines (floats via repr, round-trip safe)."""
+    """Serialize as stable key=value lines (a float's str round-trips exactly)."""
     if isinstance(sink, (str, os.PathLike)):
         with open(sink, "w") as f:
             write_report(report, f)
         return
-    for key in _REPORT_KEYS:
-        sink.write(f"{key}={_render(getattr(report, key))}\n")
-
-
-def _render(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    for key in _REPORT_FIELDS:
+        sink.write(f"{key}={getattr(report, key)}\n")
 
 
 def read_report(source) -> CalibrationReport:
@@ -134,43 +135,23 @@ def read_report(source) -> CalibrationReport:
             raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         values[key.strip()] = (lineno, value.strip())
-    missing = [k for k in _REPORT_KEYS if k not in values]
+    missing = [k for k in _REPORT_FIELDS if k not in values and k != "gap_max_us"]
     if missing:
         raise ValueError(f"calibration file is missing {', '.join(missing)}")
-    fields = []
-    for key, parse in zip(_REPORT_KEYS, (str, float, int, int, float, int)):
+    fields = {}
+    for key, parse in _REPORT_FIELDS.items():
+        if key not in values:
+            continue
         lineno, value = values[key]
         try:
-            fields.append(parse(value))
+            fields[key] = parse(value)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {key}: {exc}") from None
-    report = CalibrationReport(*fields)
+    report = CalibrationReport(**fields)
     problems = report.validate()
     if problems:
         raise ValueError("; ".join(problems))
     return report
-
-
-def peak_rate_over_windows(source: ProgressSource, clock: LoopClock, windows: int) -> float:
-    """Maximum per-window progress rate (units per second) of the head.
-
-    Works over any source/clock pair: real counters with a sleeping clock,
-    or a scripted source where the result is exact by construction.
-    """
-    if windows < 1:
-        raise ValueError("need at least one window")
-    best = 0.0
-    prev_count = source.read_count(Role.HEAD)
-    prev_ns = clock.now_ns()
-    for _ in range(windows):
-        clock.wait_one_period()
-        count = source.read_count(Role.HEAD)
-        now = clock.now_ns()
-        if now > prev_ns:
-            rate = (count - prev_count) * 1e9 / (now - prev_ns)
-            best = max(best, rate)
-        prev_count, prev_ns = count, now
-    return best
 
 
 def suspend_latency_over_probes(source: ProgressSource, clock: LoopClock, probes: int) -> int:
@@ -216,32 +197,17 @@ def calibrate_scripted(
 ) -> CalibrationReport:
     """Calibrate against a scripted schedule: exact results, no privileges.
 
-    The schedule's head deltas define the measured rate (the largest delta d
-    per 1 us tick gives exactly d * 1e6 units per second, the r_max of the
-    bound r * (P + L)) and its suspend_latency_ticks the measured latency
-    (exactly that many us). Rate and latency run over two fresh sources, each
-    advancing one tick per period, so neither measurement consumes the
-    other's delta stream; the rate is read over one window per head delta.
-    The head must script the first latency probe, which suspends it after two
-    ticks and sees it accrue for the latency's ticks after that; a shorter
-    head would read as a lower latency, and so an unsafe threshold.
+    One tick is 1 us, so the largest delta d of either replica is a rate of
+    d * 1e6 units per second, the r of the bound r * (P + L); the latency is
+    the schedule's suspend_latency_ticks in us, and the longest gap is the
+    nominal period, as scripted checks come exactly on time.
     """
-    # Checked as given, although both measuring sources replace its period.
-    ScriptedSource(schedule)
-    latency_ticks = schedule.suspend_latency_ticks
-    needed = latency_ticks + 2
-    if len(schedule.head_deltas) < needed:
-        raise ValueError(
-            f"scripted calibration needs at least {needed} head ticks (a "
-            f"latency probe of {latency_ticks} + 2 ticks), got {len(schedule.head_deltas)}"
-        )
-
-    per_tick = schedule._replace(period_ticks=1)
-    source = ScriptedSource(per_tick)
-    rate = peak_rate_over_windows(source, source, windows=len(schedule.head_deltas))
-    source = ScriptedSource(per_tick)
-    latency_us = suspend_latency_over_probes(source, source, probes=_SCRIPTED_PROBES)
-    return _report("scripted", rate, check_period_us, latency_us, safety_margin)
+    errors = schedule.validate()
+    if errors:
+        raise ValueError("; ".join(errors))
+    rate = max(max(schedule.head_deltas, default=0), max(schedule.trail_deltas, default=0)) * 1e6
+    return _report("scripted", rate, check_period_us, check_period_us,
+                   schedule.suspend_latency_ticks, safety_margin)
 
 
 def calibrate(
@@ -253,40 +219,52 @@ def calibrate(
 ) -> CalibrationReport:
     """Measure this host and recommend a threshold for the given period.
 
-    One busy replica session serves both measurements; the report carries the
-    resolved counter kind so thresholds are never reused across metrics.
-    Every argument is checked before any replica is spawned.
+    A busy head and trail run under the enforcement loop at the given period
+    for duration_us, with threshold 1. Over each gap between two consecutive
+    checks, the larger count delta of the two replicas gives a rate: r is
+    the largest, and gap_max_us the longest gap; the suspension latency is
+    then probed on the same session. The report carries the resolved counter
+    kind so thresholds are never reused across metrics. Every argument is
+    checked before any replica is spawned. A loop that ends before its
+    deadline lost a replica, and raises SpawnFailure.
     """
-    if duration_us < 100_000:
-        raise ValueError("duration_us must be at least 100000 (100 ms) for a stable estimate")
+    recommend_threshold(1.0, check_period_us, 0, safety_margin)  # refuses a bad period or margin
+    if duration_us < max(_MIN_RUN_US, _MIN_RUN_PERIODS * check_period_us):
+        raise ValueError(
+            f"duration_us must cover at least {_MIN_RUN_PERIODS} check periods and "
+            f"{_MIN_RUN_US} us (100 ms), got {duration_us}"
+        )
     if probes < 30:
         raise ValueError("need at least 30 probes for a usable worst case")
-    recommend_threshold(1.0, check_period_us, 0, safety_margin)  # refuses a bad period or margin
-    # Local imports: linuxperf and replication pull in the ctypes, fork and
-    # mmap machinery that threshold arithmetic, report files and scripted
-    # calibration never need.
-    from . import linuxperf
+    # Local imports: replication pulls in the ctypes, fork and mmap machinery
+    # that threshold arithmetic, report files and scripted calibration never need.
     from .replication import spawn_replicas
     from .workloads import spin_workload
 
-    resolved = linuxperf.probe_counter(counter)
-
     workload = spin_workload(10**15)  # effectively runs until killed
-    config = MonitorConfig(threshold_instructions=1)
-    session = spawn_replicas(workload.computation, workload.payload, config, counter=resolved)
+    config = MonitorConfig(threshold_instructions=1, check_period_us=check_period_us,
+                           run_timeout_us=duration_us)
+    session = spawn_replicas(workload.computation, workload.payload, config, counter=counter)
     try:
-        rate = peak_rate_over_windows(
-            session, RealClock(_WINDOW_US), windows=duration_us // _WINDOW_US
-        )
+        verdict, trace = enforcement_loop(
+            session, RealClock(check_period_us, session.report_fds()), config)
+        if verdict.kind is not VerdictKind.TIMEOUT:
+            raise SpawnFailure(f"a spin replica ended the calibration run: {verdict.describe()}")
         latency_us = suspend_latency_over_probes(session, RealClock(_POLL_US), probes=probes)
     finally:
         session.release()
-    return _report(session.counter_kind, rate, check_period_us, latency_us, safety_margin)
+    samples = trace.samples
+    gaps = [(b.timestamp_ns - a.timestamp_ns,
+             max(b.head_count - a.head_count, b.trail_count - a.trail_count))
+            for a, b in zip(samples, samples[1:])]
+    rate = max((delta * 1e9 / gap_ns for gap_ns, delta in gaps), default=0.0)
+    gap_max_us = -(-max((gap_ns for gap_ns, _ in gaps), default=0) // 1000)
+    return _report(session.counter_kind, rate, check_period_us, gap_max_us, latency_us,
+                   safety_margin)
 
 
-def _report(
-    counter: str, rate: float, check_period_us: int, latency_us: int, safety_margin: float
-) -> CalibrationReport:
+def _report(counter: str, rate: float, check_period_us: int, gap_max_us: int, latency_us: int,
+            safety_margin: float) -> CalibrationReport:
     return CalibrationReport(
         counter=counter,
         peak_rate=rate,
@@ -294,6 +272,7 @@ def _report(
         monitor_latency_us=latency_us,
         safety_margin=safety_margin,
         recommended_threshold=recommend_threshold(
-            rate, check_period_us, latency_us, safety_margin
+            rate, max(check_period_us, gap_max_us), latency_us, safety_margin
         ),
+        gap_max_us=gap_max_us,
     )

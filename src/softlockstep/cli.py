@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
     cal = sub.add_parser("calibrate", help="measure this host and recommend a threshold")
     cal.add_argument("--period-us", type=int, default=1000, help="check period the threshold is for")
     cal.add_argument("--margin", type=float, default=2.0, help="safety margin multiplier (>= 1)")
-    cal.add_argument("--duration-ms", type=int, help="process backend: rate measurement duration (default 300)")
+    cal.add_argument("--duration-ms", type=int, help="process backend: length of the measured run (default 300)")
     cal.add_argument("--samples", type=int, help="process backend: suspension latency probe count (default 30)")
     cal.add_argument("--counter", choices=["auto", "instructions", "task-clock"], help="process backend: progress counter kind (default auto)")
     cal.add_argument("--backend", default="process", help="'process' or 'scripted:FILE' for exact, privilege-free calibration")
@@ -150,6 +150,11 @@ def _resolve_threshold(args) -> tuple[int, str]:
         # A threshold is only meaningful against the counter it was measured
         # with; adopt the report's counter unless explicitly overridden.
         counter = report.counter if args.counter in (None, "auto") else args.counter
+        if counter == "scripted" and args.backend == "process":
+            raise ValueError(
+                f"{args.calibration_file} came from the scripted backend: its threshold is "
+                "in scripted units, not a process counter's"
+            )
         return report.recommended_threshold, counter
     raise ValueError("a threshold is required: --threshold N or --calibration-file FILE")
 

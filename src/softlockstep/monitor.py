@@ -47,6 +47,7 @@ from .core import (
     validate_config,
 )
 from .progress import (
+    TICK_NS,
     CounterUnavailable,
     LoopClock,
     ProgressSource,
@@ -348,11 +349,14 @@ def _compare(session: "ReplicaSession", outputs: Sequence,
 def run_scripted(schedule: "Schedule", config: MonitorConfig) -> tuple[Verdict, Trace]:
     """Drive the real enforcement loop from a scripted schedule (no processes).
 
-    One tick is progress.TICK_NS of scripted time. The loop's verdict is the
-    run's: there are no outputs to compare, so MATCH records clean completion.
+    One tick is progress.TICK_NS of scripted time, and the checks come every
+    period_ticks ticks, which the trace records as its period in place of
+    config.check_period_us. The loop's verdict is the run's: there are no
+    outputs to compare, so MATCH records clean completion.
     """
     source = ScriptedSource(schedule)
     problems = validate_config(config)
     if problems:
         raise ValueError("; ".join(problems))
+    config = config._replace(check_period_us=schedule.period_ticks * TICK_NS // 1000)
     return enforcement_loop(source=source, clock=source, config=config, backend="scripted")

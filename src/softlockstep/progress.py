@@ -13,9 +13,9 @@ accrues its i-th delta; a suspend issued at tick k with latency L lets it
 accrue through tick k+L and freezes it from tick k+L+1; a resume at tick k
 takes effect from tick k+1. ScriptedSource holds these rules and records
 the staggering after every tick the head lives, between checks too.
-run_scripted, the simulator and the scripted calibration all build one from
-their schedule; run_scripted and the simulator run the one enforcement loop
-on it as it is, the simulator also returning those tick-boundary instants.
+run_scripted and the simulator build one from their schedule and run the
+one enforcement loop on it as it is, the simulator also returning those
+tick-boundary instants.
 """
 
 import enum

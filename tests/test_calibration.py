@@ -1,5 +1,7 @@
 """Threshold arithmetic, calibration reports, scripted and real measurement."""
 
+import ast
+import inspect
 import io
 import math
 from fractions import Fraction
@@ -8,19 +10,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from softlockstep import linuxperf, replication
+from softlockstep import calibration, linuxperf, replication, workloads
 from softlockstep.calibration import (
     CalibrationReport,
     calibrate,
     calibrate_scripted,
-    peak_rate_over_windows,
     read_report,
     recommend_threshold,
     suspend_latency_over_probes,
     write_report,
 )
-from softlockstep.progress import CounterUnavailable, ScriptedSource
-from softlockstep.sim import Schedule, exhaustive_check
+from softlockstep.cli import main
+from softlockstep.progress import CounterUnavailable, ScriptedSource, SpawnFailure
+from softlockstep.sim import Schedule, exhaustive_check, min_staggering, simulate
 
 try:
     linuxperf.probe_counter("auto")
@@ -133,13 +135,14 @@ def report_for(**overrides):
         counter="task-clock",
         peak_rate=999655020.5,
         check_period_us=1000,
+        gap_max_us=5321,
         monitor_latency_us=191,
         safety_margin=2.0,
     )
     fields.update(overrides)
     fields["recommended_threshold"] = recommend_threshold(
         fields["peak_rate"],
-        fields["check_period_us"],
+        max(fields["check_period_us"], fields["gap_max_us"]),
         fields["monitor_latency_us"],
         fields["safety_margin"],
     )
@@ -167,9 +170,27 @@ def test_report_file_is_stable_key_value_lines():
     assert lines[0] == "counter=task-clock"
     assert lines[1] == "peak_rate=999655020.5"
     assert [line.split("=")[0] for line in lines] == [
-        "counter", "peak_rate", "check_period_us",
+        "counter", "peak_rate", "check_period_us", "gap_max_us",
         "monitor_latency_us", "safety_margin", "recommended_threshold",
     ]
+
+
+def test_a_report_without_a_gap_derives_from_its_nominal_period():
+    # Written before gap_max_us was recorded: the threshold covers P + L.
+    text = ("counter=task-clock\npeak_rate=1000000.0\ncheck_period_us=50\n"
+            "monitor_latency_us=50\nsafety_margin=1.0\nrecommended_threshold=100\n")
+    report = read_report(io.StringIO(text))
+    assert (report.gap_max_us, report.recommended_threshold) == (0, 100)
+    assert report.validate() == []
+
+
+def test_the_threshold_covers_the_longer_of_the_period_and_the_gap():
+    assert report_for().recommended_threshold == recommend_threshold(999655020.5, 5321, 191, 2.0)
+    assert report_for(gap_max_us=10).recommended_threshold == recommend_threshold(
+        999655020.5, 1000, 191, 2.0)
+    tampered = report_for()._replace(gap_max_us=1000)
+    assert "does not match its own fields" in tampered.validate()[0]
+    assert report_for()._replace(gap_max_us=-1).validate() == ["gap_max_us must be non-negative"]
 
 
 def test_report_reader_accepts_comments_and_blank_lines():
@@ -223,22 +244,8 @@ def test_report_validate_flags_bad_fields():
 
 # --------------------------------------------------- scripted measurement
 
-def head_source(deltas, latency=0, period_ticks=1):
-    return ScriptedSource(
-        Schedule.of(deltas, [], period_ticks=period_ticks, suspend_latency_ticks=latency)
-    )
-
-
-def test_peak_rate_is_exact_on_a_scripted_source():
-    source = head_source([5] * 60, period_ticks=10)
-    rate = peak_rate_over_windows(source, source, windows=6)
-    assert rate == 5_000_000.0  # 5 units per 1 us tick
-
-
-def test_peak_rate_takes_the_fastest_window():
-    source = head_source([1] * 10 + [9] * 10, period_ticks=10)
-    rate = peak_rate_over_windows(source, source, windows=2)
-    assert rate == 9_000_000.0
+def head_source(deltas, latency=0):
+    return ScriptedSource(Schedule.of(deltas, [], suspend_latency_ticks=latency))
 
 
 def test_suspend_latency_is_exact_on_a_scripted_source():
@@ -254,8 +261,6 @@ def test_zero_latency_source_measures_zero():
 
 def test_measurement_preconditions():
     source = head_source([1] * 4)
-    with pytest.raises(ValueError, match="window"):
-        peak_rate_over_windows(source, source, windows=0)
     with pytest.raises(ValueError, match="probe"):
         suspend_latency_over_probes(source, source, probes=0)
 
@@ -266,6 +271,7 @@ def test_calibrate_scripted_is_exact_end_to_end():
     assert report.counter == "scripted"
     assert report.peak_rate == 5_000_000.0
     assert report.monitor_latency_us == 2
+    assert report.gap_max_us == 8  # scripted checks come on time
     assert report.recommended_threshold == 100  # ceil(5e6 * 10us * 2)
     assert report.validate() == []
 
@@ -290,14 +296,40 @@ def test_calibrate_scripted_sees_every_head_tick_at_its_own_rate(head, trail):
 
 
 @pytest.mark.parametrize("ticks, latency", [(5, 4), (1, 0), (11, 10)])
-def test_calibrate_scripted_refuses_a_head_too_short_to_measure(ticks, latency):
-    # Five ticks at latency 4 end before the first latency probe has seen
-    # the freeze land; the same rate and latency over 60 ticks give 5e6, 4
-    # and 120 at period 8. A shorter head reads as a quicker one.
-    needed = latency + 2
-    schedule = Schedule.of([5] * ticks, [0] * 60, suspend_latency_ticks=latency)
-    with pytest.raises(ValueError, match=f"needs at least {needed} head ticks.*got {ticks}"):
-        calibrate_scripted(schedule, check_period_us=8)
+def test_calibrate_scripted_reads_a_short_head_as_a_long_one(ticks, latency):
+    # The schedule states its rate and latency, so a head too short to have
+    # measured them on gives the report of a 60-tick one.
+    short = Schedule.of([5] * ticks, [0] * 60, suspend_latency_ticks=latency)
+    long = Schedule.of([5] * 60, [0] * 60, suspend_latency_ticks=latency)
+    report = calibrate_scripted(short, check_period_us=8)
+    assert report == calibrate_scripted(long, check_period_us=8)
+    assert (report.peak_rate, report.monitor_latency_us) == (5_000_000.0, latency)
+
+
+def test_calibrate_scripted_takes_the_rate_of_a_faster_trail():
+    report = calibrate_scripted(Schedule.of([1] * 40, [5] * 40, suspend_latency_ticks=1),
+                                check_period_us=1, safety_margin=1.0)
+    assert (report.peak_rate, report.recommended_threshold) == (5_000_000.0, 10)
+
+
+scripted_calibrations = st.integers(1, 7).flatmap(lambda top: st.builds(
+    Schedule.of,
+    st.lists(st.integers(0, top), min_size=1, max_size=12),
+    st.lists(st.integers(0, top), min_size=1, max_size=12),
+    period_ticks=st.integers(1, 4),
+    suspend_latency_ticks=st.integers(0, 3),
+).filter(lambda s: any(s.head_deltas + s.trail_deltas)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(scripted_calibrations)
+@example(Schedule.of([1] * 40, [5] * 40, suspend_latency_ticks=1))
+def test_a_scripted_recommendation_keeps_the_staggering_non_negative(schedule):
+    # Its own period in us and margin 1: exactly r * (P + L) of the schedule,
+    # for a trail faster than the head too.
+    report = calibrate_scripted(schedule, check_period_us=schedule.period_ticks,
+                                safety_margin=1.0)
+    assert min_staggering(simulate(schedule, report.recommended_threshold)) >= 0
 
 
 def test_calibrate_scripted_measures_a_head_exactly_long_enough():
@@ -315,6 +347,29 @@ def test_real_measurement_preconditions():
         calibrate(duration_us=99)
     with pytest.raises(ValueError, match="30 probes"):
         calibrate(probes=3)
+
+
+@pytest.mark.parametrize("period_us, duration_us", [(1000, 99_999), (20_000, 199_999)],
+                         ids=["under-100-ms", "under-10-periods"])
+def test_calibrate_refuses_a_short_run_before_spawning(monkeypatch, period_us, duration_us):
+    spawned = []
+    monkeypatch.setattr(replication, "spawn_replicas", lambda *a, **k: spawned.append(a))
+    with pytest.raises(ValueError, match="duration_us must cover at least 10 check periods"):
+        calibrate(check_period_us=period_us, duration_us=duration_us)
+    assert spawned == []
+
+
+def test_only_the_latency_probe_waits_out_periods_of_its_own():
+    # Rate and gap come from the enforcement loop's samples: calibration
+    # keeps no rate loop beside it.
+    tree = ast.parse(inspect.getsource(calibration))
+    waiting = {
+        func.name
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr == "wait_one_period"
+    }
+    assert waiting == {"suspend_latency_over_probes"}
 
 
 @pytest.mark.parametrize("argument, fragment", [
@@ -337,4 +392,24 @@ def test_real_calibration_produces_a_consistent_report():
     assert report.validate() == []
     assert report.counter in ("instructions", "task-clock")
     assert report.monitor_latency_us >= 0
-    assert report.recommended_threshold >= 1
+    assert report.gap_max_us >= report.check_period_us
+    assert report.recommended_threshold >= recommend_threshold(
+        report.peak_rate, report.check_period_us, report.monitor_latency_us, report.safety_margin)
+
+
+def _crash(inputs, outputs):
+    raise RuntimeError("spin replica crashed")
+
+
+@requires_counter
+def test_a_spin_replica_that_dies_fails_the_calibration(monkeypatch, capsys):
+    # No threshold is derived from the counts a dead replica left behind.
+    spin = workloads.spin_workload
+    monkeypatch.setattr(workloads, "spin_workload",
+                        lambda iters: spin(iters)._replace(computation=_crash))
+    with pytest.raises(SpawnFailure, match="spin replica ended the calibration run"):
+        calibrate(duration_us=100_000)
+    assert main(["calibrate", "--duration-ms", "100"]) == 70
+    captured = capsys.readouterr()
+    assert "REPLICA_FAILURE" in captured.err
+    assert captured.out == ""

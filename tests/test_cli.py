@@ -415,13 +415,26 @@ def test_run_rejects_a_non_finite_calibration_file(tmp_path, capsys, field, valu
     assert f"{field} must be finite" in capsys.readouterr().err
 
 
-def test_scripted_calibration_of_a_short_head_exits_sixty_four(tmp_path, capsys):
-    path = schedule_file(tmp_path, Schedule.of([5] * 5, [0] * 5))
-    code = main(["calibrate", "--backend", f"scripted:{path}", "--scripted-latency", "4",
-                 "--period-us", "8"])
+def test_scripted_calibration_of_a_short_head_matches_a_long_one(tmp_path, capsys):
+    reports = []
+    for ticks in (5, 60):
+        path = schedule_file(tmp_path, Schedule.of([5] * ticks, [0] * ticks))
+        assert main(["calibrate", "--backend", f"scripted:{path}", "--scripted-latency", "4",
+                     "--period-us", "8"]) == 0
+        reports.append(read_report(io.StringIO(capsys.readouterr().out)))
+    assert reports[0] == reports[1]
+    assert reports[0].recommended_threshold == 120  # 5e6/s * 12 us * 2
+
+
+def test_a_scripted_report_on_the_process_backend_exits_sixty_four(tmp_path, capsys):
+    path = schedule_file(tmp_path, Schedule.of([5] * 60, [0] * 60))
+    report_path = tmp_path / "report.txt"
+    assert main(["calibrate", "--backend", f"scripted:{path}", "--out", str(report_path)]) == 0
+    capsys.readouterr()
+    code = main(["run", "--workload", "spin:1000", "--calibration-file", str(report_path)])
     assert code == 64
     captured = capsys.readouterr()
-    assert "needs at least 6 head ticks" in captured.err
+    assert f"{report_path} came from the scripted backend" in captured.err
     assert captured.out == ""
 
 

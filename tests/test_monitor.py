@@ -132,6 +132,15 @@ def test_scripted_timeout_cuts_the_run_short():
     assert len(trace.samples) == 2  # checks at 1 us and 2 us; 3 us hits the deadline
 
 
+def test_a_scripted_trace_records_the_schedules_own_period():
+    # The config's 1000 us default is not the period of a scripted run:
+    # its checks come every period_ticks ticks of 1 us.
+    schedule = Schedule.of([1] * 6, [1] * 6, period_ticks=3)
+    _, trace = run_scripted(schedule, cfg(1))
+    assert [s.timestamp_ns for s in trace.samples][:2] == [3000, 6000]
+    assert trace.check_period_us == 3
+
+
 def test_abort_policy_turns_overtake_into_diversity_loss_verdict():
     verdict, trace = run_scripted(
         OVERTAKE, cfg(1, diversity_loss_policy=DiversityLossPolicy.ABORT_RUN)

@@ -179,7 +179,6 @@ def test_simulate_rejects_invalid_schedules():
     # An invalid config too: the schedule's errors come first.
     lambda schedule: run_scripted(schedule, MonitorConfig(threshold_instructions=0)),
     lambda schedule: simulate(schedule, threshold=1),
-    # A head too short to calibrate too: the schedule's errors come first.
     calibrate_scripted,
 ], ids=["ScriptedSource", "run_scripted", "simulate", "calibrate_scripted"])
 @pytest.mark.parametrize("schedule, message", [
