@@ -3,10 +3,11 @@
 The staggering threshold must cover the progress either replica can make
 over one check gap plus the suspension latency, at its fastest rate, times a
 safety margin. calibrate() reads rate and gap off the enforcement loop
-itself, run on a busy head and trail, and probes the latency on the same
-session; its gap is a sample, not a bound, so its recommendation is
-measured, not proven. calibrate_scripted() reads them off a schedule. The
-arithmetic is exact over integer microseconds, so every report can be
+itself, run on a busy head and trail whose session is its clock at the
+requested period, and probes the latency on that session with a 100 us
+clock of its own; its gap is a sample, not a bound, so its recommendation
+is measured, not proven. calibrate_scripted() reads them off a schedule.
+The arithmetic is exact over integer microseconds, so every report can be
 re-derived from its own fields to the last digit.
 """
 
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 from .core import MonitorConfig, Role, VerdictKind
 from .monitor import enforcement_loop
-from .progress import LoopClock, ProgressSource, RealClock, SpawnFailure
+from .progress import ProgressSource, RealClock, SpawnFailure
 
 # Each key's parser, in file order. A report written before gap_max_us was
 # recorded lacks that key and derives from its nominal period.
@@ -154,7 +155,8 @@ def read_report(source) -> CalibrationReport:
     return report
 
 
-def suspend_latency_over_probes(source: ProgressSource, clock: LoopClock, probes: int) -> int:
+def suspend_latency_over_probes(source: ProgressSource, clock: RealClock | ProgressSource,
+                                probes: int) -> int:
     """Worst observed suspension latency of the head in whole microseconds (ceiling).
 
     Each probe suspends the running head and then polls its count until it
@@ -246,8 +248,7 @@ def calibrate(
                            run_timeout_us=duration_us)
     session = spawn_replicas(workload.computation, workload.payload, config, counter=counter)
     try:
-        verdict, trace = enforcement_loop(
-            session, RealClock(check_period_us, session.report_fds()), config)
+        verdict, trace = enforcement_loop(session, config)
         if verdict.kind is not VerdictKind.TIMEOUT:
             raise SpawnFailure(f"a spin replica ended the calibration run: {verdict.describe()}")
         latency_us = suspend_latency_over_probes(session, RealClock(_POLL_US), probes=probes)

@@ -85,10 +85,12 @@ class ReplaySource:
     suspensions the original monitor applied, so re-applying them would
     distort the replay. A replica terminates at the sample that recorded
     its HEAD_DONE or TRAIL_DONE, and never if none did. The source is its
-    own loop clock: each period steps to the next sample. The recording
-    lasts duration_us, the whole microseconds from its first sample to just
-    past its latest; a step past the last sample moves the clock to that end.
+    own clock: each period steps to the next sample. The recording lasts
+    duration_us, the whole microseconds from its first sample to just past
+    its latest; a step past the last sample moves the clock to that end.
     """
+
+    backend = "replay"
 
     def __init__(self, samples: list[StaggeringSample]):
         if not samples:
@@ -144,12 +146,7 @@ def replay(trace: Trace, config: MonitorConfig) -> tuple[Verdict, Trace]:
     if problems:
         raise ValueError("; ".join(problems))
     source = ReplaySource(trace.samples)
-    return enforcement_loop(
-        source=source,
-        clock=source,
-        config=config._replace(run_timeout_us=source.duration_us),
-        backend="replay",
-    )
+    return enforcement_loop(source, config._replace(run_timeout_us=source.duration_us))
 
 
 def write_schedule_csv(schedule: Schedule, sink) -> None:

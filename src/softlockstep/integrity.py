@@ -7,7 +7,8 @@ chunk into two small reused buffers, never mapped or copied whole.
 Injection exists to prove that claim end to end: flip one output bit, stall
 one replica, or kill it outright, and watch the verdict change accordingly.
 A crash and a freeze are armed here against a live session, a freeze as the
-loop's progress source; protect() writes a bit flip after the loop.
+loop's progress source, which times its hold in its own wait; protect()
+writes a bit flip after the loop.
 """
 
 import functools
@@ -139,12 +140,14 @@ class FaultSpec(NamedTuple):
 class _FreezeDriver:
     """The loop's progress source in a freeze run: the session, with one replica held.
 
-    At the first check it stops the target out of band and holds it for the
-    duration. Meanwhile the loop's requests for the target are recorded,
-    not sent, so none ends the hold early, and the hold ends in the state
-    the loop last asked for. The loop starts with the head running and the
-    trail stopped, so a held head runs again at the end, and a held trail
-    only if the loop has resumed it meanwhile.
+    It forwards counts, exits, time and backend to the session, and times
+    the hold in its own wait: the first period's end stops the target out of
+    band for the duration, before that check's reads. Meanwhile the loop's
+    requests for the target are recorded, not sent, so none ends the hold
+    early, and the hold ends in the state the loop last asked for. The loop
+    starts with the head running and the trail stopped, so a held head runs
+    again at the end, and a held trail only if the loop has resumed it
+    meanwhile.
     """
 
     def __init__(self, session, fault: FaultSpec):
@@ -152,11 +155,15 @@ class _FreezeDriver:
         self.fault = fault
         self.read_count = session.read_count
         self.exit_status = session.exit_status
-        self.holding: bool | None = None  # None until the first check
+        self.now_ns = session.now_ns
+        self.backend = session.backend
+        self.holding: bool | None = None  # None until the first period ends
         self.resume_after_ns = 0
         self.wants_running = fault.target is Role.HEAD
 
-    def on_check(self, now_ns: int, head_count: int, trail_count: int) -> None:
+    def wait_one_period(self) -> None:
+        self.session.wait_one_period()
+        now_ns = self.session.now_ns()
         if self.holding is None:
             self.session.suspend(self.fault.target)
             self.holding, self.resume_after_ns = True, now_ns + self.fault.duration_us * 1000
@@ -185,20 +192,19 @@ def check_bit(output_sizes: Sequence[int], output_index: int, byte_offset: int, 
         raise ValueError(f"bit index {bit_index} out of range")
 
 
-def inject_fault(session, fault: FaultSpec) -> tuple[ProgressSource, Callable | None]:
-    """Arm a fault that acts before or during the loop: (the loop's source, its on_check).
+def inject_fault(session, fault: FaultSpec) -> ProgressSource:
+    """Arm a fault that acts before or during the loop, and return the loop's source.
 
     A crash kills the target right now and waits until it is dead, so the
     first check reports the crash even when the target had already reported
     done; the loop polls the session itself. A freeze is a timed behavior:
-    the loop polls a _FreezeDriver in the session's place and calls its
-    on_check at each check (after reading counts, before deciding). A bit
-    flip acts after the loop: protect() writes it into the target's outputs
-    once the head has stopped, before the comparison, so here it arms nothing.
+    the loop polls a _FreezeDriver in the session's place, which times the
+    hold in its wait. A bit flip acts after the loop: protect() writes it
+    into the target's outputs once the head has stopped, before the
+    comparison, so here it arms nothing.
     """
     if fault.kind is FaultKind.FREEZE:
-        driver = _FreezeDriver(session, fault)
-        return driver, driver.on_check
+        return _FreezeDriver(session, fault)
     if fault.kind is FaultKind.CRASH:
         session.kill_replica(fault.target)
-    return session, None
+    return session

@@ -1,26 +1,27 @@
 """The enforcement loop and the one-call protected-run entry point.
 
-The loop is generic over a progress source and a clock, which is what makes
-the rest of the system testable: the same code polls real processes through
-perf counters (a ReplicaSession with a RealClock), replays a script tick by
-tick (a ScriptedSource, its own clock, which also records the staggering at
-every tick boundary; sim.simulate is this loop on one as it is), or
-re-executes a recorded trace (formats.replay, on a formats.ReplaySource,
-its own clock). It is the one
-place the staggering rule is applied. Every check reads the head count
-first, then the trail, then how each exited, computes the signed staggering,
-and applies exactly one action, which becomes one trace sample.
-The loop ends in a verdict: MATCH once both replicas finished, otherwise
+The loop is generic over a progress source, which is its own clock and
+names its own backend; that is what makes the rest of the system testable:
+the same code polls real processes through perf counters (a ReplicaSession,
+which waits through a RealClock), replays a script tick by tick (a
+ScriptedSource, which also records the staggering at every tick boundary;
+sim.simulate is this loop on one as it is), or re-executes a recorded trace
+(formats.replay, on a formats.ReplaySource). It is the one place the
+staggering rule is applied. Every check reads the head count first, then
+the trail, then how each exited, computes the signed staggering, and
+applies exactly one action, which becomes one trace sample. The loop ends
+in a verdict: MATCH once both replicas finished, otherwise
 TIMEOUT, DIVERSITY_LOSS or REPLICA_FAILURE.
 
 protect() owns the whole lifecycle of a real run: spawn both replicas on
 private data copies (the head runs while the trail is forked), enforce
-staggering until both finish, waking on a replica's report or exit as well
-as at each check period, then after a loop MATCH stop the head, write an
-injected bit flip into its target's outputs, and compare them byte for
-byte; on a match kill the trail and, while it dies, read the stopped
-head's outputs straight into the caller's buffers, and always release the
-session, which kills and reaps what is left. Output comparison and fault
+staggering until both finish on the session, the run's clock, which wakes
+on a replica's report or exit as well as at each check period, then after
+a loop MATCH stop the head, write an injected bit flip into its target's
+outputs, and compare them byte for byte; on a match kill the trail and,
+while it dies, read the stopped head's outputs straight into the caller's
+buffers, and always release the session, which kills and reaps what is
+left. Output comparison and fault
 injection (integrity) and the process layer (replication, and through it
 linuxperf, ctypes, mmap and signal) are imported by the first protected run,
 so the simulator, run_scripted and replay never load them. Trace files,
@@ -28,7 +29,7 @@ like the other file formats, are read and written by the formats module.
 """
 
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -46,14 +47,7 @@ from .core import (
     staggering,
     validate_config,
 )
-from .progress import (
-    TICK_NS,
-    CounterUnavailable,
-    LoopClock,
-    ProgressSource,
-    RealClock,
-    ScriptedSource,
-)
+from .progress import TICK_NS, CounterUnavailable, ProgressSource, ScriptedSource
 
 if TYPE_CHECKING:
     from . import integrity
@@ -63,7 +57,8 @@ if TYPE_CHECKING:
 class Trace:
     """A recorded run: the sample sequence plus how it was produced.
 
-    A protected run's backend, "process/<counter kind>", names its counter.
+    backend is the loop's source's: "process/<counter kind>" for a protected
+    run, "scripted" or "replay"; a trace read from a file says "file".
     """
 
     def __init__(self, samples: list[StaggeringSample] | None = None, backend: str = "unknown",
@@ -110,19 +105,13 @@ class Trace:
         return problems
 
 
-def enforcement_loop(
-    source: ProgressSource,
-    clock: LoopClock,
-    config: MonitorConfig,
-    on_check: Callable[[int, int, int], None] | None = None,
-    backend: str = "unknown",
-) -> tuple[Verdict, Trace]:
+def enforcement_loop(source: ProgressSource, config: MonitorConfig) -> tuple[Verdict, Trace]:
     """Poll, decide, act, record: one iteration per check period.
 
-    The trail must be suspended on entry. Each check emits exactly one
-    sample; once the head terminates the trail runs unthrottled until it
-    terminates too. on_check, if given, runs after the counts are read and
-    before the decision (fault injection hooks in).
+    The source waits out each period and stamps each check, and the trace
+    records its backend. The trail must be suspended on entry. Each check
+    emits exactly one sample; once the head terminates the trail runs
+    unthrottled until it terminates too.
 
     Returns MATCH once both replicas finished (there are no outputs here to
     compare), TIMEOUT at the deadline, DIVERSITY_LOSS at the first loss under
@@ -130,7 +119,7 @@ def enforcement_loop(
     """
     threshold = config.threshold_instructions
     trace = Trace(
-        backend=backend,
+        backend=source.backend,
         threshold=threshold,
         check_period_us=config.check_period_us,
     )
@@ -139,14 +128,14 @@ def enforcement_loop(
     trail_done = False
     interval = 0
 
-    started_ns = clock.now_ns()
+    started_ns = source.now_ns()
     deadline_ns = None
     if config.run_timeout_us is not None:
         deadline_ns = started_ns + config.run_timeout_us * 1000
 
     while True:
-        clock.wait_one_period()
-        now_ns = clock.now_ns()
+        source.wait_one_period()
+        now_ns = source.now_ns()
         if deadline_ns is not None and now_ns >= deadline_ns:
             return Verdict.timeout(), trace
         # Each failed read or poll is blamed on the replica it was about.
@@ -161,8 +150,6 @@ def enforcement_loop(
             trail_exit = source.exit_status(Role.TRAIL)
         except (CounterUnavailable, OSError):
             return Verdict.replica_failure(polled, "counter-failure"), trace
-        if on_check is not None:
-            on_check(now_ns, head_count, trail_count)
         # A failed head is blamed before a failed trail.
         if head_exit is not None and not head_exit.success:
             return Verdict.replica_failure(Role.HEAD, head_exit.failure_cause), trace
@@ -294,16 +281,8 @@ def protect(
             if config.monitor_core is not None:
                 saved_affinity = os.sched_getaffinity(0)
                 _pin(0, "the monitor", config.monitor_core)
-            source, on_check = session, None
-            if inject is not None:
-                source, on_check = integrity.inject_fault(session, inject)
-            verdict, trace = enforcement_loop(
-                source=source,
-                clock=RealClock(config.check_period_us, session.report_fds()),
-                config=config,
-                on_check=on_check,
-                backend=f"process/{session.counter_kind}",
-            )
+            source = session if inject is None else integrity.inject_fault(session, inject)
+            verdict, trace = enforcement_loop(source, config)
             if verdict.kind is VerdictKind.MATCH:
                 verdict = _compare(session, outputs, inject)
             elif verdict.kind is VerdictKind.REPLICA_FAILURE:
@@ -359,4 +338,4 @@ def run_scripted(schedule: "Schedule", config: MonitorConfig) -> tuple[Verdict, 
     if problems:
         raise ValueError("; ".join(problems))
     config = config._replace(check_period_us=schedule.period_ticks * TICK_NS // 1000)
-    return enforcement_loop(source=source, clock=source, config=config, backend="scripted")
+    return enforcement_loop(source, config)

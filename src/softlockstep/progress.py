@@ -1,12 +1,13 @@
 """Per-replica progress counting and suspension control.
 
 The monitor only ever talks to a ProgressSource, keyed by Role: read a
-replica's cumulative progress count, stop it, wake it, ask how it exited.
+replica's cumulative progress count, stop it, wake it, ask how it exited,
+wait one check period and read the time. Every source is its own clock.
 The OS-backed source is replication.ReplicaSession, over perf counters from
-linuxperf.py; this module holds the contract, the real clock, and the
-deterministic scripted source that plays a sim.Schedule, which is its own
-loop clock. The replay source, which feeds a previously recorded run back
-through the live loop, lives with the trace format in formats.
+linuxperf.py, which waits and stamps through a RealClock; this module holds
+the contract, the real clock, and the deterministic scripted source that
+plays a sim.Schedule. The replay source, which feeds a previously recorded
+run back through the live loop, lives with the trace format in formats.
 
 Scripted time is measured in ticks. During tick i a running scripted replica
 accrues its i-th delta; a suspend issued at tick k with latency L lets it
@@ -80,7 +81,9 @@ class ProgressSource(Protocol):
     without any cooperation from the replica, including while it is stopped.
     suspend/resume are idempotent. An operation on a released source raises
     StaleHandle. exit_status is None while the replica runs, and how it
-    ended once it has.
+    ended once it has. The source is the loop's clock: wait_one_period
+    advances one check period, now_ns stamps the samples. Its backend string
+    names it in the trace (an attribute issubclass could not check here).
     """
 
     def read_count(self, role: Role) -> int: ...
@@ -90,10 +93,6 @@ class ProgressSource(Protocol):
     def resume(self, role: Role) -> None: ...
 
     def exit_status(self, role: Role) -> ExitStatus | None: ...
-
-
-class LoopClock(Protocol):
-    """Advances the monitor loop by one check period and timestamps samples."""
 
     def wait_one_period(self) -> None: ...
 
@@ -107,12 +106,12 @@ _MAX_POLL_MS = 2**31 - 1
 class RealClock:
     """Wall-clock periods for runs over live processes.
 
-    Given the replicas' report descriptors (ReplicaSession.report_fds: each
-    report pipe's read end, readable with a done report, a traceback or end
-    of file, and each pidfd, readable once that replica has exited), a
-    period's wait ends as soon as one of them turns readable. So a failing
-    replica wakes the loop when it writes its traceback and again when it
-    exits. The period's whole milliseconds are waited in one poll, its
+    A ReplicaSession builds one at spawn and waits through it. Given the
+    replicas' report descriptors (each report pipe's read end, readable with
+    a done report, a traceback or end of file, and each pidfd, readable once
+    that replica has exited), a period's wait ends as soon as one of them
+    turns readable. So a failing replica wakes the loop when it writes its
+    traceback and again when it exits. The period's whole milliseconds are waited in one poll, its
     timeout clamped to 2**31 - 1 ms, and the sub-millisecond rest is slept.
     Each descriptor ends one wait at most: it is unregistered once it fires,
     so one that stays readable cannot spin the loop, and a poll with none
@@ -190,13 +189,15 @@ class ScriptedSource:
     It plays a sim.Schedule (taken by duck type: sim imports this module):
     the head runs from tick 0, the trail starts suspended, and a suspend of
     either lands after the schedule's suspend_latency_ticks. Time only moves
-    when advance() is called. The source is its own loop clock:
+    when advance() is called. The source is its own clock:
     wait_one_period advances the schedule's period_ticks ticks of TICK_NS
     each, so scripted runs are exactly reproducible. instants records
     (tick, staggering) after every tick the head lives, between checks too;
     sim.simulate runs the enforcement loop on this source as it is and
     returns those instants with the samples.
     """
+
+    backend = "scripted"
 
     def __init__(self, schedule):
         errors = schedule.validate()

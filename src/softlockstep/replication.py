@@ -24,10 +24,13 @@ enforcement loop releases it. When the computation returns, the child writes
 a one-byte done report to its pipe and sleeps, outputs in place, until the
 session kills it. The monitor reads a finished replica's outputs with
 process_vm_readv, the head's after freeze() has stopped it, so they cannot
-change between the compare and the copy into the caller's buffers. A pidfd
-per replica lets the loop wake at its exit. None of the monitor's fds takes
-a slot among 0-2 that the caller left closed. The session is mechanism only:
-protect() checks its arguments and faults are armed around it.
+change between the compare and the copy into the caller's buffers. The
+session is its own loop clock: at spawn it builds a RealClock at the
+config's check period over each replica's report pipe and pidfd, so the
+loop also wakes at a replica's report or exit. None of the monitor's fds
+takes a slot among 0-2 that the caller left closed. The session is
+mechanism only: protect() checks its arguments and faults are armed around
+it.
 
 This module, with linuxperf, ctypes, mmap and signal, is the process layer:
 import softlockstep does not load it, and the first monitor.protect() or
@@ -50,7 +53,8 @@ from collections.abc import Sequence
 
 from . import linuxperf
 from .core import MonitorConfig, PayloadSpec, Role, WrappedComputation
-from .progress import _SUCCESS, ExitKind, ExitStatus, PinningFailure, SpawnFailure, StaleHandle
+from .progress import (_SUCCESS, ExitKind, ExitStatus, PinningFailure, RealClock, SpawnFailure,
+                       StaleHandle)
 
 _PR_SET_PDEATHSIG = 1
 _ERR_PIPE_LIMIT = 8192
@@ -394,13 +398,20 @@ class ReplicaSession:
     perf counters and job-control signals. read_count never decreases,
     requires no cooperation from the replica, and stays frozen while the
     replica is stopped or finished. Counts remain readable after the replica
-    exits (the counter fd outlives the process).
+    exits (the counter fd outlives the process). It waits and stamps through
+    a RealClock at check_period_us that wakes on its replicas' news.
     """
 
-    def __init__(self, payload: PayloadSpec, counter_kind: str, _replicas: dict[Role, _Replica]):
+    def __init__(self, payload: PayloadSpec, counter_kind: str, check_period_us: int,
+                 _replicas: dict[Role, _Replica]):
         self.payload = payload
         self.counter_kind = counter_kind
+        self.backend = f"process/{counter_kind}"
         self._replicas = _replicas
+        # Each replica's report pipe turns readable with a done report, a
+        # traceback or end of file, and its pidfd once it can be reaped.
+        self._clock = RealClock(check_period_us, [
+            fd for rep in _replicas.values() for fd in (rep.err_read_fd, rep.exit_fd) if fd >= 0])
         self.released = False
 
     def _replica(self, role: Role) -> _Replica:
@@ -414,6 +425,12 @@ class ReplicaSession:
 
     def read_count(self, role: Role) -> int:
         return linuxperf.read_counter(self._replica(role).counter_fd)
+
+    def wait_one_period(self) -> None:
+        self._clock.wait_one_period()
+
+    def now_ns(self) -> int:
+        return self._clock.now_ns()
 
     def _signal(self, role: Role, signum: int) -> None:
         rep = self._replica(role)
@@ -462,13 +479,6 @@ class ReplicaSession:
         if rep.status is None:
             os.kill(rep.pid, signal.SIGSTOP)
             os.waitid(os.P_PID, rep.pid, os.WSTOPPED | os.WEXITED | os.WNOWAIT)
-
-    def report_fds(self) -> list[int]:
-        """Descriptors that turn readable on a replica's news: the read end of
-        its report pipe with a done report, a traceback or end of file, and
-        its pidfd once it has exited and can be reaped."""
-        return [fd for rep in self._replicas.values() for fd in (rep.err_read_fd, rep.exit_fd)
-                if fd >= 0]
 
     def outputs(self, role: Role) -> ReplicaOutputs:
         """One finished replica's outputs in place.
@@ -615,7 +625,7 @@ def spawn_replicas(
             _pin(rep.pid, f"{role.value} replica", core)
             if role is Role.HEAD:
                 os.kill(rep.pid, signal.SIGCONT)
-        return ReplicaSession(payload=payload, counter_kind=counter_kind, _replicas=replicas)
+        return ReplicaSession(payload, counter_kind, config.check_period_us, replicas)
     except BaseException:
         _kill_then_reap(replicas.values())
         raise

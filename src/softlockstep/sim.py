@@ -143,7 +143,7 @@ def simulate(
     source = ScriptedSource(schedule)
     config = MonitorConfig(threshold_instructions=threshold,
                            diversity_loss_policy=diversity_loss_policy)
-    _, trace = enforcement_loop(source, source, config)
+    _, trace = enforcement_loop(source, config)
     return SimTrace(trace.samples, source.instants)
 
 

@@ -84,6 +84,7 @@ def test_scripted_trace_out_matches_in_process_run(tmp_path):
 
 def test_scripted_run_is_byte_identical_across_invocations(tmp_path):
     path = schedule_file(tmp_path, OVERTAKE)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     outs = []
     texts = []
     for name in ("a.csv", "b.csv"):
@@ -92,7 +93,7 @@ def test_scripted_run_is_byte_identical_across_invocations(tmp_path):
             [sys.executable, "-m", "softlockstep.cli", "run",
              "--backend", f"scripted:{path}", "--threshold", "1",
              "--trace-out", str(trace_path)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         texts.append(proc.stdout)
@@ -137,6 +138,14 @@ def test_process_run_crash_exits_three(capsys):
                  "--period-us", "200", "--inject", "crash:head"])
     assert code == 3
     assert "REPLICA_FAILURE (head: crash)" in capsys.readouterr().out
+
+
+@requires_counter
+def test_process_run_freeze_exits_zero(capsys):
+    code = main(["run", "--workload", "spin:1000000", "--threshold", "2000000",
+                 "--period-us", "200", "--inject", "freeze:head:20ms"])
+    assert code == 0
+    assert "MATCH" in capsys.readouterr().out
 
 
 @requires_counter

@@ -175,8 +175,11 @@ def test_parse_rejects_bad_specs(text, fragment):
 
 
 class _FakeSession:
+    backend = "fake"
+
     def __init__(self):
         self.log = []
+        self.now = 0
 
     def read_count(self, role):
         return 0
@@ -193,12 +196,24 @@ class _FakeSession:
     def kill_replica(self, role):
         self.log.append(("kill", role))
 
+    def wait_one_period(self):
+        self.log.append(("wait", self.now))
+
+    def now_ns(self):
+        return self.now
+
+
+def wait_until(source, session, now_ns):
+    """One period of the driver's wait, which must wait out the session's, ending at now_ns."""
+    session.now = now_ns
+    source.wait_one_period()
+    session.log.remove(("wait", now_ns))
+
 
 def test_a_bit_flip_arms_nothing_before_the_loop():
     # The flip is written after the loop, by protect(), into the target's outputs.
     session = _FakeSession()
-    source, on_check = inject_fault(session, FaultSpec.bit_flip(Role.TRAIL, 1, 9, 2))
-    assert source is session and on_check is None
+    assert inject_fault(session, FaultSpec.bit_flip(Role.TRAIL, 1, 9, 2)) is session
     assert session.log == []
 
 
@@ -206,37 +221,36 @@ def test_inject_crash_kills_immediately():
     # The kill happens at arm time: a fast replica must not be able to finish
     # cleanly before the first check would have fired.
     session = _FakeSession()
-    source, on_check = inject_fault(session, FaultSpec.crash(Role.HEAD))
-    assert source is session and on_check is None
+    assert inject_fault(session, FaultSpec.crash(Role.HEAD)) is session
     assert session.log == [("kill", Role.HEAD)]
 
 
 def test_freeze_driver_suspends_then_resumes_after_the_hold():
     session = _FakeSession()
-    source, hook = inject_fault(session, FaultSpec.freeze(Role.HEAD, duration_us=100))
-    assert callable(hook)
+    source = inject_fault(session, FaultSpec.freeze(Role.HEAD, duration_us=100))
     assert isinstance(source, ProgressSource) and source is not session
     assert source.read_count == session.read_count
     assert source.exit_status == session.exit_status
-    assert session.log == []  # nothing until the first check
-    hook(1_000_000, 0, 0)
+    assert source.now_ns == session.now_ns and source.backend == "fake"
+    assert session.log == []  # nothing until the first period ends
+    wait_until(source, session, 1_000_000)
     assert session.log == [("suspend", Role.HEAD)]
-    hook(1_050_000, 0, 0)  # inside the hold: no action
+    wait_until(source, session, 1_050_000)  # inside the hold: no action
     assert session.log == [("suspend", Role.HEAD)]
-    hook(1_100_000, 0, 0)  # 100 us later: resume
+    wait_until(source, session, 1_100_000)  # 100 us later: resume
     assert session.log == [("suspend", Role.HEAD), ("resume", Role.HEAD)]
-    hook(1_200_000, 0, 0)  # done: never fires again
+    wait_until(source, session, 1_200_000)  # done: never fires again
     assert session.log == [("suspend", Role.HEAD), ("resume", Role.HEAD)]
 
 
 def test_a_trail_freeze_holds_the_loops_requests_and_ends_as_last_asked():
     session = _FakeSession()
-    source, hook = inject_fault(session, FaultSpec.freeze(Role.TRAIL, duration_us=100))
-    hook(1_000_000, 0, 0)
+    source = inject_fault(session, FaultSpec.freeze(Role.TRAIL, duration_us=100))
+    wait_until(source, session, 1_000_000)
     for request in (source.resume, source.suspend, source.resume):
         request(Role.TRAIL)  # the loop's requests inside the hold: held back
     assert session.log == [("suspend", Role.TRAIL)]
-    hook(1_100_000, 0, 0)  # the loop last asked for a running trail
+    wait_until(source, session, 1_100_000)  # the loop last asked for a running trail
     assert session.log == [("suspend", Role.TRAIL), ("resume", Role.TRAIL)]
     source.suspend(Role.TRAIL)  # after the hold, requests go straight through
     assert session.log[-1] == ("suspend", Role.TRAIL)
@@ -244,12 +258,12 @@ def test_a_trail_freeze_holds_the_loops_requests_and_ends_as_last_asked():
 
 def test_a_freeze_ends_stopped_for_a_trail_and_passes_the_other_role_through():
     session = _FakeSession()
-    source, hook = inject_fault(session, FaultSpec.freeze(Role.TRAIL, duration_us=100))
-    hook(1_000_000, 0, 0)
-    hook(1_100_000, 0, 0)  # the loop never resumed it: it stays stopped
+    source = inject_fault(session, FaultSpec.freeze(Role.TRAIL, duration_us=100))
+    wait_until(source, session, 1_000_000)
+    wait_until(source, session, 1_100_000)  # the loop never resumed it: it stays stopped
     assert session.log == [("suspend", Role.TRAIL)]
     session = _FakeSession()
-    source, hook = inject_fault(session, FaultSpec.freeze(Role.HEAD, duration_us=100))
-    hook(1_000_000, 0, 0)
+    source = inject_fault(session, FaultSpec.freeze(Role.HEAD, duration_us=100))
+    wait_until(source, session, 1_000_000)
     source.resume(Role.TRAIL)
     assert session.log == [("suspend", Role.HEAD), ("resume", Role.TRAIL)]

@@ -42,7 +42,7 @@ from softlockstep.monitor import (
 from softlockstep.progress import CounterUnavailable, ExitKind, ExitStatus, ScriptedSource
 from softlockstep.replication import PinningFailure, spawn_replicas
 from softlockstep.sim import Schedule, simulate
-from softlockstep.workloads import Workload, checksum_workload, direct_run
+from softlockstep.workloads import Workload, checksum_workload, direct_run, spin_workload
 
 try:
     linuxperf.probe_counter("auto")
@@ -181,28 +181,12 @@ def test_run_scripted_rejects_bad_schedule_and_config():
         run_scripted(Schedule.of([1], [1]), cfg(0))
 
 
-def test_on_check_sees_exactly_what_the_samples_record():
-    source = ScriptedSource(Schedule.of([10, 10, 10], [10, 10, 10]))
-    seen = []
-    verdict, trace = enforcement_loop(
-        source=source,
-        clock=source,
-        config=cfg(15),
-        on_check=lambda now, h, t: seen.append((now, h, t)),
-        backend="scripted",
-    )
-    assert verdict.kind is VerdictKind.MATCH
-    assert seen == [(s.timestamp_ns, s.head_count, s.trail_count) for s in trace.samples]
-
-
 def freeze_run(schedule, threshold, freeze=None):
     """The loop over a scripted schedule, with a freeze injected if given."""
-    clock = source = ScriptedSource(schedule)
-    on_check = None
+    source = ScriptedSource(schedule)
     if freeze is not None:
-        source, on_check = inject_fault(source, freeze)
-    return enforcement_loop(source=source, clock=clock, config=cfg(threshold),
-                            on_check=on_check)
+        source = inject_fault(source, freeze)
+    return enforcement_loop(source, cfg(threshold))
 
 
 def test_a_trail_freeze_keeps_the_staggering_it_tests():
@@ -246,11 +230,7 @@ class _FlakyCounterSource:
 def test_counter_failure_mid_run_aborts_with_replica_trouble():
     source = ScriptedSource(Schedule.of([1] * 10, [1] * 10))
     flaky = _FlakyCounterSource(source, fail_after=4)
-    verdict, trace = enforcement_loop(
-        source=flaky,
-        clock=source,
-        config=cfg(100),
-    )
+    verdict, trace = enforcement_loop(flaky, cfg(100))
     assert verdict.kind is VerdictKind.REPLICA_FAILURE
     assert verdict.failure_cause == "counter-failure"
     assert verdict.failed_role is Role.HEAD
@@ -285,11 +265,8 @@ class _FlakyPollSource:
 @pytest.mark.parametrize("method", ["read_count", "exit_status"])
 def test_a_failed_read_or_poll_blames_the_replica_it_was_about(role, method):
     source = ScriptedSource(Schedule.of([1] * 10, [1] * 10))
-    verdict, trace = enforcement_loop(
-        source=_FlakyPollSource(source, role, method, fail_after=2),
-        clock=source,
-        config=cfg(100),
-    )
+    verdict, trace = enforcement_loop(_FlakyPollSource(source, role, method, fail_after=2),
+                                      cfg(100))
     assert verdict.kind is VerdictKind.REPLICA_FAILURE
     assert verdict.failure_cause == "counter-failure"
     assert verdict.failed_role is role
@@ -320,7 +297,7 @@ class _BothFailSource(ScriptedSource):
 
 def test_a_failed_head_is_blamed_before_a_failed_trail():
     source = _BothFailSource(Schedule.of([1] * 10, [1] * 10))
-    verdict, trace = enforcement_loop(source=source, clock=source, config=cfg(100))
+    verdict, trace = enforcement_loop(source, cfg(100))
     assert verdict.kind is VerdictKind.REPLICA_FAILURE
     assert verdict.failed_role is Role.HEAD
     assert verdict.failure_cause == "nonzero-exit"
@@ -594,6 +571,27 @@ def test_protect_crash_injection_reports_replica_failure():
     assert verdict.failure_cause == "crash"
 
 
+@requires_counter
+@pytest.mark.parametrize("target", [Role.HEAD, Role.TRAIL])
+def test_a_live_freeze_holds_its_target_still_and_the_run_still_matches(target):
+    # The hold starts in the wait before the first check and is timed by the
+    # session's clock: from a stop latency's slack on, every check inside it
+    # reads the held replica's count unchanged, and the replica runs after it.
+    hold_ns = 20_000_000
+    workload = spin_workload(1_000_000)
+    verdict, trace, outputs = run_protected(workload,
+                                            inject=FaultSpec.freeze(target, hold_ns // 1000))
+    assert verdict.kind is VerdictKind.MATCH
+    assert [bytes(buf) for buf in outputs] == direct_run(workload)
+    assert trace.validate() == []
+    counts = [(s.timestamp_ns, s.head_count if target is Role.HEAD else s.trail_count)
+              for s in trace.samples]
+    start = counts[0][0]
+    held = {count for ts, count in counts if start + hold_ns // 4 <= ts < start + hold_ns}
+    assert len(held) == 1
+    assert counts[-1][1] > held.pop()
+
+
 def _instant(inputs, outputs):
     pass
 
@@ -648,7 +646,7 @@ def fd1_open(inputs, outputs):
 def prints(inputs, outputs):
     print("out", flush=True)
 
-config = MonitorConfig(threshold_instructions=2_000_000, run_timeout_us=2_000_000)
+config = MonitorConfig(threshold_instructions=10**12, run_timeout_us=2_000_000)
 out = bytearray(1)
 verdict, _ = protect(fd1_open, [], [], [out], [1], config)
 sys.stderr.write(f"{verdict.describe()} {out.decode()}\\n")
@@ -663,6 +661,8 @@ def test_a_caller_without_stdin_and_stdout_lends_neither_slot_to_the_monitor(fai
     # would take them: the head's report pipe would become its stdout, and
     # the trail would inherit what sat at fd 1. A replica must see fd 1
     # closed, as the caller does, and a print must fail as it would unprotected.
+    # A threshold no head reaches: the failing head never releases the trail,
+    # whose failure the loop could otherwise see first.
     src = os.path.dirname(os.path.dirname(monitor.__file__))
     with fails_after(20):
         done = subprocess.run([sys.executable, "-c", _STDIO_CLOSED], stderr=subprocess.PIPE,

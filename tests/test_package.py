@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -275,7 +276,26 @@ def test_the_replica_session_is_mechanism_only():
         for path in sorted(_PACKAGE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del))
-        and node.attr in {"suspend", "resume", "read_count", "exit_status"}
+        and node.attr in {"suspend", "resume", "read_count", "exit_status", "wait_one_period",
+                          "now_ns"}
         and not (isinstance(node.value, ast.Name) and node.value.id == "self")
     ]
     assert rewritten == []
+
+
+def test_the_loop_takes_only_a_source_that_is_its_own_clock():
+    # The source waits, stamps and names its backend: the loop takes no clock,
+    # hook or backend beside it.
+    loop = softlockstep.monitor.enforcement_loop
+    assert list(inspect.signature(loop).parameters) == ["source", "config"]
+
+
+def test_only_the_session_and_the_latency_probe_build_a_real_clock():
+    # A live run waits through its session's clock; calibration's latency
+    # probe alone polls at a period of its own.
+    calls, _ = _uses_of("RealClock")
+    assert calls == [("calibration", "calibrate"), ("replication", "__init__")]
+    tree = ast.parse((_PACKAGE / "calibration.py").read_text())
+    probe_args = [arg for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and "suspend_latency_over_probes" in _names(node.func) for arg in node.args]
+    assert any(isinstance(arg, ast.Call) and "RealClock" in _names(arg.func) for arg in probe_args)

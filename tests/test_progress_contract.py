@@ -17,6 +17,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from softlockstep import linuxperf
 from softlockstep.core import Action, MonitorConfig, PayloadSpec, Role, StaggeringSample
 from softlockstep.formats import ReplaySource
+from softlockstep.integrity import FaultSpec, _FreezeDriver
 from softlockstep.progress import (
     CounterUnavailable,
     ExitKind,
@@ -39,13 +40,16 @@ requires_counter = pytest.mark.skipif(
 
 
 def test_every_source_conforms_to_the_progress_source_protocol():
+    session = ReplicaSession(PayloadSpec.of([], [], [4]), "task-clock", 1000, {})
     sources = [
-        ReplicaSession(PayloadSpec.of([], [], [4]), "task-clock", {}),
+        session,
         ScriptedSource(Schedule.of([1], [])),
         ReplaySource([StaggeringSample(0, 1000, 1, 0, Action.NONE)]),
+        _FreezeDriver(session, FaultSpec.freeze(Role.HEAD, 100)),
     ]
     for source in sources:
         assert isinstance(source, ProgressSource), type(source).__name__
+        assert isinstance(source.backend, str), type(source).__name__
     assert not isinstance(object(), ProgressSource)
 
 

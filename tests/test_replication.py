@@ -17,7 +17,7 @@ import pytest
 
 from softlockstep import linuxperf, replication
 from softlockstep.core import MonitorConfig, PayloadSpec, Role
-from softlockstep.progress import CounterUnavailable, ExitKind, RealClock, StaleHandle
+from softlockstep.progress import CounterUnavailable, ExitKind, StaleHandle
 from softlockstep.replication import (
     PinningFailure,
     ReplicaIncomplete,
@@ -340,14 +340,14 @@ def test_suspend_freezes_the_count_and_resume_restarts_it():
 def test_a_done_replica_that_was_checked_wakes_no_further_wait():
     # Each check drains the done report that woke it; a replica asleep after
     # its report keeps its pipe and its pidfd quiet.
-    with start_both(idle, small_payload()) as session:
-        clock = RealClock(50_000, session.report_fds())
+    config = MonitorConfig(threshold_instructions=10_000, check_period_us=50_000)
+    with start_both(idle, small_payload(), config) as session:
         for role in Role:
             assert wait_done(session, role).success
         waits = []
         for _ in range(3):
             started = time.monotonic()
-            clock.wait_one_period()
+            session.wait_one_period()
             waits.append(time.monotonic() - started)
     assert min(waits) >= 0.045
 
