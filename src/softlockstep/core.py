@@ -3,7 +3,9 @@
 Staggering is the head replica's progress count minus the trail's, as a signed
 number. The monitor keeps it at or above a configured threshold by stopping the
 trail whenever the observed staggering falls below the threshold and waking it
-once the margin is restored. Everything here is pure data and pure functions.
+once the margin is restored. decide is that rule, and TRAIL_STATE_AFTER,
+beside it, is the one table of what each action leaves the trail in. Everything
+here is pure data and pure functions.
 """
 
 import enum
@@ -85,6 +87,7 @@ def validate_config(config: MonitorConfig) -> list[str]:
         "monitor_core": config.monitor_core,
     }
     named = [(name, core) for name, core in cores.items() if core is not None]
+    errors += [f"{name} must be non-negative, got {core}" for name, core in named if core < 0]
     for i, (name_a, core_a) in enumerate(named):
         for name_b, core_b in named[i + 1 :]:
             if core_a == core_b:
@@ -298,3 +301,13 @@ def decide(staggering_value: int, threshold: int, trail_state: TrailState) -> Ac
     elif trail_state is TrailState.SUSPENDED:
         return Action.RESUME
     return Action.NONE
+
+
+# The trail's state after each action; any other action leaves it as it was.
+# The loop acts on this table, and Trace.validate checks recorded runs against it.
+TRAIL_STATE_AFTER = {
+    Action.SUSPEND: TrailState.SUSPENDED,
+    Action.DIVERSITY_LOSS: TrailState.SUSPENDED,
+    Action.RESUME: TrailState.RUNNING,
+    Action.HEAD_DONE: TrailState.RUNNING,
+}

@@ -233,11 +233,8 @@ def parse_fault_spec(text: str) -> "FaultSpec":
     return FaultSpec.crash(target)
 
 
-_DEFAULT_PARAMS = {"matmul": 128, "checksum": 65536, "spin": 5_000_000}
-
-
 def parse_workload_id(ident: str, seed: int = 0) -> "Workload":
-    """Build a workload from 'name' or 'name:param' text, e.g. 'matmul:256'."""
+    """Build a workload from 'name:param' text, e.g. 'matmul:256'; a bare name takes its default."""
     from .workloads import _BUILDERS
 
     name, _, param_text = ident.strip().partition(":")
@@ -245,11 +242,10 @@ def parse_workload_id(ident: str, seed: int = 0) -> "Workload":
         raise ValueError(
             f"unknown workload {name!r} (expected one of {', '.join(sorted(_BUILDERS))})"
         )
-    if param_text:
-        try:
-            param = int(param_text)
-        except ValueError:
-            raise ValueError(f"workload parameter must be an integer, got {param_text!r}") from None
-    else:
-        param = _DEFAULT_PARAMS[name]
+    if not param_text:
+        return _BUILDERS[name](seed=seed)
+    try:
+        param = int(param_text)
+    except ValueError:
+        raise ValueError(f"workload parameter must be an integer, got {param_text!r}") from None
     return _BUILDERS[name](param, seed=seed)

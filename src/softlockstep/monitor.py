@@ -9,9 +9,11 @@ sim.simulate is this loop on one as it is), or re-executes a recorded trace
 (formats.replay, on a formats.ReplaySource). It is the one place the
 staggering rule is applied. Every check reads the head count first, then
 the trail, then how each exited, computes the signed staggering, and
-applies exactly one action, which becomes one trace sample. The loop ends
-in a verdict: MATCH once both replicas finished, otherwise
-TIMEOUT, DIVERSITY_LOSS or REPLICA_FAILURE.
+picks exactly one action, which becomes one trace sample. The loop then
+stops or wakes the trail at one site, as core.TRAIL_STATE_AFTER (kept
+with decide) says that action leaves it; Trace.validate checks a recorded
+run against the same table. The loop ends in a verdict: MATCH once both
+replicas finished, otherwise TIMEOUT, DIVERSITY_LOSS or REPLICA_FAILURE.
 
 protect() owns the whole lifecycle of a real run: spawn both replicas on
 private data copies (the head runs while the trail is forked), enforce
@@ -33,6 +35,7 @@ from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from .core import (
+    TRAIL_STATE_AFTER,
     Action,
     DiversityLossPolicy,
     MonitorConfig,
@@ -69,39 +72,28 @@ class Trace:
         self.check_period_us = check_period_us
 
     def validate(self) -> list[str]:
-        """Structural legality: alternation, single terminations, ordering."""
+        """Structural legality: trail states as core.TRAIL_STATE_AFTER has them, single ends, ordering."""
         problems = []
-        suspended = True  # the trail starts suspended by construction
-        head_done = False
-        trail_done = False
-        last_interval = -1
-        last_ts = -1
+        trail_state = TrailState.SUSPENDED  # the trail starts suspended by construction
+        done = set()
+        last_interval = last_ts = -1
         for s in self.samples:
             if s.interval_index <= last_interval:
                 problems.append(f"interval {s.interval_index} not increasing")
             if s.timestamp_ns < last_ts:
                 problems.append(f"timestamp {s.timestamp_ns} decreases")
             last_interval, last_ts = s.interval_index, s.timestamp_ns
-            if s.action is Action.SUSPEND:
-                if suspended:
-                    problems.append(f"interval {s.interval_index}: suspend while suspended")
-                suspended = True
-            elif s.action is Action.DIVERSITY_LOSS:
-                # Loss checks leave the trail suspended whether or not it was.
-                suspended = True
-            elif s.action is Action.RESUME:
-                if not suspended:
-                    problems.append(f"interval {s.interval_index}: resume while running")
-                suspended = False
-            elif s.action is Action.HEAD_DONE:
-                if head_done:
-                    problems.append("HEAD_DONE emitted twice")
-                head_done = True
-                suspended = False
-            elif s.action is Action.TRAIL_DONE:
-                if trail_done:
-                    problems.append("TRAIL_DONE emitted twice")
-                trail_done = True
+            after = TRAIL_STATE_AFTER.get(s.action, trail_state)
+            # A suspend or resume must change the trail's state; a loss or the
+            # head's end may find it already where the table leaves it.
+            if s.action in (Action.SUSPEND, Action.RESUME) and after is trail_state:
+                problems.append(f"interval {s.interval_index}: "
+                                f"{s.action.value.lower()} while {trail_state.value}")
+            elif s.action in (Action.HEAD_DONE, Action.TRAIL_DONE):
+                if s.action in done:
+                    problems.append(f"{s.action.value} emitted twice")
+                done.add(s.action)
+            trail_state = after
         return problems
 
 
@@ -126,7 +118,6 @@ def enforcement_loop(source: ProgressSource, config: MonitorConfig) -> tuple[Ver
     trail_state = TrailState.SUSPENDED
     head_done = False
     trail_done = False
-    interval = 0
 
     started_ns = source.now_ns()
     deadline_ns = None
@@ -160,16 +151,10 @@ def enforcement_loop(source: ProgressSource, config: MonitorConfig) -> tuple[Ver
         if head_exit is not None and not head_done:
             action = Action.HEAD_DONE
             head_done = True
-            if trail_state is TrailState.SUSPENDED:
-                source.resume(Role.TRAIL)
-                trail_state = TrailState.RUNNING
         elif not head_done and stag < 0:
             # Checked before TRAIL_DONE: a trail that overtook the head and
             # then finished is still a loss.
             action = Action.DIVERSITY_LOSS
-            if trail_state is TrailState.RUNNING:
-                source.suspend(Role.TRAIL)
-                trail_state = TrailState.SUSPENDED
         elif trail_exit is not None and not trail_done:
             action = Action.TRAIL_DONE
             trail_done = True
@@ -177,16 +162,16 @@ def enforcement_loop(source: ProgressSource, config: MonitorConfig) -> tuple[Ver
             action = Action.NONE
         else:
             action = decide(stag, threshold, trail_state)
-            if action is Action.SUSPEND:
+        after = TRAIL_STATE_AFTER.get(action, trail_state)
+        if after is not trail_state:
+            if after is TrailState.SUSPENDED:
                 source.suspend(Role.TRAIL)
-                trail_state = TrailState.SUSPENDED
-            elif action is Action.RESUME:
+            else:
                 source.resume(Role.TRAIL)
-                trail_state = TrailState.RUNNING
+            trail_state = after
 
-        sample = StaggeringSample(interval, now_ns, head_count, trail_count, action)
+        sample = StaggeringSample(len(trace.samples), now_ns, head_count, trail_count, action)
         trace.samples.append(sample)
-        interval += 1
 
         if action is Action.DIVERSITY_LOSS and config.diversity_loss_policy is DiversityLossPolicy.ABORT_RUN:
             return Verdict.diversity_loss(sample), trace

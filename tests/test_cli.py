@@ -17,7 +17,7 @@ from softlockstep.core import PayloadSpec, VerdictKind
 from softlockstep.formats import read_schedule_csv, read_trace, write_schedule_csv
 from softlockstep.progress import CounterUnavailable
 from softlockstep.sim import Schedule, simulate
-from softlockstep.workloads import Workload
+from softlockstep.workloads import Workload, checksum_workload, matmul_workload, spin_workload
 
 try:
     linuxperf.probe_counter("auto")
@@ -148,6 +148,16 @@ def test_process_run_freeze_exits_zero(capsys):
     assert "MATCH" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name,builder", [
+    ("matmul", matmul_workload), ("checksum", checksum_workload), ("spin", spin_workload),
+])
+def test_a_bare_workload_id_builds_the_builders_default(name, builder):
+    bare, default = formats.parse_workload_id(name, seed=3), builder(seed=3)
+    assert (bare.name, bare.param, bare.seed) == (default.name, default.param, default.seed)
+    assert bare.payload.input_sizes == default.payload.input_sizes
+    assert [bytes(v) for v in bare.payload.inputs] == [bytes(v) for v in default.payload.inputs]
+
+
 @requires_counter
 def test_process_run_failure_prints_the_last_traceback_line(monkeypatch, capsys):
     def boom(inputs, outputs):
@@ -231,6 +241,11 @@ def test_impossible_pinning_exits_seventy(tmp_path, capsys):
      "--counter applies only to the process backend"),
     (["run", "--backend", "scripted:{schedule}", "--threshold", "5", "--period-us", "7"],
      "--period-us applies only to the process backend"),
+    # A negative core is refused before any fork, not by the pinning.
+    (["run", "--workload", "spin:10", "--threshold", "1000000", "--cores=-1,0"],
+     "head_core must be non-negative"),
+    (["run", "--workload", "spin:10", "--threshold", "1000000", "--cores=0,1,-1"],
+     "monitor_core must be non-negative"),
 ])
 def test_usage_errors_exit_sixty_four(argv, fragment, tmp_path, capsys):
     schedule = tmp_path / "schedule.csv"

@@ -122,6 +122,13 @@ def test_validate_config_rejects_shared_cores():
     assert any("distinct" in p for p in validate_config(config))
 
 
+@pytest.mark.parametrize("field", ["head_core", "trail_core", "monitor_core"])
+def test_validate_config_rejects_a_negative_core(field):
+    # Refused here, before any fork, not by the first sched_setaffinity.
+    config = MonitorConfig(threshold_instructions=10, **{field: -1})
+    assert validate_config(config) == [f"{field} must be non-negative, got -1"]
+
+
 def test_validate_config_allows_partial_pinning():
     config = MonitorConfig(threshold_instructions=10, head_core=2)
     assert validate_config(config) == []

@@ -501,12 +501,31 @@ def test_trace_validate_flags_illegal_structures():
         sample(1, 20, 5, 3, Action.HEAD_DONE),
     ]).validate()[0]
 
+    assert Trace(samples=[
+        sample(0, 10, 5, 0, Action.HEAD_DONE),
+        sample(1, 20, 5, 5, Action.TRAIL_DONE),
+        sample(2, 30, 5, 5, Action.TRAIL_DONE),
+    ]).validate() == ["TRAIL_DONE emitted twice"]
+
     # a loss check suspends, so a following RESUME is legal
     assert Trace(samples=[
         sample(0, 10, 5, 0, Action.RESUME),
         sample(1, 20, 5, 6, Action.DIVERSITY_LOSS),
         sample(2, 30, 9, 6, Action.RESUME),
     ]).validate() == []
+
+    # ... and a following SUSPEND is not
+    assert Trace(samples=[
+        sample(0, 10, 5, 0, Action.RESUME),
+        sample(1, 20, 5, 6, Action.DIVERSITY_LOSS),
+        sample(2, 30, 5, 7, Action.SUSPEND),
+    ]).validate() == ["interval 2: suspend while suspended"]
+
+    # the head's end releases the trail, so a following RESUME is flagged
+    assert Trace(samples=[
+        sample(0, 10, 5, 0, Action.HEAD_DONE),
+        sample(1, 20, 5, 3, Action.RESUME),
+    ]).validate() == ["interval 1: resume while running"]
 
 
 # ----------------------------------------------------------- real processes

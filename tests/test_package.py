@@ -227,28 +227,46 @@ def _names(node):
     return set()
 
 
-def _uses_of(name):
-    """(module, innermost enclosing function) of each call to and import of name."""
-    calls, imports = [], []
+def _scoped_nodes():
+    """(module, innermost enclosing function, node) for every node of the package."""
     for path in sorted(_PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.alias) and name in _names(node):
-                imports.append(path.stem)
-            if not (isinstance(node, ast.Call) and name in _names(node.func)):
-                continue
             scope = node
             while scope in parents and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scope = parents[scope]
-            calls.append((path.stem, getattr(scope, "name", None)))
+            yield path.stem, getattr(scope, "name", None), node
+
+
+def _uses_of(name):
+    """(module, innermost enclosing function) of each call to and import of name."""
+    calls, imports = [], []
+    for module, function, node in _scoped_nodes():
+        if isinstance(node, ast.alias) and name in _names(node):
+            imports.append(module)
+        if isinstance(node, ast.Call) and name in _names(node.func):
+            calls.append((module, function))
     return calls, imports
+
+
+def _reads_of(name):
+    """(module, innermost enclosing function) of each load of name, bare or as an attribute."""
+    return [(module, function) for module, function, node in _scoped_nodes()
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            and name in _names(node)]
 
 
 def test_the_staggering_rule_runs_in_one_production_loop():
     # The simulator runs the enforcement loop rather than a copy of its rule,
     # so the model checker's oracle is the production loop itself.
     assert _uses_of("decide") == ([("monitor", "enforcement_loop")], ["monitor"])
+    # What each action leaves the trail in is one table, which the loop applies
+    # at one site and Trace.validate checks recorded runs against.
+    assert sorted(_reads_of("TRAIL_STATE_AFTER")) == [("monitor", "enforcement_loop"),
+                                                      ("monitor", "validate")]
+    for request in ("suspend", "resume"):
+        assert _reads_of(request).count(("monitor", "enforcement_loop")) == 1
     sim = ast.parse((_PACKAGE / "sim.py").read_text())
     named = set().union(*(_names(node) for node in ast.walk(sim)))
     assert not named & {"decide", "TrailState"}
