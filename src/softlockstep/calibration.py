@@ -4,9 +4,10 @@ The staggering threshold must cover the progress either replica can make
 over one check gap plus the suspension latency, at its fastest rate, times a
 safety margin. calibrate() reads rate and gap off the enforcement loop
 itself, run on a busy head and trail whose session is its clock at the
-requested period, and probes the latency on that session with a 100 us
-clock of its own; its gap is a sample, not a bound, so its recommendation
-is measured, not proven. calibrate_scripted() reads them off a schedule.
+requested period, and then probes the latency on that session: how far the
+head's count runs past a stop request, read once the kernel reports the
+stop. Its gap is a sample, not a bound, so its recommendation is measured,
+not proven. calibrate_scripted() reads all three off a schedule.
 The arithmetic is exact over integer microseconds, so every report can be
 re-derived from its own fields to the last digit.
 """
@@ -15,11 +16,12 @@ from __future__ import annotations
 
 import math
 import os
+import time
 from typing import NamedTuple
 
 from .core import MonitorConfig, Role, VerdictKind
 from .monitor import enforcement_loop
-from .progress import ProgressSource, RealClock, SpawnFailure
+from .progress import TICK_NS, SpawnFailure
 
 # Each key's parser, in file order. A report written before gap_max_us was
 # recorded lacks that key and derives from its nominal period.
@@ -32,11 +34,7 @@ _REPORT_FIELDS = {
     "safety_margin": float,
     "recommended_threshold": int,
 }
-# Fixed measurement settings. A latency probe polls a suspended replica
-# every 100 us and ends after three polls without a count change; a measured
-# run lasts at least 10 check periods and 100 ms.
-_POLL_US = 100
-_SETTLE_POLLS = 3
+# A measured run lasts at least 10 check periods and 100 ms.
 _MIN_RUN_PERIODS = 10
 _MIN_RUN_US = 100_000
 
@@ -155,61 +153,43 @@ def read_report(source) -> CalibrationReport:
     return report
 
 
-def suspend_latency_over_probes(source: ProgressSource, clock: RealClock | ProgressSource,
-                                probes: int) -> int:
-    """Worst observed suspension latency of the head in whole microseconds (ceiling).
+def suspend_latency_over_probes(session, probes: int) -> int:
+    """The most the head's count ran past a stop request over probes stops: r * L in counter units.
 
-    Each probe suspends the running head and then polls its count until it
-    has been stable for _SETTLE_POLLS consecutive polls; the latency is the
-    time from the suspend call to the last observed count change. Taking the
-    maximum over probes keeps the estimate conservative, which is the safe
-    direction for the threshold formula.
+    Each probe lets the head run about 200 us, reads its count, and freezes
+    it: the session sends SIGSTOP and returns once the kernel reports the
+    stop, after which the count cannot change. The count then read, less the
+    one before, is what the head ran from its count read to its stop. The
+    maximum over probes keeps the estimate conservative, the safe direction
+    for the threshold formula.
     """
     if probes < 1:
         raise ValueError("need at least one probe")
-    worst_ns = 0
+    worst = 0
     for _ in range(probes):
-        source.resume(Role.HEAD)
-        # Let it run so a frozen counter is distinguishable from a slow one.
-        clock.wait_one_period()
-        clock.wait_one_period()
-        suspended_at = clock.now_ns()
-        source.suspend(Role.HEAD)
-        last_change = suspended_at
-        prev = source.read_count(Role.HEAD)
-        stable = 0
-        while stable < _SETTLE_POLLS:
-            clock.wait_one_period()
-            count = source.read_count(Role.HEAD)
-            if count != prev:
-                last_change = clock.now_ns()
-                prev = count
-                stable = 0
-            else:
-                stable += 1
-        worst_ns = max(worst_ns, last_change - suspended_at)
-    source.resume(Role.HEAD)
-    return math.ceil(worst_ns / 1000)
+        session.resume(Role.HEAD)
+        time.sleep(200e-6)  # running again, not just woken
+        before = session.read_count(Role.HEAD)
+        session.freeze(Role.HEAD)
+        worst = max(worst, session.read_count(Role.HEAD) - before)
+    return worst
 
 
-def calibrate_scripted(
-    schedule,
-    check_period_us: int = 1000,
-    safety_margin: float = 2.0,
-) -> CalibrationReport:
+def calibrate_scripted(schedule, safety_margin: float = 2.0) -> CalibrationReport:
     """Calibrate against a scripted schedule: exact results, no privileges.
 
-    One tick is 1 us, so the largest delta d of either replica is a rate of
-    d * 1e6 units per second, the r of the bound r * (P + L); the latency is
-    the schedule's suspend_latency_ticks in us, and the longest gap is the
-    nominal period, as scripted checks come exactly on time.
+    One tick lasts TICK_NS, so the largest delta d of either replica is a
+    rate of d per tick, the r of the bound r * (P + L); P is the schedule's
+    period_ticks and L its suspend_latency_ticks, both in us, and the
+    longest gap is the period, as scripted checks come exactly on time.
     """
     errors = schedule.validate()
     if errors:
         raise ValueError("; ".join(errors))
-    rate = max(max(schedule.head_deltas, default=0), max(schedule.trail_deltas, default=0)) * 1e6
-    return _report("scripted", rate, check_period_us, check_period_us,
-                   schedule.suspend_latency_ticks, safety_margin)
+    delta = max(max(schedule.head_deltas, default=0), max(schedule.trail_deltas, default=0))
+    period_us = schedule.period_ticks * TICK_NS // 1000
+    return _report("scripted", delta * (1e9 / TICK_NS), period_us, period_us,
+                   schedule.suspend_latency_ticks * TICK_NS // 1000, safety_margin)
 
 
 def calibrate(
@@ -224,8 +204,9 @@ def calibrate(
     A busy head and trail run under the enforcement loop at the given period
     for duration_us, with threshold 1. Over each gap between two consecutive
     checks, the larger count delta of the two replicas gives a rate: r is
-    the largest, and gap_max_us the longest gap; the suspension latency is
-    then probed on the same session. The report carries the resolved counter
+    the largest, and gap_max_us the longest gap. The head's overshoot past a
+    stop is then probed on the same session, and turned into whole
+    microseconds at r, rounded up. The report carries the resolved counter
     kind so thresholds are never reused across metrics. Every argument is
     checked before any replica is spawned. A loop that ends before its
     deadline lost a replica, and raises SpawnFailure.
@@ -251,7 +232,7 @@ def calibrate(
         verdict, trace = enforcement_loop(session, config)
         if verdict.kind is not VerdictKind.TIMEOUT:
             raise SpawnFailure(f"a spin replica ended the calibration run: {verdict.describe()}")
-        latency_us = suspend_latency_over_probes(session, RealClock(_POLL_US), probes=probes)
+        overshoot = suspend_latency_over_probes(session, probes)
     finally:
         session.release()
     samples = trace.samples
@@ -260,6 +241,9 @@ def calibrate(
             for a, b in zip(samples, samples[1:])]
     rate = max((delta * 1e9 / gap_ns for gap_ns, delta in gaps), default=0.0)
     gap_max_us = -(-max((gap_ns for gap_ns, _ in gaps), default=0) // 1000)
+    # L = overshoot / r, over the rate's exact ratio; a rate of 0 is refused by _report.
+    rate_num, rate_den = rate.as_integer_ratio()
+    latency_us = -(-overshoot * 1_000_000 * rate_den // rate_num) if rate_num else 0
     return _report(session.counter_kind, rate, check_period_us, gap_max_us, latency_us,
                    safety_margin)
 

@@ -100,18 +100,17 @@ def _refuse_flags(args, flags, backend: str) -> None:
             raise ValueError(f"{flag} applies only to the {backend}")
 
 
-def _read_schedule(args):
-    """The schedule of a scripted:FILE backend, at the given or default timing."""
+def _read_schedule(args, period_ticks: int):
+    """The schedule of a scripted:FILE backend, at period_ticks and the given or default latency."""
     from .formats import read_schedule_csv
 
     path = args.backend.partition(":")[2]
     if not path:
         raise ValueError("scripted backend needs a file: --backend scripted:FILE")
-    period_ticks = getattr(args, "period_ticks", None)
     with open(path) as f:
         return read_schedule_csv(
             f,
-            period_ticks=1 if period_ticks is None else period_ticks,
+            period_ticks=period_ticks,
             suspend_latency_ticks=0 if args.scripted_latency is None else args.scripted_latency,
         )
 
@@ -189,7 +188,7 @@ def _cmd_run(args) -> int:
             raise ValueError("fault injection needs real replicas (process backend)")
         if args.cores is not None:
             raise ValueError("--cores pins real replicas (process backend)")
-        schedule = _read_schedule(args)
+        schedule = _read_schedule(args, 1 if args.period_ticks is None else args.period_ticks)
         config = _run_config(args, threshold)
         verdict, trace = monitor.run_scripted(schedule, config)
     else:
@@ -218,9 +217,9 @@ def _cmd_calibrate(args) -> int:
         )
     elif args.backend.startswith("scripted:"):
         _refuse_flags(args, ("--samples", "--duration-ms", "--counter"), "process backend")
-        report = calibration.calibrate_scripted(
-            _read_schedule(args), check_period_us=args.period_us, safety_margin=args.margin
-        )
+        # One tick is 1 us: the schedule is checked every --period-us ticks.
+        report = calibration.calibrate_scripted(_read_schedule(args, args.period_us),
+                                                safety_margin=args.margin)
     else:
         raise ValueError(f"unknown backend {args.backend!r} (expected process or scripted:FILE)")
     calibration.write_report(report, sys.stdout)

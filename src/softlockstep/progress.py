@@ -4,10 +4,11 @@ The monitor only ever talks to a ProgressSource, keyed by Role: read a
 replica's cumulative progress count, stop it, wake it, ask how it exited,
 wait one check period and read the time. Every source is its own clock.
 The OS-backed source is replication.ReplicaSession, over perf counters from
-linuxperf.py, which waits and stamps through a RealClock; this module holds
-the contract, the real clock, and the deterministic scripted source that
-plays a sim.Schedule. The replay source, which feeds a previously recorded
-run back through the live loop, lives with the trace format in formats.
+linuxperf.py; it alone builds a RealClock, over its replicas' report
+descriptors, and waits and stamps through it. This module holds the
+contract, the real clock, and the deterministic scripted source that plays
+a sim.Schedule. The replay source, which feeds a previously recorded run
+back through the live loop, lives with the trace format in formats.
 
 Scripted time is measured in ticks. During tick i a running scripted replica
 accrues its i-th delta; a suspend issued at tick k with latency L lets it
@@ -106,32 +107,30 @@ _MAX_POLL_MS = 2**31 - 1
 class RealClock:
     """Wall-clock periods for runs over live processes.
 
-    A ReplicaSession builds one at spawn and waits through it. Given the
-    replicas' report descriptors (each report pipe's read end, readable with
-    a done report, a traceback or end of file, and each pidfd, readable once
-    that replica has exited), a period's wait ends as soon as one of them
-    turns readable. So a failing replica wakes the loop when it writes its
-    traceback and again when it exits. The period's whole milliseconds are waited in one poll, its
-    timeout clamped to 2**31 - 1 ms, and the sub-millisecond rest is slept.
-    Each descriptor ends one wait at most: it is unregistered once it fires,
-    so one that stays readable cannot spin the loop, and a poll with none
-    left is a plain timed wait. Without descriptors, or for a period under
-    1 ms, the whole period is slept.
+    A ReplicaSession builds one at spawn, over its replicas' report
+    descriptors, and waits through it; nothing else does. Each report pipe's
+    read end turns readable with a done report, a traceback or end of file,
+    and each pidfd once that replica has exited, and a period's wait ends as
+    soon as one of them turns readable. So a failing replica wakes the loop
+    when it writes its traceback and again when it exits. The period's whole
+    milliseconds are waited in one poll, its timeout clamped to 2**31 - 1 ms,
+    and the sub-millisecond rest is slept. Each descriptor ends one wait at
+    most: it is unregistered once it fires, so one that stays readable cannot
+    spin the loop, and a poll with none left is a plain timed wait. A period
+    under 1 ms is slept whole.
     """
 
-    def __init__(self, period_us: int, report_fds: Sequence[int] = ()):
-        self.period_us = period_us
-        self._poll = None
-        if report_fds:
-            import select
+    def __init__(self, period_us: int, report_fds: Sequence[int]):
+        import select
 
-            self._poll = select.poll()
-            for fd in report_fds:
-                self._poll.register(fd, select.POLLIN)
+        self.period_us = period_us
+        self._poll = select.poll()
+        for fd in report_fds:
+            self._poll.register(fd, select.POLLIN)
 
     def wait_one_period(self) -> None:
         whole_ms, rest_us = divmod(self.period_us, 1000)
-        if self._poll is None or not whole_ms:
+        if not whole_ms:
             time.sleep(self.period_us / 1_000_000)
             return
         ready = self._poll.poll(min(whole_ms, _MAX_POLL_MS))

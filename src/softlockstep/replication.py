@@ -269,12 +269,26 @@ def _set_pdeathsig() -> None:
 
 def _off_stdio(fd: int) -> int:
     """fd, moved to 3 or above: in a slot of 0-2 the caller left closed, a pipe end,
-    pidfd or counter fd would become a replica's stdin, stdout or stderr."""
+    pidfd or counter fd would become a replica's stdin, stdout or stderr. A fd
+    that cannot be moved is closed."""
     if fd > 2:
         return fd
-    moved = fcntl.fcntl(fd, fcntl.F_DUPFD_CLOEXEC, 3)
-    os.close(fd)
-    return moved
+    try:
+        return fcntl.fcntl(fd, fcntl.F_DUPFD_CLOEXEC, 3)
+    finally:
+        os.close(fd)
+
+
+def _pipe_off_stdio() -> tuple[int, int]:
+    """os.pipe(), both ends off 0-2; neither end stays open if one cannot be moved."""
+    read_end, write_end = os.pipe()
+    moved = None
+    try:
+        moved = _off_stdio(read_end)
+        return moved, _off_stdio(write_end)
+    except OSError:
+        os.close(write_end if moved is None else moved)
+        raise
 
 
 def _contain_descriptors(keep: int) -> None:
@@ -552,7 +566,7 @@ def _spawn_one(
     output_views = _carve(output_region, payload.output_sizes)
     input_address = _buffer_address(input_region)
     try:
-        err_read, err_write = map(_off_stdio, os.pipe())
+        err_read, err_write = _pipe_off_stdio()
         os.set_blocking(err_read, False)
         monitor_pid = os.getpid()
         try:

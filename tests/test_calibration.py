@@ -21,7 +21,8 @@ from softlockstep.calibration import (
     write_report,
 )
 from softlockstep.cli import main
-from softlockstep.progress import CounterUnavailable, ScriptedSource, SpawnFailure
+from softlockstep.core import Role
+from softlockstep.progress import CounterUnavailable, SpawnFailure
 from softlockstep.sim import Schedule, exhaustive_check, min_staggering, simulate
 
 try:
@@ -244,30 +245,42 @@ def test_report_validate_flags_bad_fields():
 
 # --------------------------------------------------- scripted measurement
 
-def head_source(deltas, latency=0):
-    return ScriptedSource(Schedule.of(deltas, [], suspend_latency_ticks=latency))
+class _OvershootSession:
+    """A head that runs between probes, and on by the next overshoot at each freeze."""
+
+    def __init__(self, overshoots):
+        self.overshoots = iter(overshoots)
+        self.count = 0
+
+    def resume(self, role):
+        assert role is Role.HEAD
+        self.count += 1000
+
+    def read_count(self, role):
+        return self.count
+
+    def freeze(self, role):
+        self.count += next(self.overshoots)
 
 
-def test_suspend_latency_is_exact_on_a_scripted_source():
-    source = head_source([1] * 40, latency=4)
-    latency = suspend_latency_over_probes(source, source, probes=2)
-    assert latency == 4
+def test_the_latency_probe_takes_the_largest_stop_overshoot():
+    # What the head ran between probes is not latency; only what it ran
+    # between the count read and the reported stop is.
+    assert suspend_latency_over_probes(_OvershootSession([3, 9, 0, 4]), probes=4) == 9
 
 
 def test_zero_latency_source_measures_zero():
-    source = head_source([1] * 20)
-    assert suspend_latency_over_probes(source, source, probes=1) == 0
+    assert suspend_latency_over_probes(_OvershootSession([0] * 5), probes=5) == 0
 
 
 def test_measurement_preconditions():
-    source = head_source([1] * 4)
     with pytest.raises(ValueError, match="probe"):
-        suspend_latency_over_probes(source, source, probes=0)
+        suspend_latency_over_probes(_OvershootSession([]), probes=0)
 
 
 def test_calibrate_scripted_is_exact_end_to_end():
-    schedule = Schedule.of([5] * 60, [0] * 60, suspend_latency_ticks=2)
-    report = calibrate_scripted(schedule, check_period_us=8, safety_margin=2.0)
+    schedule = Schedule.of([5] * 60, [0] * 60, period_ticks=8, suspend_latency_ticks=2)
+    report = calibrate_scripted(schedule, safety_margin=2.0)
     assert report.counter == "scripted"
     assert report.peak_rate == 5_000_000.0
     assert report.monitor_latency_us == 2
@@ -291,7 +304,7 @@ def test_calibrate_scripted_validates_inputs():
 def test_calibrate_scripted_sees_every_head_tick_at_its_own_rate(head, trail):
     # r_max in the bound r * (P + L) is the fastest single tick: a burst
     # late in the head or shorter than ten ticks must not read slower.
-    report = calibrate_scripted(Schedule.of(head, trail), check_period_us=8)
+    report = calibrate_scripted(Schedule.of(head, trail, period_ticks=8))
     assert (report.peak_rate, report.recommended_threshold) == (9_000_000.0, 144)
 
 
@@ -299,16 +312,16 @@ def test_calibrate_scripted_sees_every_head_tick_at_its_own_rate(head, trail):
 def test_calibrate_scripted_reads_a_short_head_as_a_long_one(ticks, latency):
     # The schedule states its rate and latency, so a head too short to have
     # measured them on gives the report of a 60-tick one.
-    short = Schedule.of([5] * ticks, [0] * 60, suspend_latency_ticks=latency)
-    long = Schedule.of([5] * 60, [0] * 60, suspend_latency_ticks=latency)
-    report = calibrate_scripted(short, check_period_us=8)
-    assert report == calibrate_scripted(long, check_period_us=8)
+    short = Schedule.of([5] * ticks, [0] * 60, period_ticks=8, suspend_latency_ticks=latency)
+    long = Schedule.of([5] * 60, [0] * 60, period_ticks=8, suspend_latency_ticks=latency)
+    report = calibrate_scripted(short)
+    assert report == calibrate_scripted(long)
     assert (report.peak_rate, report.monitor_latency_us) == (5_000_000.0, latency)
 
 
 def test_calibrate_scripted_takes_the_rate_of_a_faster_trail():
     report = calibrate_scripted(Schedule.of([1] * 40, [5] * 40, suspend_latency_ticks=1),
-                                check_period_us=1, safety_margin=1.0)
+                                safety_margin=1.0)
     assert (report.peak_rate, report.recommended_threshold) == (5_000_000.0, 10)
 
 
@@ -325,17 +338,14 @@ scripted_calibrations = st.integers(1, 7).flatmap(lambda top: st.builds(
 @given(scripted_calibrations)
 @example(Schedule.of([1] * 40, [5] * 40, suspend_latency_ticks=1))
 def test_a_scripted_recommendation_keeps_the_staggering_non_negative(schedule):
-    # Its own period in us and margin 1: exactly r * (P + L) of the schedule,
-    # for a trail faster than the head too.
-    report = calibrate_scripted(schedule, check_period_us=schedule.period_ticks,
-                                safety_margin=1.0)
+    # Margin 1: exactly r * (P + L) of the schedule, for a trail faster than
+    # the head too.
+    report = calibrate_scripted(schedule, safety_margin=1.0)
     assert min_staggering(simulate(schedule, report.recommended_threshold)) >= 0
 
 
 def test_calibrate_scripted_measures_a_head_exactly_long_enough():
-    report = calibrate_scripted(
-        Schedule.of([5] * 10, [], suspend_latency_ticks=8), check_period_us=8
-    )
+    report = calibrate_scripted(Schedule.of([5] * 10, [], period_ticks=8, suspend_latency_ticks=8))
     assert (report.peak_rate, report.monitor_latency_us) == (5_000_000.0, 8)
     assert report.recommended_threshold == 160  # ceil(5e6 * 16us * 2)
 
@@ -359,17 +369,13 @@ def test_calibrate_refuses_a_short_run_before_spawning(monkeypatch, period_us, d
     assert spawned == []
 
 
-def test_only_the_latency_probe_waits_out_periods_of_its_own():
-    # Rate and gap come from the enforcement loop's samples: calibration
-    # keeps no rate loop beside it.
+def test_calibration_waits_out_no_period_of_its_own():
+    # Rate and gap come from the enforcement loop's samples, and the latency
+    # from counts read around the session's freeze: calibration keeps no rate
+    # loop and no poll loop beside the loop it certifies.
     tree = ast.parse(inspect.getsource(calibration))
-    waiting = {
-        func.name
-        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
-        for node in ast.walk(func)
-        if isinstance(node, ast.Attribute) and node.attr == "wait_one_period"
-    }
-    assert waiting == {"suspend_latency_over_probes"}
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "wait_one_period"
+                   for node in ast.walk(tree))
 
 
 @pytest.mark.parametrize("argument, fragment", [
@@ -395,6 +401,15 @@ def test_real_calibration_produces_a_consistent_report():
     assert report.gap_max_us >= report.check_period_us
     assert report.recommended_threshold >= recommend_threshold(
         report.peak_rate, report.check_period_us, report.monitor_latency_us, report.safety_margin)
+
+
+@requires_counter
+def test_calibration_turns_the_stop_overshoot_into_microseconds_at_the_peak_rate(monkeypatch):
+    # L = overshoot / r, rounded up over the exact ratio of r.
+    monkeypatch.setattr(calibration, "suspend_latency_over_probes", lambda session, probes: 12_345)
+    report = calibrate(duration_us=100_000)
+    assert report.monitor_latency_us == math.ceil(Fraction(12_345 * 10**6) / Fraction(report.peak_rate))
+    assert report.validate() == []
 
 
 def _crash(inputs, outputs):

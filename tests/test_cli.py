@@ -134,10 +134,11 @@ def test_process_run_bitflip_exits_two(capsys):
 
 @requires_counter
 def test_process_run_crash_exits_three(capsys):
-    code = main(["run", "--workload", "checksum:1024", "--threshold", "2000000",
-                 "--period-us", "200", "--inject", "crash:head"])
-    assert code == 3
-    assert "REPLICA_FAILURE (head: crash)" in capsys.readouterr().out
+    for role in ("head", "trail"):
+        code = main(["run", "--workload", "checksum:1024", "--threshold", "2000000",
+                     "--period-us", "200", "--inject", f"crash:{role}"])
+        assert code == 3
+        assert f"REPLICA_FAILURE ({role}: crash)" in capsys.readouterr().out
 
 
 @requires_counter
@@ -393,6 +394,16 @@ def test_a_bad_scripted_schedule_exits_sixty_four(tmp_path, capsys, command, del
     assert main([*command, "--backend", f"scripted:{path}", *flags]) == 64
     captured = capsys.readouterr()
     assert fragment in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("period", ["0", "-2"])
+def test_a_scripted_calibration_period_under_one_tick_exits_sixty_four(tmp_path, capsys, period):
+    # One tick is 1 us: the schedule is checked every --period-us ticks.
+    path = schedule_file(tmp_path, Schedule.of([5] * 60, [0] * 60))
+    assert main(["calibrate", "--backend", f"scripted:{path}", "--period-us", period]) == 64
+    captured = capsys.readouterr()
+    assert "period_ticks must be >= 1" in captured.err
     assert captured.out == ""
 
 

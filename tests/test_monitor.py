@@ -286,21 +286,35 @@ def test_a_short_counter_read_is_an_unavailable_counter(data):
         os.close(read_fd)
 
 
-class _BothFailSource(ScriptedSource):
-    """A scripted source whose head and trail report failed exits from one check on."""
+class _FailingSource(ScriptedSource):
+    """A scripted source whose given replicas report failed exits from one check on."""
+
+    def __init__(self, schedule, failures):
+        super().__init__(schedule)
+        self.failures = failures
 
     def exit_status(self, role):
-        if self.tick < 3:
+        if self.tick < 3 or role not in self.failures:
             return super().exit_status(role)
-        return ExitStatus(ExitKind.NONZERO_EXIT, 1) if role is Role.HEAD else ExitStatus(ExitKind.CRASH)
+        return self.failures[role]
 
 
 def test_a_failed_head_is_blamed_before_a_failed_trail():
-    source = _BothFailSource(Schedule.of([1] * 10, [1] * 10))
+    source = _FailingSource(Schedule.of([1] * 10, [1] * 10), {
+        Role.HEAD: ExitStatus(ExitKind.NONZERO_EXIT, 1), Role.TRAIL: ExitStatus(ExitKind.CRASH)})
     verdict, trace = enforcement_loop(source, cfg(100))
     assert verdict.kind is VerdictKind.REPLICA_FAILURE
     assert verdict.failed_role is Role.HEAD
     assert verdict.failure_cause == "nonzero-exit"
+    assert len(trace.samples) == 2
+
+
+def test_a_trail_that_fails_alone_is_blamed():
+    source = _FailingSource(Schedule.of([1] * 10, [1] * 10),
+                            {Role.TRAIL: ExitStatus(ExitKind.CRASH, 9)})
+    verdict, trace = enforcement_loop(source, cfg(100))
+    assert (verdict.kind, verdict.failed_role, verdict.failure_cause) == (
+        VerdictKind.REPLICA_FAILURE, Role.TRAIL, "crash")
     assert len(trace.samples) == 2
 
 
@@ -583,11 +597,13 @@ def test_protect_bitflip_mismatch_leaves_caller_buffers_untouched():
 
 @requires_counter
 def test_protect_crash_injection_reports_replica_failure():
+    # Either replica's crash is blamed on it, and leaves the caller's buffers untouched.
     workload = checksum_workload(nbytes=1024)
-    verdict, _, _ = run_protected(workload, inject=FaultSpec.crash(Role.HEAD))
-    assert verdict.kind is VerdictKind.REPLICA_FAILURE
-    assert verdict.failed_role is Role.HEAD
-    assert verdict.failure_cause == "crash"
+    for role in Role:
+        verdict, _, outputs = run_protected(workload, inject=FaultSpec.crash(role))
+        assert (verdict.kind, verdict.failed_role, verdict.failure_cause) == (
+            VerdictKind.REPLICA_FAILURE, role, "crash")
+        assert all(bytes(buf) == bytes(len(buf)) for buf in outputs)
 
 
 @requires_counter
@@ -690,6 +706,59 @@ def test_a_caller_without_stdin_and_stdout_lends_neither_slot_to_the_monitor(fai
     assert first == "MATCH 0"
     assert second == "REPLICA_FAILURE (head: nonzero-exit)"
     assert "[Errno 9] Bad file descriptor" in done.stderr
+
+
+_MOVE_FAILS = """
+import errno, fcntl, os, sys
+os.close(0)
+from softlockstep.core import MonitorConfig
+from softlockstep.monitor import protect
+
+def fill(inputs, outputs):
+    outputs[0][:] = b"1"
+
+config = MonitorConfig(threshold_instructions=10**12, run_timeout_us=2_000_000)
+protect(fill, [], [], [bytearray(1)], [1], config)  # every lazy import and probe done
+fail_at, moves, real_fcntl = int(sys.argv[1]), 0, fcntl.fcntl
+
+def fcntl_failing(fd, cmd, arg=0):
+    global moves
+    if cmd == fcntl.F_DUPFD_CLOEXEC:
+        moves += 1
+        if moves == fail_at:
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+    return real_fcntl(fd, cmd, arg)
+
+before = len(os.listdir("/proc/self/fd"))
+fcntl.fcntl = fcntl_failing
+try:
+    outcome = protect(fill, [], [], [bytearray(1)], [1], config)[0].describe()
+except OSError as exc:
+    outcome = errno.errorcode[exc.errno]
+fcntl.fcntl = real_fcntl
+try:
+    os.waitpid(-1, os.WNOHANG)
+    children = "a child left"
+except ChildProcessError:
+    children = "no child"
+sys.stderr.write(f"{outcome} {len(os.listdir('/proc/self/fd')) - before} {children}\\n")
+"""
+
+
+@requires_counter
+@pytest.mark.parametrize("fail_at, outcome", [(1, "EMFILE"), (2, "MATCH"), (3, "EMFILE")],
+                         ids=["pipe-end", "pidfd", "counter-fd"])
+def test_a_descriptor_that_cannot_leave_fd_0_is_closed(fails_after, fail_at, outcome):
+    # With fd 0 closed, the head's report pipe is (0, 3), then its pidfd and
+    # its counter fd each land on 0 in turn. A move off 0 that fails closes
+    # what it could not move, and the pipe's other end: a failed pipe or
+    # counter refuses the run, a failed pidfd leaves exits to the next check.
+    src = os.path.dirname(os.path.dirname(monitor.__file__))
+    with fails_after(20):
+        done = subprocess.run([sys.executable, "-c", _MOVE_FAILS, str(fail_at)],
+                              stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+                              text=True)
+    assert done.stderr.splitlines()[-1] == f"{outcome} 0 no child"
 
 
 def _late_boom(inputs, outputs):

@@ -308,12 +308,8 @@ def test_the_loop_takes_only_a_source_that_is_its_own_clock():
     assert list(inspect.signature(loop).parameters) == ["source", "config"]
 
 
-def test_only_the_session_and_the_latency_probe_build_a_real_clock():
-    # A live run waits through its session's clock; calibration's latency
-    # probe alone polls at a period of its own.
-    calls, _ = _uses_of("RealClock")
-    assert calls == [("calibration", "calibrate"), ("replication", "__init__")]
-    tree = ast.parse((_PACKAGE / "calibration.py").read_text())
-    probe_args = [arg for node in ast.walk(tree) if isinstance(node, ast.Call)
-                  and "suspend_latency_over_probes" in _names(node.func) for arg in node.args]
-    assert any(isinstance(arg, ast.Call) and "RealClock" in _names(arg.func) for arg in probe_args)
+def test_only_the_session_builds_a_real_clock():
+    # A live run waits through its session's clock, and calibration probes
+    # the latency through the session's freeze: no caller polls at a period
+    # of its own.
+    assert _uses_of("RealClock") == ([("replication", "__init__")], ["replication"])

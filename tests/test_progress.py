@@ -237,7 +237,7 @@ def test_exit_status_failure_causes():
 
 
 def test_real_clock_waits_at_least_one_period():
-    clock = RealClock(period_us=20_000)
+    clock = RealClock(period_us=20_000, report_fds=[])
     before = clock.now_ns()
     start = time.monotonic()
     clock.wait_one_period()
