@@ -21,7 +21,7 @@ from softlockstep.calibration import (
     write_report,
 )
 from softlockstep.cli import main
-from softlockstep.core import Role
+from softlockstep.core import MAX_CHECK_PERIOD_US, Role
 from softlockstep.progress import CounterUnavailable, SpawnFailure
 from softlockstep.sim import Schedule, exhaustive_check, min_staggering, simulate
 
@@ -234,6 +234,46 @@ def test_report_reader_names_the_key_it_cannot_parse(key, value, message):
         read_report(io.StringIO(text))
 
 
+def counts_report(**overrides):
+    fields = dict(counter="task-clock", peak_rate=None, check_period_us=1000,
+                  monitor_latency_us=None, safety_margin=1.5, recommended_threshold=6_046_502,
+                  gap_max_us=5321, gap_progress_max=4_000_001, stop_overshoot_max=31_000)
+    return CalibrationReport(**{**fields, **overrides})
+
+
+def test_a_counter_unit_report_writes_its_two_counts_and_round_trips():
+    buf = io.StringIO()
+    write_report(counts_report(), buf)
+    assert [line.split("=")[0] for line in buf.getvalue().splitlines()] == [
+        "counter", "check_period_us", "gap_max_us", "gap_progress_max",
+        "stop_overshoot_max", "safety_margin", "recommended_threshold",
+    ]
+    assert read_report(io.StringIO(buf.getvalue())) == counts_report()
+
+
+def test_a_counter_unit_report_derives_its_threshold_from_the_two_counts_alone():
+    # ceil((4,000,001 + 31,000) * 1.5) = 6,046,502: neither the period nor
+    # the longest gap enters it.
+    assert counts_report().validate() == []
+    assert counts_report(gap_max_us=0, check_period_us=7).validate() == []
+    tampered = counts_report(stop_overshoot_max=31_001)
+    assert "does not match its own fields (expected 6046503)" in tampered.validate()[0]
+    assert counts_report(stop_overshoot_max=-1).validate() == [
+        "stop_overshoot_max must be non-negative"]
+    assert counts_report(gap_progress_max=10**400).validate()[0].startswith(
+        "recommended_threshold 6046502 does not match")
+
+
+def test_a_counter_unit_file_names_what_it_is_missing():
+    text = "counter=task-clock\ncheck_period_us=1000\nsafety_margin=2.0\nrecommended_threshold=4\n"
+    with pytest.raises(ValueError, match="missing gap_progress_max, stop_overshoot_max$"):
+        read_report(io.StringIO(text))
+    with pytest.raises(ValueError, match="missing stop_overshoot_max$"):
+        read_report(io.StringIO(text + "gap_progress_max=2\n"))
+    report = read_report(io.StringIO(text + "gap_progress_max=2\nstop_overshoot_max=0\n"))
+    assert (report.gap_max_us, report.recommended_threshold) == (0, 4)
+
+
 def test_report_validate_flags_bad_fields():
     report = CalibrationReport(
         counter="scripted", peak_rate=-1.0, check_period_us=0,
@@ -282,11 +322,17 @@ def test_calibrate_scripted_is_exact_end_to_end():
     schedule = Schedule.of([5] * 60, [0] * 60, period_ticks=8, suspend_latency_ticks=2)
     report = calibrate_scripted(schedule, safety_margin=2.0)
     assert report.counter == "scripted"
-    assert report.peak_rate == 5_000_000.0
-    assert report.monitor_latency_us == 2
+    assert (report.peak_rate, report.monitor_latency_us) == (None, None)
+    assert report.gap_progress_max == 40  # 5 per tick over 8 ticks
+    assert report.stop_overshoot_max == 10  # 5 per tick over 2 ticks
     assert report.gap_max_us == 8  # scripted checks come on time
-    assert report.recommended_threshold == 100  # ceil(5e6 * 10us * 2)
+    assert report.recommended_threshold == 100  # (40 + 10) * 2
     assert report.validate() == []
+
+
+def test_calibrate_scripted_refuses_a_schedule_with_no_progress():
+    with pytest.raises(ValueError, match="no progress was seen"):
+        calibrate_scripted(Schedule.of([0] * 10, [0] * 10, suspend_latency_ticks=3))
 
 
 def test_calibrate_scripted_validates_inputs():
@@ -305,7 +351,7 @@ def test_calibrate_scripted_sees_every_head_tick_at_its_own_rate(head, trail):
     # r_max in the bound r * (P + L) is the fastest single tick: a burst
     # late in the head or shorter than ten ticks must not read slower.
     report = calibrate_scripted(Schedule.of(head, trail, period_ticks=8))
-    assert (report.peak_rate, report.recommended_threshold) == (9_000_000.0, 144)
+    assert (report.gap_progress_max, report.recommended_threshold) == (72, 144)
 
 
 @pytest.mark.parametrize("ticks, latency", [(5, 4), (1, 0), (11, 10)])
@@ -316,13 +362,13 @@ def test_calibrate_scripted_reads_a_short_head_as_a_long_one(ticks, latency):
     long = Schedule.of([5] * 60, [0] * 60, period_ticks=8, suspend_latency_ticks=latency)
     report = calibrate_scripted(short)
     assert report == calibrate_scripted(long)
-    assert (report.peak_rate, report.monitor_latency_us) == (5_000_000.0, latency)
+    assert (report.gap_progress_max, report.stop_overshoot_max) == (40, 5 * latency)
 
 
 def test_calibrate_scripted_takes_the_rate_of_a_faster_trail():
     report = calibrate_scripted(Schedule.of([1] * 40, [5] * 40, suspend_latency_ticks=1),
                                 safety_margin=1.0)
-    assert (report.peak_rate, report.recommended_threshold) == (5_000_000.0, 10)
+    assert (report.gap_progress_max, report.recommended_threshold) == (5, 10)
 
 
 scripted_calibrations = st.integers(1, 7).flatmap(lambda top: st.builds(
@@ -346,7 +392,7 @@ def test_a_scripted_recommendation_keeps_the_staggering_non_negative(schedule):
 
 def test_calibrate_scripted_measures_a_head_exactly_long_enough():
     report = calibrate_scripted(Schedule.of([5] * 10, [], period_ticks=8, suspend_latency_ticks=8))
-    assert (report.peak_rate, report.monitor_latency_us) == (5_000_000.0, 8)
+    assert (report.gap_progress_max, report.stop_overshoot_max) == (40, 40)
     assert report.recommended_threshold == 160  # ceil(5e6 * 16us * 2)
 
 
@@ -383,12 +429,14 @@ def test_calibration_waits_out_no_period_of_its_own():
     ({"safety_margin": 0.5}, "safety_margin must be >= 1"),
     ({"safety_margin": math.inf}, "safety_margin must be finite"),
     ({"safety_margin": math.nan}, "safety_margin must be finite"),
-], ids=["period-0", "margin-0.5", "margin-inf", "margin-nan"])
+    ({"check_period_us": MAX_CHECK_PERIOD_US + 1, "duration_us": 10 * (MAX_CHECK_PERIOD_US + 1)},
+     f"check period must be at most {MAX_CHECK_PERIOD_US} us"),
+], ids=["period-0", "margin-0.5", "margin-inf", "margin-nan", "period-past-the-clock"])
 def test_calibrate_rejects_a_bad_period_or_margin_before_spawning(monkeypatch, argument, fragment):
     spawned = []
     monkeypatch.setattr(replication, "spawn_replicas", lambda *a, **k: spawned.append(a))
     with pytest.raises(ValueError, match=fragment):
-        calibrate(duration_us=100_000, **argument)
+        calibrate(**{"duration_us": 100_000, **argument})
     assert spawned == []
 
 
@@ -397,18 +445,19 @@ def test_real_calibration_produces_a_consistent_report():
     report = calibrate(duration_us=100_000, probes=30)
     assert report.validate() == []
     assert report.counter in ("instructions", "task-clock")
-    assert report.monitor_latency_us >= 0
+    assert report.gap_progress_max > 0
+    assert report.stop_overshoot_max >= 0
     assert report.gap_max_us >= report.check_period_us
-    assert report.recommended_threshold >= recommend_threshold(
-        report.peak_rate, report.check_period_us, report.monitor_latency_us, report.safety_margin)
+    assert report.recommended_threshold == 2 * (report.gap_progress_max + report.stop_overshoot_max)
 
 
 @requires_counter
-def test_calibration_turns_the_stop_overshoot_into_microseconds_at_the_peak_rate(monkeypatch):
-    # L = overshoot / r, rounded up over the exact ratio of r.
+def test_calibration_adds_the_stop_overshoot_in_counter_units(monkeypatch):
+    # No rate and no latency: the overshoot enters the threshold as counted.
     monkeypatch.setattr(calibration, "suspend_latency_over_probes", lambda session, probes: 12_345)
-    report = calibrate(duration_us=100_000)
-    assert report.monitor_latency_us == math.ceil(Fraction(12_345 * 10**6) / Fraction(report.peak_rate))
+    report = calibrate(duration_us=100_000, safety_margin=1.5)
+    assert report.stop_overshoot_max == 12_345
+    assert report.recommended_threshold == -(-(report.gap_progress_max + 12_345) * 3 // 2)
     assert report.validate() == []
 
 

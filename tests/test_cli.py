@@ -13,7 +13,7 @@ import pytest
 from softlockstep import cli, formats, linuxperf, monitor, replication
 from softlockstep.calibration import read_report, recommend_threshold, write_report, CalibrationReport
 from softlockstep.cli import _VERDICT_EXIT, main
-from softlockstep.core import PayloadSpec, VerdictKind
+from softlockstep.core import PayloadSpec, Verdict, VerdictKind
 from softlockstep.formats import read_schedule_csv, read_trace, write_schedule_csv
 from softlockstep.progress import CounterUnavailable
 from softlockstep.sim import Schedule, simulate
@@ -375,9 +375,9 @@ def test_scripted_calibration_is_exact_and_writes_a_report(tmp_path, capsys):
                  "--out", str(out_path)])
     assert code == 0
     stdout = capsys.readouterr().out
+    assert "gap_progress_max=40\nstop_overshoot_max=10\n" in stdout
+    assert "peak_rate" not in stdout and "monitor_latency_us" not in stdout
     report = read_report(io.StringIO(stdout))
-    assert report.peak_rate == 5_000_000.0
-    assert report.monitor_latency_us == 2
     assert report.recommended_threshold == 100
     assert read_report(str(out_path)) == report
 
@@ -420,6 +420,34 @@ def test_run_takes_threshold_and_counter_from_a_calibration_file(tmp_path, capsy
                  "--calibration-file", str(report_path)])
     assert code == 0
     assert "MATCH" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("report", [
+    CalibrationReport("instructions", 1e6, 50, 50, 1.0, 100),
+    CalibrationReport("instructions", None, 1000, None, 2.0, 34, 5321, 12, 5),
+], ids=["rate-and-latency", "counter-units"])
+def test_run_takes_threshold_and_counter_from_either_report_format(tmp_path, monkeypatch, capsys,
+                                                                   report):
+    runs = []
+
+    def fake_protect(computation, inputs, input_sizes, outputs, output_sizes, config, counter,
+                     inject):
+        runs.append((config.threshold_instructions, counter))
+        return Verdict.match(), None
+
+    monkeypatch.setattr(monitor, "protect", fake_protect)
+    report_path = tmp_path / "report.txt"
+    write_report(report, str(report_path))
+    assert main(["run", "--workload", "spin:1000", "--calibration-file", str(report_path)]) == 0
+    assert runs == [(report.recommended_threshold, "instructions")]
+
+
+def test_a_scripted_calibration_with_no_progress_exits_sixty_four(tmp_path, capsys):
+    path = schedule_file(tmp_path, Schedule.of([0] * 60, [0] * 60))
+    assert main(["calibrate", "--backend", f"scripted:{path}", "--scripted-latency", "2"]) == 64
+    captured = capsys.readouterr()
+    assert "no progress was seen" in captured.err
+    assert captured.out == ""
 
 
 def test_run_rejects_an_inconsistent_calibration_file(tmp_path, capsys):
