@@ -38,7 +38,6 @@ from .sim import (
     EmptyTrace,
     Schedule,
     SearchSpaceTooLarge,
-    SimTrace,
     exhaustive_check,
     min_staggering,
     simulate,
@@ -90,7 +89,6 @@ __all__ = [
     "Role",
     "Schedule",
     "SearchSpaceTooLarge",
-    "SimTrace",
     "SpawnFailure",
     "StaggeringSample",
     "Trace",

@@ -33,9 +33,11 @@ _REPORT_FIELDS = {
 }
 _RATE_FIELDS = ("peak_rate", "monitor_latency_us")
 _COUNT_FIELDS = ("gap_progress_max", "stop_overshoot_max")
-# A measured run lasts at least 10 check periods and 100 ms.
+# A measured run lasts at least 10 check periods and 100 ms; the stop
+# overshoot's worst case is taken over 30 probes.
 _MIN_RUN_PERIODS = 10
 _MIN_RUN_US = 100_000
+_PROBES = 30
 
 
 def recommend_threshold(peak_rate: float, check_period_us: int, monitor_latency_us: int,
@@ -207,7 +209,6 @@ def calibrate(
     check_period_us: int = 1000,
     safety_margin: float = 2.0,
     duration_us: int = 300_000,
-    probes: int = 30,
     counter: str = "auto",
 ) -> CalibrationReport:
     """Measure this host and recommend a threshold for the given period.
@@ -216,7 +217,7 @@ def calibrate(
     for duration_us, with threshold 1: gap_progress_max is the largest count
     delta of either replica between two consecutive checks, and gap_max_us,
     recorded only, the longest gap. The head's overshoot past a stop is then
-    probed on the same session. The report carries the resolved counter kind
+    probed _PROBES times on the same session. The report carries the resolved counter kind
     so thresholds are never reused across metrics. Every argument is checked
     before any replica is spawned. A loop that ends before its deadline lost
     a replica, and raises SpawnFailure.
@@ -227,8 +228,6 @@ def calibrate(
             f"duration_us must cover at least {_MIN_RUN_PERIODS} check periods and "
             f"{_MIN_RUN_US} us (100 ms), got {duration_us}"
         )
-    if probes < 30:
-        raise ValueError("need at least 30 probes for a usable worst case")
     config = MonitorConfig(threshold_instructions=1, check_period_us=check_period_us,
                            run_timeout_us=duration_us)
     _refuse(validate_config(config))  # a period the clock cannot wait, as protect() refuses
@@ -243,7 +242,7 @@ def calibrate(
         verdict, trace = enforcement_loop(session, config)
         if verdict.kind is not VerdictKind.TIMEOUT:
             raise SpawnFailure(f"a spin replica ended the calibration run: {verdict.describe()}")
-        overshoot = suspend_latency_over_probes(session, probes)
+        overshoot = suspend_latency_over_probes(session, _PROBES)
     finally:
         session.release()
     pairs = list(zip(trace.samples, trace.samples[1:]))

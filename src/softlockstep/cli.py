@@ -48,8 +48,8 @@ def _build_parser() -> _Parser:
     run = sub.add_parser("run", help="execute one protected run")
     run.add_argument("--workload", help="computation to protect, e.g. matmul:128, checksum:65536, spin:5000000")
     run.add_argument("--threshold", type=int, help="minimum staggering to enforce, in progress units")
-    run.add_argument("--calibration-file", help="take threshold (and counter) from a calibration report")
-    run.add_argument("--period-us", type=int, help="process backend: check period in microseconds (default 1000)")
+    run.add_argument("--calibration-file", help="take threshold, counter and period from a calibration report")
+    run.add_argument("--period-us", type=int, help="check period: microseconds, or ticks on the scripted backend (default 1000 us, 1 tick, or the report's; not longer than the report's)")
     run.add_argument("--timeout-ms", type=int, help="abort the run after this long")
     run.add_argument("--trace-out", help="write the staggering trace CSV here")
     run.add_argument("--inject", help="fault to inject: bitflip:ROLE:OUT:BYTE:BIT, freeze:ROLE:DUR, crash:ROLE")
@@ -58,14 +58,12 @@ def _build_parser() -> _Parser:
     run.add_argument("--cores", help="pin replicas (and monitor) to cores: HEAD,TRAIL[,MONITOR]")
     run.add_argument("--seed", type=int, help="process backend: workload input generation seed (default 0)")
     run.add_argument("--on-diversity-loss", default="record", choices=["record", "abort"], help="what to do when staggering goes negative")
-    run.add_argument("--period-ticks", type=int, help="scripted backend: ticks per check (default 1)")
     run.add_argument("--scripted-latency", type=int, help="scripted backend: suspension latency in ticks (default 0)")
 
     cal = sub.add_parser("calibrate", help="measure this host and recommend a threshold")
     cal.add_argument("--period-us", type=int, default=1000, help="check period the threshold is for")
     cal.add_argument("--margin", type=float, default=2.0, help="safety margin multiplier (>= 1)")
     cal.add_argument("--duration-ms", type=int, help="process backend: length of the measured run (default 300)")
-    cal.add_argument("--samples", type=int, help="process backend: suspension latency probe count (default 30)")
     cal.add_argument("--counter", choices=["auto", "instructions", "task-clock"], help="process backend: progress counter kind (default auto)")
     cal.add_argument("--backend", default="process", help="'process' or 'scripted:FILE' for exact, privilege-free calibration")
     cal.add_argument("--scripted-latency", type=int, help="scripted backend: suspension latency in ticks (default 0)")
@@ -90,9 +88,6 @@ def _parse_cores(text: str) -> tuple[int, int, int | None]:
     return values[0], values[1], values[2] if len(values) == 3 else None
 
 
-_SCRIPTED_FLAGS = ("--period-ticks", "--scripted-latency")
-
-
 def _refuse_flags(args, flags, backend: str) -> None:
     """A flag the chosen backend would ignore is a usage error, not a no-op."""
     for flag in flags:
@@ -115,7 +110,7 @@ def _read_schedule(args, period_ticks: int):
         )
 
 
-def _run_config(args, threshold: int) -> MonitorConfig:
+def _run_config(args, threshold: int, period: int) -> MonitorConfig:
     head_core = trail_core = monitor_core = None
     if args.cores:
         head_core, trail_core, monitor_core = _parse_cores(args.cores)
@@ -126,8 +121,7 @@ def _run_config(args, threshold: int) -> MonitorConfig:
     )
     return MonitorConfig(
         threshold_instructions=threshold,
-        # Scripted runs refuse --period-us: their checks come every period_ticks.
-        check_period_us=1000 if args.period_us is None else args.period_us,
+        check_period_us=period,
         diversity_loss_policy=policy,
         run_timeout_us=args.timeout_ms * 1000 if args.timeout_ms is not None else None,
         head_core=head_core,
@@ -136,38 +130,57 @@ def _run_config(args, threshold: int) -> MonitorConfig:
     )
 
 
-def _resolve_threshold(args) -> tuple[int, str]:
-    """Threshold and counter kind, honoring a calibration report if given."""
+def _resolve_threshold(args, scripted: bool) -> tuple[int, str, int]:
+    """Threshold, counter kind and check period, honoring a calibration report if given."""
     if args.threshold is not None and args.calibration_file:
         raise ValueError("give either --threshold or --calibration-file, not both")
-    if args.threshold is not None:
-        return args.threshold, args.counter or "auto"
+    threshold, counter, period = args.threshold, args.counter or "auto", 1 if scripted else 1000
     if args.calibration_file:
         from . import calibration
 
         report = calibration.read_report(args.calibration_file)
-        # A threshold is only meaningful against the counter it was measured
-        # with; adopt the report's counter unless explicitly overridden.
+        # A threshold holds only in the units it was measured in and at no
+        # longer a period; the report's counter is adopted unless overridden.
+        if report.counter == "scripted" and not scripted:
+            raise ValueError(f"{args.calibration_file} came from the scripted backend: its "
+                             "threshold is in scripted units, not a process counter's")
+        if report.counter != "scripted" and scripted:
+            raise ValueError(f"{args.calibration_file} came from the {report.counter} counter: "
+                             "its threshold is in that counter's units, not scripted ones")
+        threshold, period = report.recommended_threshold, report.check_period_us
         counter = report.counter if args.counter in (None, "auto") else args.counter
-        if counter == "scripted" and args.backend == "process":
-            raise ValueError(
-                f"{args.calibration_file} came from the scripted backend: its threshold is "
-                "in scripted units, not a process counter's"
-            )
-        return report.recommended_threshold, counter
-    raise ValueError("a threshold is required: --threshold N or --calibration-file FILE")
+        if args.period_us is not None and args.period_us > period:
+            raise ValueError(f"--period-us {args.period_us} is longer than the {period} that "
+                             f"the threshold in {args.calibration_file} was measured at")
+    elif threshold is None:
+        raise ValueError("a threshold is required: --threshold N or --calibration-file FILE")
+    return threshold, counter, period if args.period_us is None else args.period_us
 
 
 def _cmd_run(args) -> int:
     from .formats import parse_fault_spec, parse_workload_id, write_trace
 
-    threshold, counter = _resolve_threshold(args)
-    if args.backend == "process":
-        _refuse_flags(args, _SCRIPTED_FLAGS, "scripted backend (scripted:FILE)")
+    scripted = args.backend.startswith("scripted:")
+    if not scripted and args.backend != "process":
+        raise ValueError(f"unknown backend {args.backend!r} (expected process or scripted:FILE)")
+    threshold, counter, period = _resolve_threshold(args, scripted)
+    if scripted:
+        _refuse_flags(args, ("--seed", "--counter"), "process backend")
+        if args.workload:
+            raise ValueError("the scripted backend replays a schedule; it takes no --workload")
+        if args.inject:
+            raise ValueError("fault injection needs real replicas (process backend)")
+        if args.cores is not None:
+            raise ValueError("--cores pins real replicas (process backend)")
+        # One tick is 1 us: the schedule is checked every period ticks.
+        verdict, trace = monitor.run_scripted(_read_schedule(args, period),
+                                              _run_config(args, threshold, period))
+    else:
+        _refuse_flags(args, ("--scripted-latency",), "scripted backend (scripted:FILE)")
         if not args.workload:
             raise ValueError("the process backend needs --workload")
         workload = parse_workload_id(args.workload, seed=0 if args.seed is None else args.seed)
-        config = _run_config(args, threshold)
+        config = _run_config(args, threshold, period)
         fault = parse_fault_spec(args.inject) if args.inject else None
         outputs = [bytearray(size) for size in workload.payload.output_sizes]
         verdict, trace = monitor.protect(
@@ -180,23 +193,12 @@ def _cmd_run(args) -> int:
             counter=counter,
             inject=fault,
         )
-    elif args.backend.startswith("scripted:"):
-        _refuse_flags(args, ("--seed", "--counter", "--period-us"), "process backend")
-        if args.workload:
-            raise ValueError("the scripted backend replays a schedule; it takes no --workload")
-        if args.inject:
-            raise ValueError("fault injection needs real replicas (process backend)")
-        if args.cores is not None:
-            raise ValueError("--cores pins real replicas (process backend)")
-        schedule = _read_schedule(args, 1 if args.period_ticks is None else args.period_ticks)
-        config = _run_config(args, threshold)
-        verdict, trace = monitor.run_scripted(schedule, config)
-    else:
-        raise ValueError(f"unknown backend {args.backend!r} (expected process or scripted:FILE)")
 
     if args.trace_out:
         write_trace(trace, args.trace_out)
     print(verdict.describe())
+    floor = trace.staggering_floor()
+    print("staggering floor:", "none (fewer than two checks before HEAD_DONE)" if floor is None else floor)
     if verdict.kind is VerdictKind.REPLICA_FAILURE and verdict.detail.strip():
         # The last line of a traceback names the exception and its message.
         print(verdict.detail.strip().splitlines()[-1], file=sys.stderr)
@@ -207,16 +209,15 @@ def _cmd_calibrate(args) -> int:
     from . import calibration
 
     if args.backend == "process":
-        _refuse_flags(args, _SCRIPTED_FLAGS, "scripted backend (scripted:FILE)")
+        _refuse_flags(args, ("--scripted-latency",), "scripted backend (scripted:FILE)")
         report = calibration.calibrate(
             check_period_us=args.period_us,
             safety_margin=args.margin,
             duration_us=(300 if args.duration_ms is None else args.duration_ms) * 1000,
-            probes=30 if args.samples is None else args.samples,
             counter=args.counter or "auto",
         )
     elif args.backend.startswith("scripted:"):
-        _refuse_flags(args, ("--samples", "--duration-ms", "--counter"), "process backend")
+        _refuse_flags(args, ("--duration-ms", "--counter"), "process backend")
         # One tick is 1 us: the schedule is checked every --period-us ticks.
         report = calibration.calibrate_scripted(_read_schedule(args, args.period_us),
                                                 safety_margin=args.margin)

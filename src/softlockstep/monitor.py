@@ -3,16 +3,16 @@
 The loop is generic over a progress source, which is its own clock and
 names its own backend; that is what makes the rest of the system testable:
 the same code polls real processes through perf counters (a ReplicaSession,
-which waits through a RealClock), replays a script tick by tick (a
-ScriptedSource, which also records the staggering at every tick boundary;
-sim.simulate is this loop on one as it is), or re-executes a recorded trace
-(formats.replay, on a formats.ReplaySource). It is the one place the
-staggering rule is applied. Every check reads the head count first, then
-the trail, then how each exited, computes the signed staggering, and
-picks exactly one action, which becomes one trace sample. The loop then
-stops or wakes the trail at one site, as core.TRAIL_STATE_AFTER (kept
-with decide) says that action leaves it; Trace.validate checks a recorded
-run against the same table. The loop ends in a verdict: MATCH once both
+which waits through a RealClock), plays a schedule tick by tick
+(play_schedule, for run_scripted and sim.simulate, on a ScriptedSource), or
+re-executes a recorded trace (formats.replay, on a formats.ReplaySource).
+It is the one place the staggering rule is applied. Every check reads the
+head count first, then the trail, then how each exited, computes the signed
+staggering, and picks exactly one action, which becomes one trace sample.
+The loop then stops or wakes the trail at one site, as core.TRAIL_STATE_AFTER
+(kept with decide) says that action leaves it; Trace.validate checks a
+recorded run against the same table, and Trace.staggering_floor bounds the
+staggering between its checks. The loop ends in a verdict: MATCH once both
 replicas finished, otherwise TIMEOUT, DIVERSITY_LOSS or REPLICA_FAILURE.
 
 protect() owns the whole lifecycle of a real run: spawn both replicas on
@@ -62,6 +62,8 @@ class Trace:
 
     backend is the loop's source's: "process/<counter kind>" for a protected
     run, "scripted" or "replay"; a trace read from a file says "file".
+    instants holds (tick, staggering) after each tick the head lived in a
+    played schedule; it is empty for any other run.
     """
 
     def __init__(self, samples: list[StaggeringSample] | None = None, backend: str = "unknown",
@@ -70,6 +72,19 @@ class Trace:
         self.backend = backend
         self.threshold = threshold
         self.check_period_us = check_period_us
+        self.instants: list[tuple[int, int]] = []
+
+    def staggering_floor(self) -> int | None:
+        """Least head count less the next sample's trail count, up to HEAD_DONE if any.
+
+        Counts never decrease, so this bounds the staggering between checks
+        from below with no rate, period or latency; a negative floor is a
+        possible loss, not a proven one. None with fewer than two samples.
+        """
+        end = next((i + 1 for i, s in enumerate(self.samples) if s.action is Action.HEAD_DONE),
+                   len(self.samples))
+        live = self.samples[:end]
+        return min((a.head_count - b.trail_count for a, b in zip(live, live[1:])), default=None)
 
     def validate(self) -> list[str]:
         """Structural legality: trail states as core.TRAIL_STATE_AFTER has them, single ends, ordering."""
@@ -310,17 +325,27 @@ def _compare(session: "ReplicaSession", outputs: Sequence,
         )
 
 
-def run_scripted(schedule: "Schedule", config: MonitorConfig) -> tuple[Verdict, Trace]:
-    """Drive the real enforcement loop from a scripted schedule (no processes).
+def play_schedule(schedule: "Schedule", config: MonitorConfig) -> tuple[Verdict, Trace]:
+    """The enforcement loop on a ScriptedSource, any threshold taken.
 
-    One tick is progress.TICK_NS of scripted time, and the checks come every
-    period_ticks ticks, which the trace records as its period in place of
-    config.check_period_us. The loop's verdict is the run's: there are no
-    outputs to compare, so MATCH records clean completion.
+    Checks come every period_ticks ticks of progress.TICK_NS, the period the
+    trace records in place of config.check_period_us, beside the source's
+    tick-boundary instants.
     """
     source = ScriptedSource(schedule)
-    problems = validate_config(config)
+    verdict, trace = enforcement_loop(
+        source, config._replace(check_period_us=schedule.period_ticks * TICK_NS // 1000))
+    trace.instants = source.instants
+    return verdict, trace
+
+
+def run_scripted(schedule: "Schedule", config: MonitorConfig) -> tuple[Verdict, Trace]:
+    """play_schedule on a config refused as protect() refuses it, after the schedule's errors.
+
+    The loop's verdict is the run's: there are no outputs to compare, so
+    MATCH records clean completion.
+    """
+    problems = schedule.validate() or validate_config(config)
     if problems:
         raise ValueError("; ".join(problems))
-    config = config._replace(check_period_us=schedule.period_ticks * TICK_NS // 1000)
-    return enforcement_loop(source, config)
+    return play_schedule(schedule, config)

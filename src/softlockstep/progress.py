@@ -15,9 +15,9 @@ accrues its i-th delta; a suspend issued at tick k with latency L lets it
 accrue through tick k+L and freezes it from tick k+L+1; a resume at tick k
 takes effect from tick k+1. ScriptedSource holds these rules and records
 the staggering after every tick the head lives, between checks too.
-run_scripted and the simulator build one from their schedule and run the
-one enforcement loop on it as it is, the simulator also returning those
-tick-boundary instants.
+monitor.play_schedule, which run_scripted and the simulator call, builds one
+from a schedule, runs the one enforcement loop on it as it is, and keeps
+those tick-boundary instants in the loop's trace.
 """
 
 import enum
@@ -192,8 +192,7 @@ class ScriptedSource:
     wait_one_period advances the schedule's period_ticks ticks of TICK_NS
     each, so scripted runs are exactly reproducible. instants records
     (tick, staggering) after every tick the head lives, between checks too;
-    sim.simulate runs the enforcement loop on this source as it is and
-    returns those instants with the samples.
+    monitor.play_schedule hands them to the loop's trace.
     """
 
     backend = "scripted"

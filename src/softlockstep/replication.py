@@ -426,7 +426,6 @@ class ReplicaSession:
         # traceback or end of file, and its pidfd once it can be reaped.
         self._clock = RealClock(check_period_us, [
             fd for rep in _replicas.values() for fd in (rep.err_read_fd, rep.exit_fd) if fd >= 0])
-        self.released = False
 
     def _replica(self, role: Role) -> _Replica:
         try:
@@ -520,10 +519,7 @@ class ReplicaSession:
         return copies
 
     def release(self) -> None:
-        """Kill both replicas, then reap and detach them; safe to call twice."""
-        if self.released:
-            return
-        self.released = True
+        """Kill both replicas, then reap and detach them; a second call finds none."""
         _kill_then_reap(self._replicas.values())
         self._replicas.clear()
 

@@ -3,12 +3,11 @@
 Time advances in ticks. During tick i a running replica retires its scheduled
 per-tick delta; every period_ticks the monitor samples both counts and applies
 the enforcement rule; a suspend decision takes effect suspend_latency_ticks
-later. simulate() is monitor.enforcement_loop itself, run on a plain
-progress.ScriptedSource built from the schedule: this module holds no copy
-of the rule, nor of the source. Because that source also records the
-staggering at every tick boundary (not just at checks), simulate captures
-the true minimum staggering, which is exactly the hazard the threshold
-guards against: the trail catching up between checks.
+later. simulate() is monitor.play_schedule and returns the loop's own
+Trace: this module holds no copy of the rule, the source or the record.
+Because the trace keeps the staggering at every tick boundary, not just at
+checks, as its instants, simulate captures the true minimum staggering, the
+hazard the threshold guards against: the trail catching up between checks.
 
 The model is small enough to check exhaustively. exhaustive_check covers
 every per-tick rate assignment over a small alphabet and either certifies
@@ -26,9 +25,8 @@ import bisect
 import math
 from typing import NamedTuple
 
-from .core import Action, DiversityLossPolicy, MonitorConfig, StaggeringSample
-from .monitor import enforcement_loop
-from .progress import ScriptedSource
+from .core import DiversityLossPolicy, MonitorConfig
+from .monitor import Trace, play_schedule
 
 # Bounds on exhaustive_check. Each state the walk expands costs the length of
 # its step table, or the table's rate pairs if it builds it; past MAX_WALK_WORK
@@ -98,25 +96,7 @@ class Schedule(NamedTuple):
         return errors
 
 
-class SimTrace:
-    """Simulation result: the sampled trace plus every tick-boundary staggering.
-
-    instants holds (tick, staggering) for every completed tick while the head
-    was still alive; samples holds what a live monitor would have recorded at
-    check instants. Whether diversity was lost is read off the samples.
-    """
-
-    def __init__(self, samples: list[StaggeringSample] | None = None,
-                 instants: list[tuple[int, int]] | None = None):
-        self.samples = [] if samples is None else samples
-        self.instants = [] if instants is None else instants
-
-    @property
-    def diversity_lost(self) -> bool:
-        return any(s.action is Action.DIVERSITY_LOSS for s in self.samples)
-
-
-def min_staggering(trace: SimTrace) -> int:
+def min_staggering(trace: Trace) -> int:
     """Minimum signed staggering over all modeled instants while the head lived."""
     if not trace.instants:
         raise EmptyTrace("trace has no modeled instants")
@@ -127,24 +107,21 @@ def simulate(
     schedule: Schedule,
     threshold: int,
     diversity_loss_policy: DiversityLossPolicy = DiversityLossPolicy.RECORD_AND_CONTINUE,
-) -> SimTrace:
-    """Run the enforcement loop over a schedule, tick by tick.
+) -> Trace:
+    """Run the enforcement loop over a schedule, tick by tick: monitor.play_schedule.
 
-    This is monitor.enforcement_loop itself, on a ScriptedSource as it is,
-    which records the staggering at every tick boundary while the head lives.
-    The trail starts suspended. Checks happen at the end of every
-    period_ticks-th tick: the monitor reads both counts, emits one sample,
-    and applies the decision; a suspend freezes the trail starting
-    suspend_latency_ticks + 1 ticks later. Once the head terminates the trail
-    is released for good. The run ends when both replicas have terminated
-    (or immediately on diversity loss under ABORT_RUN). Unlike run_scripted,
-    any threshold is taken, zero and negative ones too.
+    The trace's instants hold the staggering at every tick boundary while
+    the head lives. The trail starts suspended. Checks happen at the end of
+    every period_ticks-th tick: the monitor reads both counts, emits one
+    sample, and applies the decision; a suspend freezes the trail starting
+    suspend_latency_ticks + 1 ticks later. Once the head terminates the
+    trail is released for good. The run ends when both replicas have
+    terminated (or immediately on diversity loss under ABORT_RUN). Unlike
+    run_scripted, any threshold is taken, zero and negative ones too.
     """
-    source = ScriptedSource(schedule)
     config = MonitorConfig(threshold_instructions=threshold,
                            diversity_loss_policy=diversity_loss_policy)
-    _, trace = enforcement_loop(source, config)
-    return SimTrace(trace.samples, source.instants)
+    return play_schedule(schedule, config)[1]
 
 
 def _steps(alphabet, running, head_weight):

@@ -234,7 +234,6 @@ def test_criterion_8_calibrated_threshold_band_informational():
         check_period_us=1000,
         safety_margin=1.0,
         duration_us=150_000,
-        probes=30,
     )
     in_band = 100_000 <= result.recommended_threshold < 10_000_000
     note = "inside" if in_band else "OUTSIDE"

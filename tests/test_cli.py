@@ -11,10 +11,11 @@ import sys
 import pytest
 
 from softlockstep import cli, formats, linuxperf, monitor, replication
-from softlockstep.calibration import read_report, recommend_threshold, write_report, CalibrationReport
+from softlockstep.calibration import read_report, write_report, CalibrationReport
 from softlockstep.cli import _VERDICT_EXIT, main
 from softlockstep.core import PayloadSpec, Verdict, VerdictKind
 from softlockstep.formats import read_schedule_csv, read_trace, write_schedule_csv
+from softlockstep.monitor import Trace
 from softlockstep.progress import CounterUnavailable
 from softlockstep.sim import Schedule, simulate
 from softlockstep.workloads import Workload, checksum_workload, matmul_workload, spin_workload
@@ -108,10 +109,25 @@ def test_scripted_honors_period_and_latency_flags(tmp_path):
     path = schedule_file(tmp_path, schedule)
     trace_path = tmp_path / "trace.csv"
     code = main(["run", "--backend", f"scripted:{path}", "--threshold", "1",
-                 "--period-ticks", "2", "--scripted-latency", "1",
+                 "--period-us", "2", "--scripted-latency", "1",
                  "--trace-out", str(trace_path)])
     assert code == 0
     assert read_trace(str(trace_path)).samples == simulate(schedule, threshold=1).samples
+
+
+@pytest.mark.parametrize("schedule, flags, floor", [
+    # No check sees the trail pass the stalled head at tick 5.
+    (Schedule.of([0, 0, 4, 0, 0, 4, 0], [0, 0, 0, 3, 3, 0, 0]),
+     ["--threshold", "1", "--period-us", "3"], "-2"),
+    (STEADY, ["--threshold", "150"], "100"),
+    (Schedule.of([], [1]), ["--threshold", "1"],
+     "none (fewer than two checks before HEAD_DONE)"),
+], ids=["hidden-loss", "steady", "none"])
+def test_a_run_prints_its_staggering_floor_after_the_verdict(tmp_path, capsys, schedule, flags,
+                                                              floor):
+    path = schedule_file(tmp_path, schedule)
+    assert main(["run", "--backend", f"scripted:{path}", *flags]) == 0
+    assert capsys.readouterr().out == f"MATCH\nstaggering floor: {floor}\n"
 
 
 # ------------------------------------------------------------- run (process)
@@ -221,9 +237,10 @@ def test_impossible_pinning_exits_seventy(tmp_path, capsys):
       "--cores", "1"], "HEAD,TRAIL"),
     (["calibrate", "--margin", "0.5"], "margin must be >= 1"),
     (["calibrate", "--backend", "scripted:"], "needs a file"),
+    # One period flag, refused at 0 on either backend (the process case is below).
+    (["run", "--backend", "scripted:{schedule}", "--threshold", "5", "--period-us", "0"],
+     "period_ticks must be >= 1"),
     # A flag the chosen backend would ignore is refused, not dropped.
-    (["run", "--workload", "spin:1000", "--threshold", "5", "--period-ticks", "0"],
-     "--period-ticks applies only to the scripted backend"),
     (["run", "--workload", "spin:1000", "--threshold", "5", "--scripted-latency", "7"],
      "--scripted-latency applies only to the scripted backend"),
     (["calibrate", "--scripted-latency", "2"],
@@ -234,14 +251,15 @@ def test_impossible_pinning_exits_seventy(tmp_path, capsys):
      "--seed applies only to the process backend"),
     (["run", "--backend", "scripted:{schedule}", "--threshold", "5", "--counter", "instructions"],
      "--counter applies only to the process backend"),
-    (["calibrate", "--backend", "scripted:{schedule}", "--samples", "1"],
-     "--samples applies only to the process backend"),
+    (["run", "--workload", "spin:1000", "--threshold", "5", "--period-us", "0"],
+     "check period must be positive"),  # the process backend's period of 0
     (["calibrate", "--backend", "scripted:{schedule}", "--duration-ms", "1"],
      "--duration-ms applies only to the process backend"),
     (["calibrate", "--backend", "scripted:{schedule}", "--counter", "auto"],
      "--counter applies only to the process backend"),
-    (["run", "--backend", "scripted:{schedule}", "--threshold", "5", "--period-us", "7"],
-     "--period-us applies only to the process backend"),
+    # The scripted backend refuses a config as protect() does.
+    (["run", "--backend", "scripted:{schedule}", "--threshold", "0"],
+     "threshold must be positive"),
     # A negative core is refused before any fork, not by the pinning.
     (["run", "--workload", "spin:10", "--threshold", "1000000", "--cores=-1,0"],
      "head_core must be non-negative"),
@@ -410,9 +428,9 @@ def test_a_scripted_calibration_period_under_one_tick_exits_sixty_four(tmp_path,
 def test_run_takes_threshold_and_counter_from_a_calibration_file(tmp_path, capsys):
     path = schedule_file(tmp_path, Schedule.of([5] * 60, [5] * 60))
     report = CalibrationReport(
-        counter="task-clock", peak_rate=1e6, check_period_us=50,
-        monitor_latency_us=50, safety_margin=1.0,
-        recommended_threshold=recommend_threshold(1e6, 50, 50, 1.0),
+        counter="scripted", peak_rate=None, check_period_us=1, monitor_latency_us=None,
+        safety_margin=1.0, recommended_threshold=10, gap_max_us=1, gap_progress_max=5,
+        stop_overshoot_max=5,
     )
     report_path = tmp_path / "report.txt"
     write_report(report, str(report_path))
@@ -433,13 +451,82 @@ def test_run_takes_threshold_and_counter_from_either_report_format(tmp_path, mon
     def fake_protect(computation, inputs, input_sizes, outputs, output_sizes, config, counter,
                      inject):
         runs.append((config.threshold_instructions, counter))
-        return Verdict.match(), None
+        return Verdict.match(), Trace()
 
     monkeypatch.setattr(monitor, "protect", fake_protect)
     report_path = tmp_path / "report.txt"
     write_report(report, str(report_path))
     assert main(["run", "--workload", "spin:1000", "--calibration-file", str(report_path)]) == 0
     assert runs == [(report.recommended_threshold, "instructions")]
+
+
+# The head stalls for 40 ticks while the trail keeps its rate: at 4 ticks a
+# check and 1 tick of latency, a threshold of 10 * (4 + 1) = 50 holds it.
+STALL = Schedule.of([10] * 60 + [0] * 40 + [10] * 20, [10] * 120)
+
+
+def test_a_scripted_run_takes_its_period_from_the_calibration_file(tmp_path, capsys):
+    path = schedule_file(tmp_path, STALL)
+    report_path = tmp_path / "report.txt"
+    assert main(["calibrate", "--backend", f"scripted:{path}", "--period-us", "4",
+                 "--scripted-latency", "1", "--margin", "1", "--out", str(report_path)]) == 0
+    assert read_report(str(report_path)).recommended_threshold == 50
+    capsys.readouterr()
+    run = ["run", "--backend", f"scripted:{path}", "--calibration-file", str(report_path),
+           "--scripted-latency", "1", "--on-diversity-loss", "abort"]
+    trace_path = tmp_path / "trace.csv"
+    assert main([*run, "--trace-out", str(trace_path)]) == 0
+    assert [s.timestamp_ns for s in read_trace(str(trace_path)).samples][:2] == [4000, 8000]
+    # A threshold sized for 4 ticks a check does not hold at 16.
+    assert main([*run, "--period-us", "16"]) == 64
+    captured = capsys.readouterr()
+    assert "--period-us 16 is longer than the 4" in captured.err
+    assert "DIVERSITY_LOSS" not in captured.out
+    # A shorter period only checks more often.
+    assert main([*run, "--period-us", "2", "--trace-out", str(trace_path)]) == 0
+    assert read_trace(str(trace_path)).samples[0].timestamp_ns == 2000
+
+
+def test_a_process_run_takes_its_period_from_the_calibration_file(tmp_path, monkeypatch,
+                                                                    capsys):
+    periods = []
+
+    def fake_protect(computation, inputs, input_sizes, outputs, output_sizes, config, counter,
+                     inject):
+        periods.append(config.check_period_us)
+        return Verdict.match(), Trace()
+
+    monkeypatch.setattr(monitor, "protect", fake_protect)
+    report_path = tmp_path / "report.txt"
+    write_report(CalibrationReport("task-clock", None, 500, None, 2.0, 34, 600, 12, 5),
+                 str(report_path))
+    run = ["run", "--workload", "spin:1000", "--calibration-file", str(report_path)]
+    assert main(run) == 0
+    assert main([*run, "--period-us", "200"]) == 0
+    assert main([*run, "--period-us", "2000"]) == 64
+    assert "--period-us 2000 is longer than the 500" in capsys.readouterr().err
+    assert periods == [500, 200]
+
+
+def test_a_report_runs_only_on_the_backend_that_made_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(monitor, "protect", lambda *a, **k: pytest.fail("protect() ran"))
+    path = schedule_file(tmp_path, Schedule.of([5] * 60, [0] * 60))
+    scripted_path, process_path = tmp_path / "scripted.txt", tmp_path / "process.txt"
+    assert main(["calibrate", "--backend", f"scripted:{path}", "--out", str(scripted_path)]) == 0
+    write_report(CalibrationReport("task-clock", None, 1000, None, 2.0, 34, 1000, 12, 5),
+                 str(process_path))
+    capsys.readouterr()
+    # An explicit --counter does not turn scripted units into a counter's.
+    assert main(["run", "--workload", "spin:100000", "--calibration-file", str(scripted_path),
+                 "--counter", "task-clock"]) == 64
+    captured = capsys.readouterr()
+    assert f"{scripted_path} came from the scripted backend" in captured.err
+    assert captured.out == ""
+    assert main(["run", "--backend", f"scripted:{path}",
+                 "--calibration-file", str(process_path)]) == 64
+    captured = capsys.readouterr()
+    assert f"{process_path} came from the task-clock counter" in captured.err
+    assert captured.out == ""
 
 
 def test_a_scripted_calibration_with_no_progress_exits_sixty_four(tmp_path, capsys):

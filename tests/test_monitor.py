@@ -81,6 +81,8 @@ def test_live_loop_matches_simulator_sample_for_sample(schedule, threshold):
     expected = simulate(schedule, threshold=threshold)
     verdict, trace = run_scripted(schedule, cfg(threshold))
     assert trace.samples == expected.samples
+    assert trace.instants == expected.instants
+    assert trace.check_period_us == expected.check_period_us == schedule.period_ticks
     assert trace.validate() == []
 
 
@@ -540,6 +542,21 @@ def test_trace_validate_flags_illegal_structures():
         sample(0, 10, 5, 0, Action.HEAD_DONE),
         sample(1, 20, 5, 3, Action.RESUME),
     ]).validate() == ["interval 1: resume while running"]
+
+
+def test_the_staggering_floor_pairs_each_head_count_with_the_next_trail_count():
+    samples = [
+        sample(0, 10, 5, 0, Action.RESUME),
+        sample(1, 20, 9, 7, Action.NONE),
+        sample(2, 30, 12, 9, Action.HEAD_DONE),
+        sample(3, 40, 12, 30, Action.TRAIL_DONE),
+    ]
+    # 5 - 7 and 9 - 9; the pair after HEAD_DONE does not count.
+    assert Trace(samples=samples).staggering_floor() == -2
+    assert Trace(samples=samples[:2] + samples[3:]).staggering_floor() == -21
+    assert Trace(samples=samples[2:]).staggering_floor() is None
+    assert Trace(samples=samples[:1]).staggering_floor() is None
+    assert Trace().staggering_floor() is None
 
 
 # ----------------------------------------------------------- real processes

@@ -11,7 +11,7 @@ from softlockstep import sim
 from softlockstep.calibration import calibrate_scripted
 from softlockstep.core import Action, DiversityLossPolicy, MonitorConfig
 from softlockstep.formats import read_schedule_csv, write_schedule_csv
-from softlockstep.monitor import run_scripted
+from softlockstep.monitor import Trace, run_scripted
 from softlockstep.progress import ScriptedSource
 from softlockstep.sim import (
     INT64_MAX,
@@ -102,7 +102,7 @@ def test_abort_run_stops_at_first_negative_check():
     schedule = Schedule.of([5, 0, 0, 0, 5, 5], [0, 3, 3, 0, 0, 0])
     trace = simulate(schedule, threshold=1,
                      diversity_loss_policy=DiversityLossPolicy.ABORT_RUN)
-    assert trace.diversity_lost
+    assert Action.DIVERSITY_LOSS in actions(trace)
     assert trace.samples[-1].action is Action.DIVERSITY_LOSS
     assert trace.samples[-1].staggering < 0
 
@@ -124,7 +124,7 @@ TRAIL_FINISHES_FIRST = Schedule.of([3] * 4 + [0] * 16, [0] * 4 + [9] * 16,
 def test_a_trail_that_overtakes_and_finishes_first_is_a_loss():
     trace = simulate(TRAIL_FINISHES_FIRST, threshold=3)
     assert min_staggering(trace) == -8
-    assert trace.diversity_lost
+    assert Action.DIVERSITY_LOSS in actions(trace)
     assert [(s.head_count, s.trail_count, s.action) for s in trace.samples] == [
         (12, 0, Action.RESUME),
         (12, 20, Action.DIVERSITY_LOSS),
@@ -147,11 +147,51 @@ def test_min_staggering_sees_between_check_instants():
     assert min(staggerings(trace)) == 2  # checks only ever saw 4 and 2
 
 
-def test_min_staggering_rejects_empty_trace():
-    from softlockstep.sim import SimTrace
+# Period 3, threshold 1: the trail passes the stalled head at tick 5, and the
+# head is ahead again by the check at tick 6, so no check sees the loss.
+HIDDEN_LOSS = Schedule.of([0, 0, 4, 0, 0, 4, 0], [0, 0, 0, 3, 3, 0, 0], period_ticks=3)
 
+
+def test_a_loss_no_check_sees_leaves_a_negative_floor():
+    trace = simulate(HIDDEN_LOSS, threshold=1)
+    assert Action.DIVERSITY_LOSS not in actions(trace)
+    assert min_staggering(trace) == trace.staggering_floor() == -2
+
+
+def test_a_negative_floor_is_a_possible_loss_not_a_proven_one():
+    # The dip to 1 at tick 3 stays positive, yet the floor, which cannot
+    # tell when between checks the trail ran, reads 4 - 6.
+    trace = simulate(Schedule.of([4, 0, 0, 4], [0, 0, 3, 3], period_ticks=2), threshold=1)
+    assert trace.staggering_floor() == -2
+    assert min_staggering(trace) == 1
+
+
+lengths = st.none() | st.integers(min_value=0, max_value=30)
+
+
+@settings(max_examples=500, deadline=None)
+@given(schedule=st.builds(
+    Schedule.of,
+    st.lists(st.integers(min_value=0, max_value=5), max_size=10),
+    st.lists(st.integers(min_value=0, max_value=5), max_size=10),
+    period_ticks=st.integers(min_value=1, max_value=3),
+    suspend_latency_ticks=st.integers(min_value=0, max_value=3),
+    head_length=lengths,
+    trail_length=lengths,
+), threshold=st.integers(min_value=-2, max_value=12),
+   policy=st.sampled_from(DiversityLossPolicy))
+def test_the_staggering_floor_bounds_every_instant_from_below(schedule, threshold, policy):
+    # Before the first check the trail has not run, so only the floor's
+    # negative values bound the instants.
+    trace = simulate(schedule, threshold, policy)
+    floor = trace.staggering_floor()
+    if floor is not None:
+        assert min_staggering(trace) >= min(floor, 0)
+
+
+def test_min_staggering_rejects_empty_trace():
     with pytest.raises(EmptyTrace):
-        min_staggering(SimTrace())
+        min_staggering(Trace())
 
 
 @pytest.mark.parametrize("schedule", [
@@ -500,7 +540,7 @@ def test_safety_theorem_on_random_schedules(schedule):
     threshold = r_max * (schedule.period_ticks + schedule.suspend_latency_ticks)
     trace = simulate(schedule, threshold=threshold)
     assert min_staggering(trace) >= 0
-    assert not trace.diversity_lost
+    assert Action.DIVERSITY_LOSS not in actions(trace)
 
 
 def test_schedule_csv_round_trip():
